@@ -10,6 +10,7 @@ Exit codes: 0 on success, 2 for config parse or validation problems,
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -47,8 +48,9 @@ def _cmd_run(args):
     if args.mode is not None:
         config = replace(config, mode=args.mode)
     if args.dt is not None:
-        if not args.dt > 0.0:
-            raise ValidationError(f"dt must be positive, got {args.dt}")
+        if not 0.0 < args.dt < math.inf:
+            raise ValidationError(
+                f"dt must be positive and finite, got {args.dt}")
         config = replace(config, dt=args.dt)
     report = run_mission(config, out_dir=args.out)
     if report.rendezvous_point is not None:

@@ -9,6 +9,7 @@ marker file next to whatever partial outputs were flushed.
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from .consensus import ConsensusTrajectory, consensus_point, integrate_protocol
 from .errors import (DimensionError, DomainError, GimbalLockError, IoError,
                      ParseError, SwarmError, ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
-                      fully_connected_vertices)
+                      fully_connected_vertices, pairwise_distances)
 from .numerics import sym_eigen
 from .planner import ManeuverSpec, chain_schedules, rendezvous_leg, schedule_for
 from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
@@ -108,9 +109,12 @@ class ComparisonReport:
 
 def _floats(text, key):
     try:
-        return [float(tok) for tok in text.split(",")]
+        vals = [float(tok) for tok in text.split(",")]
     except ValueError as e:
         raise ParseError(f"key '{key}': {e}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ValidationError(f"key '{key}': non-finite number in {text!r}")
+    return vals
 
 
 def _one_float(cp, section, key, default=None):
@@ -118,10 +122,14 @@ def _one_float(cp, section, key, default=None):
         return default
     raw = cp.get(section, key)
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ParseError(
             f"key '{key}' in [{section}]: not a number: {raw!r}") from None
+    if not math.isfinite(val):
+        raise ValidationError(
+            f"key '{key}' in [{section}]: non-finite number {raw!r}")
+    return val
 
 
 def _one_int(cp, section, key, default=None):
@@ -161,7 +169,8 @@ def load_config(path):
         ParseError: syntax errors, unknown sections or keys, non-numeric
             values (the message names the offending key).
         ValidationError: structurally invalid missions (bad mode,
-            nonpositive dt, agent count mismatch, ...).
+            nonpositive dt, non-finite numbers, agent count mismatch,
+            ...).
     """
     path = Path(path)
     try:
@@ -251,12 +260,10 @@ def load_config(path):
     elif weights == "distance":
         policy = DistanceWeighted(threshold)
     elif weights == "initial-distance":
-        pos = agents[:, :3]
-        auto = {}
-        for i, j in edges:
-            a, b = min(i, j), max(i, j)
-            auto[(a, b)] = float(np.linalg.norm(pos[a - 1] - pos[b - 1]))
-        policy = StaticWeights(auto)
+        dist = pairwise_distances(agents[:, :3])
+        policy = StaticWeights({
+            (min(i, j), max(i, j)): float(dist[i - 1, j - 1])
+            for i, j in edges if 1 <= i <= n and 1 <= j <= n})
     else:
         raise ValidationError(
             f"weights must be none, static, distance or initial-distance, "
@@ -286,10 +293,7 @@ def load_config(path):
             kind = vals[0].strip()
             if kind not in ("hover", "yaw", "vertical", "bodyX", "bodyY"):
                 raise ValidationError(f"'{key}': unknown maneuver {kind!r}")
-            try:
-                amount, duration = float(vals[1]), float(vals[2])
-            except ValueError:
-                raise ParseError(f"key '{key}': bad numbers") from None
+            amount, duration = _floats(",".join(vals[1:]), key)
             if not duration > 0.0:
                 raise ValidationError(f"'{key}': duration must be positive")
             legs.append(ManeuverSpec(kind, amount, duration))

@@ -3,7 +3,9 @@
 Vertices are numbered 1..n in the public interface. Edges are unordered
 pairs. Three weight policies are supported: plain 0/1 weights, a fixed
 symmetric weight map, and distance weights that grow edges permanently
-whenever two agents pass within a threshold of each other.
+whenever two agents pass within a threshold of each other. That
+proximity rule is written once, in proximity_edges, and every distance
+weight comes from pairwise_distances.
 """
 
 from collections import deque
@@ -123,15 +125,25 @@ class Laplacian:
         object.__setattr__(self, "matrix", m)
 
 
-def _laplacian_from_weights(net, weight_of, t):
-    n = net.n
-    a = np.zeros((n, n))
+def adjacency(net):
+    """(n, n) boolean adjacency matrix of a network."""
+    adj = np.zeros((net.n, net.n), dtype=bool)
     for i, j in net.edges:
-        w = weight_of(i, j)
-        a[i - 1, j - 1] = w
-        a[j - 1, i - 1] = w
-    m = np.diag(a.sum(axis=1)) - a
-    return Laplacian(matrix=m, source=net, time=t)
+        adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
+    return adj
+
+
+def _laplacian_of(a, net, t):
+    """Snapshot of the Laplacian of the symmetric edge-weight matrix a."""
+    return Laplacian(matrix=np.diag(a.sum(axis=1)) - a, source=net, time=t)
+
+
+def _fixed_laplacian(net, t):
+    a = adjacency(net).astype(float)
+    if isinstance(net.policy, StaticWeights):
+        for (i, j), w in net.policy.weights.items():
+            a[i - 1, j - 1] = a[j - 1, i - 1] = w
+    return _laplacian_of(a, net, t)
 
 
 def laplacian(net):
@@ -145,9 +157,7 @@ def laplacian(net):
         raise PolicyError(
             "distance-weighted Laplacian needs positions; "
             "use weighted_laplacian_at")
-    if isinstance(net.policy, StaticWeights):
-        return _laplacian_from_weights(net, net.policy.weight, 0.0)
-    return _laplacian_from_weights(net, lambda i, j: 1.0, 0.0)
+    return _fixed_laplacian(net, 0.0)
 
 
 def _check_positions(net, positions):
@@ -158,12 +168,41 @@ def _check_positions(net, positions):
     return q
 
 
+def pairwise_distances(q):
+    """(n, n) Euclidean distances between the rows of q.
+
+    The square root of the summed squared differences. np.linalg.norm
+    rounds some of these differently in the last bit, so every distance
+    weight in the package comes from this formula.
+    """
+    diff = q[:, None, :] - q[None, :, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+def proximity_edges(dist, adj, threshold):
+    """The proximity rule: the mask of vertex pairs that become edges.
+
+    A pair qualifies when its distance (from pairwise_distances) is
+    strictly below threshold and it is not adjacent in the boolean
+    matrix adj yet; self-pairs never do. The (n, n) mask is symmetric.
+    """
+    new = (dist < threshold) & ~adj
+    np.fill_diagonal(new, False)
+    return new
+
+
+def with_edges(net, mask):
+    """The network plus the edges marked in an (n, n) boolean mask."""
+    pairs = {(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(mask))}
+    return Network(net.n, net.edges | pairs, net.policy)
+
+
 def add_proximity_edges(net, positions):
     """Grow a distance-weighted network by its proximity rule.
 
     Any vertex pair strictly closer than the policy threshold becomes an
-    edge; existing edges are kept regardless of distance. Networks with
-    other policies are returned unchanged.
+    edge (proximity_edges); existing edges are kept regardless of
+    distance. Networks with other policies are returned unchanged.
 
     Returns:
         (network, added): the possibly augmented network and whether any
@@ -172,26 +211,20 @@ def add_proximity_edges(net, positions):
     if not isinstance(net.policy, DistanceWeighted):
         return net, False
     q = _check_positions(net, positions)
-    new = set()
-    thr = net.policy.threshold
-    for i in range(1, net.n + 1):
-        for j in range(i + 1, net.n + 1):
-            if (i, j) in net.edges:
-                continue
-            if np.linalg.norm(q[i - 1] - q[j - 1]) < thr:
-                new.add((i, j))
-    if not new:
+    new = proximity_edges(pairwise_distances(q), adjacency(net),
+                          net.policy.threshold)
+    if not new.any():
         return net, False
-    grown = Network(net.n, net.edges | new, net.policy)
-    return grown, True
+    return with_edges(net, new), True
 
 
 def weighted_laplacian_at(net, positions, t=0.0):
     """Laplacian evaluated at the given agent positions.
 
-    StaticWeights networks ignore the position values (only the shape is
-    checked). DistanceWeighted networks first grow edges by the proximity
-    rule, then weight every edge by the current inter-agent distance; the
+    Unweighted and StaticWeights networks ignore the position values
+    (only the shape is checked). DistanceWeighted networks first grow
+    edges by the proximity rule (proximity_edges), then weight every
+    edge by the current inter-agent distance (pairwise_distances); the
     returned snapshot's `source` is the grown network.
 
     Args:
@@ -199,13 +232,13 @@ def weighted_laplacian_at(net, positions, t=0.0):
         t: time tag stored on the snapshot.
     """
     q = _check_positions(net, positions)
-    if isinstance(net.policy, DistanceWeighted):
-        grown, _ = add_proximity_edges(net, q)
-        return _laplacian_from_weights(
-            grown, lambda i, j: float(np.linalg.norm(q[i - 1] - q[j - 1])), t)
-    if isinstance(net.policy, StaticWeights):
-        return _laplacian_from_weights(net, net.policy.weight, t)
-    return _laplacian_from_weights(net, lambda i, j: 1.0, t)
+    if not isinstance(net.policy, DistanceWeighted):
+        return _fixed_laplacian(net, t)
+    dist = pairwise_distances(q)
+    adj = adjacency(net)
+    new = proximity_edges(dist, adj, net.policy.threshold)
+    w = np.where(adj | new, dist, 0.0)
+    return _laplacian_of(w, with_edges(net, new), t)
 
 
 def is_connected(net):

@@ -1,8 +1,8 @@
 """Shared numeric kernel.
 
-Skew-symmetric matrices, Euler-angle kinematics, a cyclic Jacobi
-eigensolver for symmetric matrices, and a fixed-step RK4 integrator.
-All angles are radians and all arrays are float64.
+Skew-symmetric matrices, Euler-angle kinematics, the symmetric
+eigensolver (LAPACK ``eigh`` behind input checks), and a fixed-step RK4
+integrator. All angles are radians and all arrays are float64.
 """
 
 import math
@@ -13,11 +13,6 @@ from .errors import ConvergenceError, DomainError, GimbalLockError
 
 # Pitch values within this distance of +-pi/2 count as gimbal lock.
 GIMBAL_EPS = 1e-6
-
-# Jacobi sweep budget and the relative off-diagonal mass threshold that
-# counts as converged.
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-13
 
 
 def hat(y):
@@ -93,87 +88,36 @@ def euler_rate_matrix(phi, theta):
 
 
 def sym_eigen(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
-    Sweeps zero out off-diagonal entries pairwise until the largest
-    off-diagonal magnitude falls below 1e-13 relative to the largest
-    entry of the input. Deterministic: no pivot search, plain row-major
-    sweep order.
+    Only the lower triangle is read, after the symmetry check.
 
     Args:
-        a: (n, n) symmetric array-like. Asymmetry beyond 1e-12 is refused.
+        a: (n, n) symmetric array-like with finite entries. Asymmetry
+            beyond 1e-12 is refused.
 
     Returns:
         (eigvals, vecs): eigenvalues ascending, vecs[:, k] the unit
         eigenvector for eigvals[k], so a @ vecs == vecs @ diag(eigvals).
 
     Raises:
-        DomainError: non-square or asymmetric input.
-        ConvergenceError: sweep budget exhausted.
+        DomainError: non-square, empty, non-finite or asymmetric input.
+        ConvergenceError: LAPACK reports that it did not converge.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise DomainError("empty matrix")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has non-finite entries")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise DomainError("matrix is not symmetric within 1e-12")
-
-    d = a.copy()
-    vecs = np.eye(n)
-    scale = np.max(np.abs(a))
-    if scale == 0.0 or n == 1:
-        return np.diag(d).copy(), vecs
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = np.abs(d[p, p + 1:])
-            m = row.max()
-            if m > off:
-                off = m
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # Classic symmetric Schur rotation zeroing d[p, q].
-                tau = (d[q, q] - d[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                dpp = d[p, p]
-                dqq = d[q, q]
-                d[p, p] = dpp - t * apq
-                d[q, q] = dqq + t * apq
-                d[p, q] = 0.0
-                d[q, p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    dkp = d[k, p]
-                    dkq = d[k, q]
-                    d[k, p] = c * dkp - s * dkq
-                    d[p, k] = d[k, p]
-                    d[k, q] = s * dkp + c * dkq
-                    d[q, k] = d[k, q]
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-
-    eigvals = np.diag(d).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], vecs[:, order]
+    try:
+        eigvals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceError(f"eigh did not converge: {e}") from None
+    return eigvals, vecs
 
 
 def rk4_step(derivative, x, t, dt):

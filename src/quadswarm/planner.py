@@ -46,15 +46,11 @@ class ManeuverSpec:
     kind: 'hover', 'yaw', 'vertical', 'bodyX' or 'bodyY'.
     amount: radians for yaw, meters otherwise (ignored for hover).
     duration: leg length in seconds.
-    free_parameter: reserved for alternative rotor splits; the default
-        planner determines every rotor speed from the manifold
-        constraints and leaves this unused.
     """
 
     kind: str
     amount: float
     duration: float
-    free_parameter: float = None
 
 
 @dataclass(frozen=True)
@@ -447,7 +443,13 @@ def _translation_law(dx, wlo, whi, rate, p, axis):
 
 def axis_translation_schedule(p, axis, distance, duration,
                               omega_max=OMEGA_MAX, dt=1e-3):
-    """Translate along body x or body y, ending level and at rest.
+    """Translate along body x or body y, back toward a level hover.
+
+    Only the displacement along the axis is tuned to land on target,
+    so the leg ends near, not exactly at, a level rest. Simulated, the
+    tuned 5 m / 4 s bodyX leg ends 2.96e-3 m high, pitched 5.4e-4 rad,
+    with body velocity 7.4e-3 m/s forward and 2.0e-3 m/s up; these
+    residuals come from the grid-differenced tilt plan (see build).
 
     The vehicle tilts into the direction of travel while the thrust sum
     holds altitude. For bodyX rotors 2 and 4 drive the pitch channel:

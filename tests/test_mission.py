@@ -191,6 +191,30 @@ leg1 = teleport, 1.0, 2.0
         with pytest.raises(ValidationError, match="teleport"):
             load_config(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("name, old, new, key", [
+        ("scenario_2_4_1", "agent1 = 4, 17, 24", "agent1 = nan, 0, 0",
+         "agent1"),
+        ("scenario_2_4_1", "agent1 = 4, 17, 24", "agent1 = inf, 0, 0",
+         "agent1"),
+        ("scenario_2_4_1", "T = 50.0", "T = inf", "T"),
+        ("scenario_4_2_1", "leg3 = bodyX, 5, 4", "leg3 = bodyX, nan, 4",
+         "leg3"),
+    ], ids=["agent-nan", "agent-inf", "T-inf", "leg-nan"])
+    def test_non_finite_numbers_rejected(self, tmp_path, name, old, new,
+                                         key):
+        text = scenario_path(name).read_text(encoding="utf-8")
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, new))
+        with pytest.raises(ValidationError, match=f"'{key}'"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 2
+
+    def test_initial_distance_edge_out_of_range(self, tmp_path):
+        text = BASE.replace("edges = 1-2",
+                            "edges = 1-3\nweights = initial-distance")
+        with pytest.raises(ValidationError, match="1..2"):
+            load_config(write_cfg(tmp_path, text))
+
     def test_quad_agents_must_be_valid_states(self, tmp_path):
         text = BASE.replace("mode = particle", "mode = quad").replace(
             "agent2 = 1, 1, 1", "agent2 = 1, 1, 1, 0, 1.6, 0")
@@ -383,6 +407,9 @@ class TestCli:
     def test_rejects_bad_dt_override(self, capsys):
         rc = main(["run", str(scenario_path("scenario_2_4_1")),
                    "--dt", "-0.1"])
+        assert rc == 2
+        rc = main(["run", str(scenario_path("scenario_2_4_1")),
+                   "--dt", "inf"])
         assert rc == 2
 
     def test_list_scenarios(self, capsys):

@@ -9,7 +9,8 @@ from quadswarm.errors import DimensionError, DomainError, PolicyError
 from quadswarm.network import (DistanceWeighted, Laplacian, Network,
                                StaticWeights, Unweighted,
                                add_proximity_edges, fully_connected_vertices,
-                               is_connected, laplacian, weighted_laplacian_at)
+                               is_connected, laplacian, pairwise_distances,
+                               proximity_edges, weighted_laplacian_at)
 from quadswarm.numerics import sym_eigen
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
@@ -160,6 +161,27 @@ class TestDistanceWeighting:
         assert np.allclose(lap.matrix, expect, atol=1e-12)
         assert lap.time == 1.5
         assert lap.source.edges == frozenset({(1, 2), (2, 3)})
+
+    def test_pairwise_distances(self):
+        q = np.random.default_rng(3).normal(size=(6, 3))
+        dist = pairwise_distances(q)
+        assert np.array_equal(dist, dist.T)
+        assert np.array_equal(np.diag(dist), np.zeros(6))
+        for i in range(6):
+            for j in range(6):
+                d = q[i] - q[j]
+                assert dist[i, j] == np.sqrt(d[0] * d[0] + d[1] * d[1]
+                                             + d[2] * d[2])
+
+    def test_proximity_edges_mask(self):
+        q = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5], [0.0, -2.0]])
+        adj = np.zeros((4, 4), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        new = proximity_edges(pairwise_distances(q), adj, 2.0)
+        # 1-2 is an edge already and 1-4 sits exactly at the threshold;
+        # 1-3 (1.5) and 2-3 (1.8) are new, and no vertex pairs itself.
+        expect = {(0, 2), (2, 0), (1, 2), (2, 1)}
+        assert set(zip(*np.nonzero(new))) == expect
 
     def test_add_proximity_edges(self):
         net = Network(3, set(), DistanceWeighted(threshold=2.0))

@@ -155,6 +155,8 @@ class TestSymEigen:
             sym_eigen([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DomainError):
             sym_eigen(np.zeros((0, 0)))
+        with pytest.raises(DomainError):
+            sym_eigen([[1.0, math.nan], [math.nan, 1.0]])
 
 
 class TestRk4:
