@@ -10,9 +10,10 @@ from .consensus import (ConsensusTrajectory, closed_form_state,
                         consensus_point, convergence_rate,
                         integrate_protocol, lyapunov, straightness_residual)
 from .errors import (ConvergenceError, DimensionError, DisconnectedError,
-                     DomainError, GimbalLockError, InfeasibleError, IoError,
-                     ParseError, PolicyError, SaturationError,
-                     ScheduleGapError, SwarmError, ValidationError)
+                     DivergenceError, DomainError, GimbalLockError,
+                     InfeasibleError, IoError, ParseError, PolicyError,
+                     SaturationError, ScheduleGapError, SwarmError,
+                     ValidationError)
 from .mission import (AgentReport, ComparisonReport, MissionConfig,
                       compare_trajectories, export_csv, load_config,
                       run_mission)
@@ -36,7 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentReport", "ComparisonReport", "ConsensusTrajectory",
     "ControlSchedule", "Controls", "ConvergenceError", "DimensionError",
-    "DisconnectedError", "DistanceWeighted", "DomainError",
+    "DisconnectedError", "DistanceWeighted", "DivergenceError",
+    "DomainError",
     "GIMBAL_EPS", "GimbalLockError", "InfeasibleError", "IoError",
     "Laplacian", "ManeuverSpec", "MissionConfig", "Network", "OMEGA_MAX",
     "ParseError", "PolicyError", "QuadParams", "QuadState",

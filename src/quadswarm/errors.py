@@ -54,5 +54,9 @@ class ValidationError(SwarmError):
     """A mission config parsed but violates a structural invariant."""
 
 
+class DivergenceError(SwarmError):
+    """A run produced non-finite numbers, so it has no result to report."""
+
+
 class IoError(SwarmError):
     """Reading or writing mission artifacts failed."""

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import ConsensusTrajectory, consensus_point, integrate_protocol
-from .errors import (DimensionError, DomainError, GimbalLockError, IoError,
-                     ParseError, SwarmError, ValidationError)
+from .errors import (DimensionError, DivergenceError, DomainError,
+                     GimbalLockError, IoError, ParseError, SwarmError,
+                     ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
                       fully_connected_vertices, pairwise_distances)
 from .numerics import sym_eigen
@@ -581,10 +582,16 @@ def _run_mission(config, dest):
 
 
 def _write_report(report, dest):
+    # serialised before the file opens, so a non-finite number leaves
+    # no partial report behind
+    try:
+        text = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    except ValueError as e:
+        raise DivergenceError(
+            f"report holds a non-finite number: {e}") from e
     try:
         with open(dest / "report.json", "w", encoding="utf-8",
                   newline="") as f:
-            json.dump(report.to_dict(), f, indent=2)
-            f.write("\n")
+            f.write(text + "\n")
     except OSError as e:
         raise IoError(f"cannot write report: {e}") from e

@@ -14,9 +14,10 @@ invariant manifolds of the dynamics:
     own axis (so no roll for bodyX, no pitch for bodyY).
 
 Each leg commands a smooth velocity bump or trapezoid, inverts the
-rigid-body dynamics along the manifold to get rotor speeds, and then
-tunes the profile amplitude by scalar bisection against the actual
-fixed-step simulation so the terminal quantity lands on target.
+rigid-body dynamics along the manifold in closed form to get rotor
+speeds, and then tunes the profile amplitude by false position with
+the Illinois cut against the actual fixed-step simulation so the
+terminal quantity lands on target.
 """
 
 import math
@@ -31,7 +32,7 @@ from .quad import Controls, hover_state, simulate
 # Rotor speed ceiling used by planning; the integrator itself never clamps.
 OMEGA_MAX = 500.0
 
-# Terminal tolerance and iteration budget for amplitude bisection.
+# Terminal tolerance and iteration budget for the amplitude search.
 _TUNE_TOL = 1e-6
 _TUNE_MAX_ITER = 60
 
@@ -259,11 +260,12 @@ def _tune_amplitude(build, measure, target, tol=_TUNE_TOL,
 def _scan_feasible(law, duration, omega_max, samples=2001):
     """Probe a smooth law on a dense grid; saturation here is a plan
     failure, not an emission failure."""
-    for tl in np.linspace(0.0, duration, samples):
-        om = law(tl)
-        if np.any(om < 0.0) or np.any(om > omega_max):
-            raise InfeasibleError(
-                f"rotor speeds leave [0, {omega_max}] at t={tl:.3f}")
+    tl = np.linspace(0.0, duration, samples)
+    om = np.array([law(t) for t in tl])
+    bad = np.any((om < 0.0) | (om > omega_max), axis=1)
+    if bad.any():
+        raise InfeasibleError(f"rotor speeds leave [0, {omega_max}] "
+                              f"at t={tl[np.argmax(bad)]:.3f}")
 
 
 def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX, dt=1e-3):
@@ -272,8 +274,8 @@ def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX, dt=1e-3):
     Rotors hold omega1 = omega3 and omega2 = omega4 with the thrust sum
     pinned to m g, so the vehicle neither translates nor tips; only the
     reaction torque acts. The commanded yaw rate is a raised-cosine
-    bump whose amplitude is bisection-tuned so the simulated final yaw
-    matches delta_psi.
+    bump whose amplitude is tuned by false position with the Illinois
+    cut so the simulated final yaw matches delta_psi.
 
     Raises:
         InfeasibleError: required torque drives a rotor outside
@@ -322,8 +324,8 @@ def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX, dt=1e-3):
 
     All four rotors stay equal, so no torque is ever produced; thrust
     follows a raised-cosine vertical-velocity bump plus drag and
-    gravity compensation. Amplitude is bisection-tuned on the simulated
-    final altitude.
+    gravity compensation. The amplitude is tuned by false position with
+    the Illinois cut on the simulated final altitude.
     """
     if not duration > 0.0:
         raise DomainError("duration must be positive")
@@ -357,116 +359,76 @@ def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX, dt=1e-3):
     return _tune_amplitude(build, measure, dz)
 
 
-def _trapezoid(duration, peak, n):
-    """Commanded speed and acceleration for a ramp-cruise-ramp profile.
+def _smoothstep_ramp(peak, width, rising):
+    """Inertial speed along one translation ramp of the given width.
 
-    Ramps take _RAMP_FRACTION of the duration each and follow a quintic
-    smoothstep, so speed, acceleration and jerk are continuous at the
-    leg boundaries (the commanded tilt rate then starts and ends at
-    zero, which keeps the inverse dynamics within rotor authority).
+    The speed is peak * S(u) with the quintic smoothstep
+    S(u) = 10u^3 - 15u^4 + 6u^5 and u = tl / width (rising from 0 to
+    peak) or 1 - tl / width (falling back to 0). Speed, acceleration
+    and jerk therefore meet the cruise and the hovers continuously; the
+    snap jumps by 60 peak / width^3 at both ends of the ramp.
 
-    Returns (t, v, vdot) arrays of length n.
+    Returns profile(tl) -> (V, V', V'', V''') on local time [0, width].
     """
-    t = np.linspace(0.0, duration, n)
-    r = _RAMP_FRACTION * duration
-    v = np.full(n, peak)
-    vdot = np.zeros(n)
+    sign = 1.0 if rising else -1.0  # du/dt = sign / width
+    c1 = sign * peak / width
+    c2 = peak / (width * width)
+    c3 = sign * peak / (width * width * width)
 
-    def smooth(u):
-        return u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+    def profile(tl):
+        u = tl / width if rising else 1.0 - tl / width
+        q = u * (1.0 - u)
+        return (peak * u * u * u * (10.0 + u * (6.0 * u - 15.0)),
+                30.0 * c1 * q * q,
+                60.0 * c2 * q * (1.0 - 2.0 * u),
+                60.0 * c3 * (1.0 - 6.0 * q))
 
-    def dsmooth(u):
-        return 30.0 * u ** 2 * (1.0 - u) ** 2
-
-    up = t < r
-    u = t[up] / r
-    v[up] = peak * smooth(u)
-    vdot[up] = peak * dsmooth(u) / r
-    down = t > duration - r
-    u = (duration - t[down]) / r
-    v[down] = peak * smooth(u)
-    vdot[down] = -peak * dsmooth(u) / r
-    return t, v, vdot
-
-
-def _translation_law(dx, wlo, whi, rate, p, axis):
-    """Linear-interpolating law for a translation leg.
-
-    The grids are sampled at multiples of dx from zero. Only the
-    driving pair's speeds and the planned tilt rate are interpolated.
-    The other pair is recomputed at every call so both of its
-    constraints hold exactly at any sample time:
-
-      * its squared speeds sum to the driving pair's, so the four
-        reaction torques cancel and yaw stays at rest;
-      * its squared-speed difference cancels the gyroscopic torque
-        Jr * rate * sigma on the non-driving axis. sigma depends on
-        the pair itself, but only at second order in that difference,
-        so one correction after the balanced guess is exact to
-        rounding.
-    """
-    n = len(wlo)
-    k = p.Jr_bar / (p.Kr * p.d)
-    body_x = axis == "bodyX"
-
-    def law(tl):
-        i = int(tl / dx) + 1
-        if i < 1:
-            i = 1
-        elif i > n - 1:
-            i = n - 1
-        f = (tl - (i - 1) * dx) / dx
-        if f < 0.0:
-            f = 0.0
-        elif f > 1.0:
-            f = 1.0
-        a = wlo[i - 1] + f * (wlo[i] - wlo[i - 1])
-        b = whi[i - 1] + f * (whi[i] - whi[i - 1])
-        r = rate[i - 1] + f * (rate[i] - rate[i - 1])
-        half = 0.5 * (a * a + b * b)
-        lo = hi = math.sqrt(half)
-        # bodyX: sigma = (w1 + w3) - (w2 + w4) and the roll torque
-        # Krd (w3^2 - w1^2) must equal -Jr theta_dot sigma; bodyY flips
-        # sigma and the torque's sign alike, so one update serves both
-        for _ in range(2):
-            half_diff = 0.5 * k * r * (lo + hi - a - b)
-            lo = math.sqrt(half + half_diff)
-            hi = math.sqrt(half - half_diff)
-        if body_x:
-            # pitch torque Krd (w4^2 - w2^2); rotors 1 and 3 balance
-            return np.array([lo, a, hi, b])
-        # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
-        return np.array([a, lo, b, hi])
-
-    return law
+    return profile
 
 
 def axis_translation_schedule(p, axis, distance, duration,
                               omega_max=OMEGA_MAX, dt=1e-3):
-    """Translate along body x or body y, back toward a level hover.
+    """Translate along body x or body y, from a level hover to a level
+    hover.
 
-    Only the displacement along the axis is tuned to land on target,
-    so the leg ends near, not exactly at, a level rest. Simulated, the
-    tuned 5 m / 4 s bodyX leg ends 2.96e-3 m high, pitched 5.4e-4 rad,
-    with body velocity 7.4e-3 m/s forward and 2.0e-3 m/s up; these
-    residuals come from the grid-differenced tilt plan (see build).
+    The leg commands the inertial speed V(t) along the axis: a
+    trapezoid with smoothstep ramps of 20% each (_smoothstep_ramp),
+    whose cruise speed is tuned on the simulated displacement. Holding
+    the altitude and V fixes every other quantity in closed form. Let
+    the tilt be the pitch (s = +1, bodyX) or the roll (s = -1, bodyY).
+    The body velocity is then V cos(tilt) along the axis and
+    s V sin(tilt) along body z, and the axis's quadratic drag, c V|V|
+    cos^2(tilt) with c = CD_axis / m, makes w = tan(tilt) solve
 
-    The vehicle tilts into the direction of travel while the thrust sum
-    holds altitude. For bodyX rotors 2 and 4 drive the pitch channel:
-    their squares sum to half the thrust and differ by the commanded
-    torque over Kr d. Rotors 1 and 3 carry the other half, so the
-    reaction torques cancel, and split it so that Kr d (w3^2 - w1^2)
-    cancels the gyroscopic roll torque Jr theta_dot sigma along the
-    planned pitch rate. bodyY mirrors this on the roll channel, with
-    rotors 2 and 4 cancelling the gyroscopic pitch torque
-    -Jr phi_dot sigma. The commanded forward speed is a trapezoid
-    (smoothstep ramps of 20% each); its cruise speed is tuned on the
-    simulated displacement.
+        g w = s (V' + c V|V| cos(tilt)).
+
+    Newton's method settles w to rounding in two or three steps from
+    the drag-free guess. Differentiating the equation gives w' and w''
+    from V'' and V''', and with them the tilt rate and acceleration.
+    The thrust m (s V' sin + g cos) + CD3 v3|v3|, with v3 = s V sin
+    the body z speed, holds the altitude, and the torque
+    J accel + Ctau rate|rate| turns the tilt, so nothing is differenced
+    numerically.
+
+    For bodyX rotors 2 and 4 drive the pitch channel: their squares sum
+    to half the thrust over Kr and differ by the torque over Kr d.
+    Rotors 1 and 3 carry the same sum, so the reaction torques cancel
+    and yaw stays at rest, and split it so that Kr d (w3^2 - w1^2)
+    cancels the gyroscopic roll torque Jr theta_dot sigma. bodyY
+    mirrors this on the roll channel, with rotors 2 and 4 cancelling
+    the gyroscopic pitch torque -Jr phi_dot sigma.
+
+    The schedule has three segments: the ramp up, a cruise at constant
+    rotor speeds, and the ramp down. The snap, and with it the tilt
+    acceleration and the torque, jumps at each ramp end; simulate
+    never lets a step straddle a segment junction, so each ramp is
+    integrated on its own formula up to its closed end.
 
     Raises:
         GimbalLockError: the profile needs a tilt of pi/4 or more.
-        InfeasibleError: rotor speeds would leave [0, omega_max], or
-            thrust would have to vanish.
+        InfeasibleError: rotor speeds would leave [0, omega_max],
+            thrust would have to vanish, or there is no gravity to
+            tilt against.
     """
     if axis not in ("bodyX", "bodyY"):
         raise DomainError(f"axis must be 'bodyX' or 'bodyY', got {axis!r}")
@@ -475,86 +437,95 @@ def axis_translation_schedule(p, axis, distance, duration,
     if p.g <= 0.0:
         raise InfeasibleError("translation by tilting needs gravity")
 
-    n = max(4001, int(duration / 2.5e-4) + 1)
     m, g, Kr = p.m, p.g, p.Kr
     Krd = Kr * p.d
+    kg = p.Jr_bar / Krd
+    CD3 = p.CD[2]
     tilt_limit = math.pi / 4
+    body_x = axis == "bodyX"
+    if body_x:
+        s, J, Ct, c = 1.0, p.J[1], p.Ctau[1], p.CD[0] / m
+    else:
+        s, J, Ct, c = -1.0, p.J[0], p.Ctau[0], p.CD[1] / m
+    ramp = _RAMP_FRACTION * duration
 
     def build(scale):
         peak = scale * distance / ((1.0 - _RAMP_FRACTION) * duration)
-        tgrid, v, vdot = _trapezoid(duration, peak, n)
-        dx = tgrid[1] - tgrid[0]
+        # V keeps the sign of peak, so the drag term s c V|V| is kappa V^2
+        kappa = s * math.copysign(c, peak)
 
-        # Tilt angle that realizes the commanded acceleration against
-        # gravity and drag. The vertical-velocity/tilt-rate product is a
-        # small correction, folded in by a fixed number of passes: each
-        # pass differences the previous iterate once, and repeated
-        # differencing amplifies grid-frequency rounding noise by about
-        # two orders of magnitude per pass, so open-ended iteration
-        # diverges; three passes capture the correction to ~1e-3 of the
-        # tilt while keeping the profile smooth to ~1e-10.
-        drag_axis = p.CD[0] if axis == "bodyX" else p.CD[1]
-        ang = np.zeros(n)
-        for _ in range(3):
-            rate = np.gradient(ang, dx, edge_order=2)
-            if axis == "bodyX":
-                v3 = v * np.tan(ang)
-                s = (vdot + v3 * rate + v * np.abs(v) * drag_axis / m) / g
-            else:
-                v3 = -v * np.tan(ang)
-                s = (v3 * rate - v * np.abs(v) * drag_axis / m - vdot) / g
-            if np.max(np.abs(s)) >= 0.999:
-                raise InfeasibleError(
-                    "commanded acceleration exceeds available tilt")
-            ang = np.arcsin(s)
-        if np.max(np.abs(ang)) >= tilt_limit:
-            raise GimbalLockError(
-                f"translation wants tilt beyond {tilt_limit:.3f} rad")
+        def rotors(v, v1, v2, v3):
+            acc = s * v1
+            drag = kappa * v * v
+            w = (acc + drag) / g
+            for _ in range(20):
+                h = 1.0 / math.sqrt(1.0 + w * w)  # cos(tilt)
+                step = (g * w - acc - drag * h) / (g + drag * w * h ** 3)
+                w -= step
+                if abs(step) <= 1e-15 * (1.0 + abs(w)):
+                    break
+            if not abs(math.atan(w)) < tilt_limit:
+                raise GimbalLockError(
+                    f"translation wants tilt beyond {tilt_limit:.3f} rad")
+            h = 1.0 / math.sqrt(1.0 + w * w)
+            h2 = h * h
+            dh = -w * h2 * h  # d cos(tilt) / dw
+            drag1 = 2.0 * kappa * v * v1
+            drag2 = 2.0 * kappa * (v1 * v1 + v * v2)
+            den = g - drag * dh
+            w1 = (s * v2 + drag1 * h) / den
+            w2 = (s * v3 + drag2 * h + 2.0 * drag1 * dh * w1
+                  + drag * (2.0 * w * w - 1.0) * h2 * h2 * h * w1 * w1) / den
+            rate = w1 * h2
+            accel = (w2 - 2.0 * w * w1 * w1 * h2) * h2
+            sin = w * h
+            vz = s * v * sin  # body z speed
+            thrust = m * (s * v1 * sin + g * h) + CD3 * vz * abs(vz)
+            if not thrust > 0.0:
+                raise InfeasibleError("profile demands nonpositive thrust")
+            pair = thrust / (2.0 * Kr)  # sum of each pair's squares
+            pdiff = (J * accel + Ct * rate * abs(rate)) / Krd
+            if pair < abs(pdiff):
+                raise InfeasibleError("torque demand exceeds thrust budget")
+            a = math.sqrt(0.5 * (pair - pdiff))
+            b = math.sqrt(0.5 * (pair + pdiff))
+            # The other pair's squared-speed difference must cancel
+            # Jr rate sigma, and sigma depends on the pair itself, but
+            # only at second order in that difference: two updates from
+            # the balanced guess are exact to rounding. bodyX has sigma
+            # = (w1 + w3) - (w2 + w4) and roll torque Krd (w3^2 - w1^2);
+            # bodyY flips sigma and the torque's sign alike, so one
+            # update serves both.
+            half = 0.5 * pair
+            lo = hi = math.sqrt(half)
+            for _ in range(2):
+                half_diff = 0.5 * kg * rate * (lo + hi - a - b)
+                lo = math.sqrt(half + half_diff)
+                hi = math.sqrt(half - half_diff)
+            if body_x:
+                # pitch torque Krd (w4^2 - w2^2); rotors 1 and 3 balance
+                return np.array([lo, a, hi, b])
+            # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
+            return np.array([a, lo, b, hi])
 
-        # second-order ends: the default one-sided first-order
-        # differences halve the commanded tilt acceleration at the grid
-        # ends, leaving a tilt-rate offset that lasts the whole leg
-        ca = np.cos(ang)
-        sa = np.sin(ang)
-        rate = np.gradient(ang, dx, edge_order=2)
-        accel = np.gradient(rate, dx, edge_order=2)
-
-        if axis == "bodyX":
-            v3 = v * np.tan(ang)
-            thrust = m * ((vdot * sa + v * ca * rate + v3 * sa * rate) / ca
-                          - v * rate + g * ca) + v3 * np.abs(v3) * p.CD[2]
-            tau = p.J[1] * accel + rate * np.abs(rate) * p.Ctau[1]
-        else:
-            v3 = -v * np.tan(ang)
-            ta = sa / ca
-            thrust = m * (-vdot * ta - v * rate * ta * ta + g * ca) \
-                + v3 * np.abs(v3) * p.CD[2]
-            tau = p.J[0] * accel + rate * np.abs(rate) * p.Ctau[0]
-
-        if np.any(thrust <= 0.0):
-            raise InfeasibleError("profile demands nonpositive thrust")
-        # The driving pair carries half the thrust, and its squared-speed
-        # difference is the commanded torque; the other pair carries the
-        # other half (see _translation_law).
-        half = thrust / (2.0 * Kr)  # sum of the driving pair's squares
-        pdiff = tau / Krd           # whi^2 - wlo^2
-        lo_sq = 0.5 * (half - pdiff)
-        hi_sq = 0.5 * (half + pdiff)
-        if np.any(lo_sq < 0.0) or np.any(hi_sq < 0.0):
-            raise InfeasibleError("torque demand exceeds thrust budget")
-        wlo = np.sqrt(lo_sq)
-        whi = np.sqrt(hi_sq)
-        if max(np.max(wlo), np.max(whi)) > omega_max:
-            raise InfeasibleError(
-                f"rotor speeds leave [0, {omega_max}] during translation")
-
-        law = _translation_law(dx, wlo, whi, rate, p, axis)
-        return ControlSchedule((Segment(0.0, duration, law),), omega_max)
+        # the cruise goes first: its tilt guard bounds the drag term by
+        # sqrt(2) g over the whole leg, which keeps Newton's equation
+        # increasing in w, so its root is unique
+        cruise = rotors(peak, 0.0, 0.0, 0.0)
+        up = _smoothstep_ramp(peak, ramp, True)
+        down = _smoothstep_ramp(peak, ramp, False)
+        segs = (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
+                Segment(ramp, duration - ramp, lambda tl: cruise),
+                Segment(duration - ramp, duration,
+                        lambda tl: rotors(*down(tl))))
+        for seg in segs:
+            _scan_feasible(seg.law, seg.t1 - seg.t0, omega_max)
+        return ControlSchedule(segs, omega_max)
 
     if distance == 0.0:
         return build(0.0)
 
-    coord = 0 if axis == "bodyX" else 1
+    coord = 0 if body_x else 1
 
     def measure(sched):
         run = simulate(hover_state(), sched, p, duration, dt)

@@ -412,6 +412,19 @@ class TestCli:
                    "--dt", "inf"])
         assert rc == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_fails(self, tmp_path, capsys):
+        """A step far past RK4's stability bound turns the protocol's
+        numbers into NaN: the run exits 1 with a FAILED marker and
+        writes no report.json, which would otherwise hold bare NaNs."""
+        rc = main(["run", str(scenario_path("scenario_2_5_2")),
+                   "--dt", "0.5", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        dest = tmp_path / "scenario_2_5_2"
+        assert "DivergenceError" in (dest / "FAILED").read_text()
+        assert not (dest / "report.json").exists()
+
     def test_list_scenarios(self, capsys):
         rc = main(["list-scenarios"])
         assert rc == 0

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quadswarm import planner
 from quadswarm.errors import (DomainError, InfeasibleError, SaturationError,
                               ScheduleGapError)
 from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
@@ -13,7 +14,7 @@ from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                                chain_schedules, hover_controls,
                                hover_schedule, leg_durations, rendezvous_leg,
                                schedule_for, vertical_schedule, yaw_schedule,
-                               _trapezoid)
+                               _smoothstep_ramp)
 from quadswarm.quad import (Controls, QuadState, default_params, hover_state,
                             simulate, torques_body)
 
@@ -208,6 +209,31 @@ class TestTranslation:
         Krd (w4^2 - w2^2) cancels the gyroscopic pitch torque."""
         _check_balanced_pair("bodyY", 1.5, 2.5)
 
+    def test_legs_end_level_and_at_rest(self, monkeypatch):
+        """Tuned 5 m / 4 s legs land on target, level, at rest and at
+        the start altitude, and mirrored legs tune in equally many
+        simulations."""
+        real = planner.simulate
+        sims = {}
+        for axis, coord in (("bodyX", 0), ("bodyY", 1)):
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(planner, "simulate", counting)
+            sched = axis_translation_schedule(P, axis, 5.0, 4.0)
+            monkeypatch.setattr(planner, "simulate", real)
+            sims[axis] = len(calls)
+            final = simulate(hover_state(), sched, P, 4.0).states[-1]
+            assert abs(final[coord] - 5.0) <= 1e-5
+            assert np.max(np.abs(final[3:5])) <= 1e-8  # roll, pitch
+            assert np.max(np.abs(final[9:12])) <= 1e-8  # body rates
+            assert np.linalg.norm(final[6:9]) <= 1e-4  # body speed
+            assert abs(final[2]) <= 1e-4  # altitude
+        assert sims["bodyX"] == sims["bodyY"]
+
     def test_reverse_run(self):
         sched = axis_translation_schedule(P, "bodyX", -1.5, 2.5)
         run = simulate(hover_state(), sched, P, 2.5)
@@ -229,19 +255,39 @@ class TestTranslation:
 
 
 class TestTrapezoid:
+    """The commanded inertial speed: smoothstep ramps around a cruise."""
+
     def test_area_and_endpoints(self):
         duration, peak = 4.0, 1.25
-        t, v, vdot = _trapezoid(duration, peak, 4001)
-        assert v[0] == 0.0 and v[-1] == 0.0
-        assert np.max(v) == pytest.approx(peak, abs=1e-12)
+        width = 0.2 * duration
+        up = _smoothstep_ramp(peak, width, True)
+        down = _smoothstep_ramp(peak, width, False)
+        assert up(0.0)[0] == 0.0 and down(width)[0] == 0.0
+        # the ramps meet the cruise at the peak and never pass it
+        assert up(width)[0] == pytest.approx(peak, abs=1e-12)
+        assert down(0.0)[0] == pytest.approx(peak, abs=1e-12)
+        tl = np.linspace(0.0, width, 4001)
+        v_up = np.array([up(t)[0] for t in tl])
+        v_down = np.array([down(t)[0] for t in tl])
+        assert np.max(v_up) <= peak and np.max(v_down) <= peak
         # Quintic ramps each contribute half a ramp-width of area.
-        area = np.trapezoid(v, t)
+        area = (np.trapezoid(v_up, tl) + peak * (duration - 2.0 * width)
+                + np.trapezoid(v_down, tl))
         assert area == pytest.approx(peak * duration * 0.8, abs=1e-6)
 
     def test_rate_consistency(self):
-        t, v, vdot = _trapezoid(3.0, 0.9, 6001)
-        num = np.gradient(v, t)
-        assert np.max(np.abs(num - vdot)) <= 1e-3
+        """V', V'' and V''' each match a central difference of the
+        derivative one order below, on both ramps."""
+        width, peak, h = 0.6, 0.9, 1e-5
+        for rising in (True, False):
+            profile = _smoothstep_ramp(peak, width, rising)
+            for t in np.linspace(h, width - h, 41):
+                below, above = profile(t - h), profile(t + h)
+                here = profile(t)
+                for k in range(3):
+                    num = (above[k] - below[k]) / (2.0 * h)
+                    scale = peak / width ** (k + 1)
+                    assert abs(num - here[k + 1]) <= 1e-6 * scale
 
 
 class TestDispatch:
