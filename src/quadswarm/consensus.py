@@ -5,11 +5,12 @@ coordinate. The protocol conserves column sums, so all agents converge
 to the centroid of the initial rows when the graph is connected.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedError, DomainError
+from .errors import DisconnectedError, DivergenceError, DomainError
 from .network import (DistanceWeighted, Laplacian, adjacency, is_connected,
                       proximity_edges, weighted_laplacian_at, with_edges)
 from .numerics import sym_eigen
@@ -96,7 +97,7 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     other; each such change is recorded in the trajectory's
     laplacian_log. Integration stops early once every agent sits within
     stop_tol of the consensus point in every coordinate; the condition
-    is checked whenever a sample is recorded.
+    is checked whenever a sample is recorded, and so is finiteness.
 
     Args:
         net: communication graph; must be connected at t=0.
@@ -108,6 +109,10 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
 
     Returns:
         ConsensusTrajectory.
+
+    Raises:
+        DivergenceError: at the first recorded sample that is not
+            finite, e.g. when dt lies far outside RK4's stability bound.
     """
     q = np.array(q0, dtype=float)
     if q.ndim != 2 or q.shape[0] != net.n:
@@ -145,8 +150,13 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         if (k + 1) % stride == 0 or k == last:
             times.append((k + 1) * dt)
             states.append(q.copy())
-            if np.max(np.abs(q - alpha)) < stop_tol:
+            spread = np.max(np.abs(q - alpha))
+            if spread < stop_tol:
                 break
+            # np.max propagates NaN, so this costs no extra pass
+            if not math.isfinite(spread):
+                raise DivergenceError(
+                    f"protocol state is non-finite at t={times[-1]:.6f}")
 
     return ConsensusTrajectory(
         times=np.array(times),

@@ -346,10 +346,6 @@ def load_config(path):
         maneuvers=maneuvers)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def export_csv(traj, path):
     """Write a trajectory as UTF-8 CSV with LF line endings.
 
@@ -376,11 +372,14 @@ def export_csv(traj, path):
         times = traj.times
     else:
         raise DomainError(f"cannot export {type(traj).__name__}")
+    # '%.17g' % x renders a float exactly as format(x, '.17g') does,
+    # including -0, inf, nan and subnormals, in one call per row
+    line = ",".join(["%.17g"] * (1 + rows.shape[1])) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(header + "\n")
             for t, row in zip(times, rows):
-                f.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+                f.write(line % (t, *row.tolist()))
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
 

@@ -68,8 +68,9 @@ class ControlSchedule:
     """Contiguous rotor-speed segments covering [0, total_duration].
 
     omega_at validates every emission: speeds must lie in
-    [0, omega_max]. Sampling outside the covered interval raises
-    ScheduleGapError, as does constructing non-contiguous segments.
+    [0, omega_max], which NaN does not. Sampling outside the covered
+    interval raises ScheduleGapError, as does constructing
+    non-contiguous segments.
     """
 
     segments: tuple = ()
@@ -115,13 +116,14 @@ class ControlSchedule:
             local = 0.0
         elif local > seg.t1 - seg.t0:
             local = seg.t1 - seg.t0
-        om = seg.law(local)
-        if om[0] < 0.0 or om[1] < 0.0 or om[2] < 0.0 or om[3] < 0.0:
-            raise SaturationError(f"negative rotor speed at t={t!r}")
+        om = np.asarray(seg.law(local), dtype=float)
+        # written so that NaN fails the range check too
         mx = self.omega_max + 1e-9
-        if om[0] > mx or om[1] > mx or om[2] > mx or om[3] > mx:
-            raise SaturationError(
-                f"rotor speed exceeds {self.omega_max} rad/s at t={t!r}")
+        for w in om.tolist():
+            if not 0.0 <= w <= mx:
+                raise SaturationError(
+                    f"rotor speed {w!r} outside [0, {self.omega_max}] "
+                    f"rad/s at t={t!r}")
         return om
 
     @classmethod
@@ -284,8 +286,8 @@ def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX, dt=1e-3):
     if not duration > 0.0:
         raise DomainError("duration must be positive")
     pair_sq = p.m * p.g / (2.0 * p.Kr)  # omega1^2 + omega2^2 at all times
-    J3 = p.J[2]
-    Ct3 = p.Ctau[2]
+    J3 = float(p.J[2])
+    Ct3 = float(p.Ctau[2])
     two_pi = 2.0 * math.pi
 
     def build(scale):
@@ -330,7 +332,7 @@ def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX, dt=1e-3):
     if not duration > 0.0:
         raise DomainError("duration must be positive")
     two_pi = 2.0 * math.pi
-    CD3 = p.CD[2]
+    CD3 = float(p.CD[2])
 
     def build(scale):
         peak = scale * 2.0 * dz / duration
@@ -440,13 +442,15 @@ def axis_translation_schedule(p, axis, distance, duration,
     m, g, Kr = p.m, p.g, p.Kr
     Krd = Kr * p.d
     kg = p.Jr_bar / Krd
-    CD3 = p.CD[2]
+    # Python floats, not numpy scalars: the law runs at every RK4 stage
+    inertia, ang_drag, drag = p.J.tolist(), p.Ctau.tolist(), p.CD.tolist()
+    CD3 = drag[2]
     tilt_limit = math.pi / 4
     body_x = axis == "bodyX"
     if body_x:
-        s, J, Ct, c = 1.0, p.J[1], p.Ctau[1], p.CD[0] / m
+        s, J, Ct, c = 1.0, inertia[1], ang_drag[1], drag[0] / m
     else:
-        s, J, Ct, c = -1.0, p.J[0], p.Ctau[0], p.CD[1] / m
+        s, J, Ct, c = -1.0, inertia[0], ang_drag[0], drag[1] / m
     ramp = _RAMP_FRACTION * duration
 
     def build(scale):

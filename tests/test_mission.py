@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quadswarm.cli import main
-from quadswarm.consensus import integrate_protocol
+from quadswarm.consensus import ConsensusTrajectory, integrate_protocol
 from quadswarm.errors import (DimensionError, DomainError, InfeasibleError,
                               IoError, ParseError, ValidationError)
 from quadswarm.mission import (compare_trajectories, export_csv, load_config,
@@ -257,6 +257,27 @@ class TestExportCsv:
                             "v1,v2,v3,O1,O2,O3,w1,w2,w3,w4,thrust")
         assert len(lines) == 1 + 3
 
+    def test_rows_render_like_per_float_format(self, tmp_path):
+        # one '%.17g' format per row must give the bytes of
+        # format(x, '.17g') applied to each float on its own
+        edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                -2.2250738585072014e-308, 2.225073858507201e-308,
+                1.7976931348623157e308, 0.1, 1.0 / 3.0, -123456789.0,
+                1e16, 1e17, 2.0 ** 53 + 2.0, 1e-5, 12345.678901234567]
+        k = len(edge)
+        times = np.array(edge[::-1])
+        states = np.array([np.roll(edge, i)[:6] for i in range(k)])
+        traj = ConsensusTrajectory(times=times,
+                                   states=states.reshape(k, 2, 3),
+                                   laplacian_log=[])
+        path = tmp_path / "edge.csv"
+        export_csv(traj, path)
+        expect = "t,x1,y1,z1,x2,y2,z2\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in (t, *row)) + "\n"
+            for t, row in zip(times, states))
+        assert path.read_bytes() == expect.encode("utf-8")
+        assert b"-0," in path.read_bytes() and b"nan" in path.read_bytes()
+
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         export_csv(self.particle(), a)
@@ -415,14 +436,17 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_fails(self, tmp_path, capsys):
         """A step far past RK4's stability bound turns the protocol's
-        numbers into NaN: the run exits 1 with a FAILED marker and
-        writes no report.json, which would otherwise hold bare NaNs."""
+        numbers into NaN: the protocol stops at the first non-finite
+        sample, and the run exits 1 with a FAILED marker and writes
+        neither particle.csv nor report.json, which would otherwise
+        hold NaNs."""
         rc = main(["run", str(scenario_path("scenario_2_5_2")),
                    "--dt", "0.5", "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         dest = tmp_path / "scenario_2_5_2"
         assert "DivergenceError" in (dest / "FAILED").read_text()
+        assert not (dest / "particle.csv").exists()
         assert not (dest / "report.json").exists()
 
     def test_list_scenarios(self, capsys):

@@ -89,6 +89,13 @@ class TestControlSchedule:
             (Segment(0.0, 1.0, lambda tl: np.array([1.0, 1.0, 1.0, -1.0])),))
         with pytest.raises(SaturationError):
             negative.omega_at(0.5)
+        # NaN compares False both ways, and must still fail the check
+        for bad in range(4):
+            om = np.full(4, 100.0)
+            om[bad] = math.nan
+            nan = ControlSchedule((Segment(0.0, 1.0, lambda tl: om),))
+            with pytest.raises(SaturationError):
+                nan.omega_at(0.5)
 
     def test_breakpoints_are_interior_junctions(self):
         parts = [hover_schedule(P, 1.0), hover_schedule(P, 2.0),

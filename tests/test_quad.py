@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadswarm.errors import (DomainError, GimbalLockError,
-                              ScheduleGapError)
+from quadswarm.errors import (DivergenceError, DomainError,
+                              GimbalLockError, ScheduleGapError)
 from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
                                 rk4_step, rotation_from_euler)
 from quadswarm.planner import hover_controls, hover_schedule, yaw_schedule
@@ -262,6 +262,14 @@ class TestSimulate:
             simulate(hover_state(), sched, P, 5.0)
         assert "t=" in str(err.value)
 
+    def test_overflowing_rotor_speeds_diverge(self):
+        # Squared speeds overflow to inf, the torques to inf - inf =
+        # NaN, and NaN pitch passes the gimbal check: the run stops at
+        # its first recorded sample instead of integrating NaN.
+        sched = _Law(lambda t: np.full(4, 1e200), 1.0)
+        with pytest.raises(DivergenceError, match=r"t=0\.010000"):
+            simulate(hover_state(), sched, P, 1.0, dt=1e-3, stride=10)
+
     def test_input_validation(self):
         sched = hover_schedule(P, 1.0)
         with pytest.raises(DomainError):
@@ -290,6 +298,37 @@ class TestSimulate:
         # the pre-jump steps.
         pre = traj.states[traj.times <= t_jump + 1e-12, 2]
         assert np.max(np.abs(pre)) <= 1e-12
+
+    @pytest.mark.parametrize("leg", ["hover", "yaw"])
+    def test_bitwise_equal_to_rk4_step(self, leg):
+        # simulate's float loop must reproduce numerics.rk4_step over
+        # state_derivative bit for bit; byte-identical artifacts rest on
+        # this operation order
+        if leg == "hover":
+            s0 = random_state(np.random.default_rng(17), speed=0.5,
+                              spin=0.3)
+            sched, duration = hover_schedule(P, 0.5), 0.5
+        else:
+            s0 = hover_state(b=(1.0, -2.0, 0.5), yaw=0.3)
+            sched, duration = yaw_schedule(P, 0.4, 2.0), 2.0
+        assert len(sched.segments) == 1
+        dt, stride = 1e-3, 10
+        traj = simulate(s0, sched, P, duration, dt=dt, stride=stride)
+
+        def deriv(t, x):
+            om = sched.omega_at(t if t < duration else duration)
+            return state_derivative(QuadState.from_vector(x), Controls(om),
+                                    P)
+
+        x = s0.as_vector()
+        states = [x]
+        steps = round(duration / dt)
+        for k in range(steps):
+            x = rk4_step(deriv, x, k * dt, dt)
+            if (k + 1) % stride == 0:
+                states.append(x)
+        assert len(states) == len(traj.times)
+        assert np.array_equal(traj.states, np.array(states))
 
     def test_drag_dissipates_kinetic_energy(self):
         free = replace(P, g=0.0)
