@@ -15,6 +15,11 @@ from .network import (DistanceWeighted, Laplacian, adjacency, is_connected,
                       proximity_edges, weighted_laplacian_at, with_edges)
 from .numerics import sym_eigen
 
+# Real-axis stability limit of classical RK4: |R(z)| <= 1 on
+# [-2.785, 0] for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer and
+# Wanner, Solving ODEs II, section IV.2).
+_RK4_REAL_LIMIT = 2.785
+
 
 @dataclass(frozen=True)
 class ConsensusTrajectory:
@@ -111,8 +116,10 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         ConsensusTrajectory.
 
     Raises:
-        DivergenceError: at the first recorded sample that is not
-            finite, e.g. when dt lies far outside RK4's stability bound.
+        DivergenceError: before the first step when dt times the largest
+            eigenvalue of L(0) exceeds 2.785, RK4's real-axis stability
+            limit, so the fastest mode would grow instead of decay;
+            otherwise at the first recorded sample that is not finite.
     """
     q = np.array(q0, dtype=float)
     if q.ndim != 2 or q.shape[0] != net.n:
@@ -135,6 +142,13 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     c3 = dt * c2 / 3.0
     coef = (dt, c2, c3, dt * c3 / 4.0)
     lap = weighted_laplacian_at(net, q, 0.0)
+    lam_max = float(sym_eigen(lap.matrix)[0][-1])
+    if dt * lam_max > _RK4_REAL_LIMIT:
+        raise DivergenceError(
+            f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
+            f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
+            f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
+            f"{_RK4_REAL_LIMIT / lam_max:.6g}")
     log = [(0.0, lap)]
     if isinstance(net.policy, DistanceWeighted):
         advance = _moving_step(lap.source, q, dt, coef, log)

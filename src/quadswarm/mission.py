@@ -462,8 +462,7 @@ def _run_quads(config, targets, dest):
     runs = []
     for i in range(config.network.n):
         start = _quad_start(config, i)
-        sched = rendezvous_leg(config.params, start, targets[i],
-                               dt=config.dt)
+        sched = rendezvous_leg(config.params, start, targets[i])
         run = simulate(start, sched, config.params, sched.total_duration,
                        config.dt, config.stride)
         export_csv(run, dest / f"quad_agent{i + 1}.csv")
@@ -501,7 +500,7 @@ def _run_mission(config, dest):
     alpha = consensus_point(positions)
 
     if config.mode == "quad" and config.maneuvers:
-        parts = [schedule_for(config.params, spec, dt=config.dt)
+        parts = [schedule_for(config.params, spec)
                  for spec in config.maneuvers]
         sched = chain_schedules(parts)
         start = _quad_start(config, 0)

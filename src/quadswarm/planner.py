@@ -13,28 +13,31 @@ invariant manifolds of the dynamics:
     so no yaw) with a split that cancels the gyroscopic torque on its
     own axis (so no roll for bodyX, no pitch for bodyY).
 
-Each leg commands a smooth velocity bump or trapezoid, inverts the
-rigid-body dynamics along the manifold in closed form to get rotor
-speeds, and then tunes the profile amplitude by false position with
-the Illinois cut against the actual fixed-step simulation so the
-terminal quantity lands on target.
+Each leg commands a smooth velocity bump or trapezoid at its natural
+amplitude, the one whose exact integral is the requested amount, and
+inverts the rigid-body dynamics along the manifold in closed form to
+get rotor speeds. The plan is therefore exact in continuous time: a
+simulated flight misses its target only by the integrator's own error,
+which shrinks at RK4's fourth order in the step. Planning never
+simulates.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, GimbalLockError,
-                     InfeasibleError, SaturationError, ScheduleGapError)
-from .quad import Controls, hover_state, simulate
+from .errors import (DomainError, GimbalLockError, InfeasibleError,
+                     SaturationError, ScheduleGapError)
+from .quad import Controls
+# Unused by the planner: perfbench/spans.py wraps this planner.simulate
+# binding, and the next benchmark change removes that wrapper and this
+# import together.
+from .quad import simulate
 
 # Rotor speed ceiling used by planning; the integrator itself never clamps.
 OMEGA_MAX = 500.0
-
-# Terminal tolerance and iteration budget for the amplitude search.
-_TUNE_TOL = 1e-6
-_TUNE_MAX_ITER = 60
 
 # Fraction of a translation leg spent in each smoothstep ramp.
 _RAMP_FRACTION = 0.2
@@ -164,99 +167,15 @@ def hover_schedule(p, duration, omega_max=OMEGA_MAX):
         hover_controls(p, omega_max).omega, duration, omega_max)
 
 
-def _tune_amplitude(build, measure, target, tol=_TUNE_TOL,
-                    max_iter=_TUNE_MAX_ITER):
-    """Scale a profile until the simulated terminal quantity hits target.
-
-    build(scale) -> schedule; measure(schedule) -> achieved terminal
-    quantity. The achieved quantity must grow with scale. Returns the
-    tuned schedule.
-    """
-    sign = 1.0 if target >= 0.0 else -1.0
-    goal = abs(target)
-
-    def err(scale):
-        # larger amplitudes only get harder to fly, so a build failure
-        # bounds the search from above instead of aborting it
-        try:
-            sched = build(scale)
-        except (GimbalLockError, InfeasibleError, SaturationError):
-            return None, None
-        return sign * measure(sched) - goal, sched
-
-    e, sched = err(1.0)
-    if e is None:
+@contextmanager
+def _natural_amplitude():
+    """Report a leg the rotors cannot fly at its natural amplitude as
+    infeasible, whichever check refused it."""
+    try:
+        yield
+    except (GimbalLockError, InfeasibleError, SaturationError) as exc:
         raise InfeasibleError(
-            "maneuver is infeasible at its natural amplitude")
-    if abs(e) <= tol:
-        return sched
-    if e < 0.0:
-        lo, e_lo = 1.0, e
-        hi = e_hi = None
-        cap = None
-        cand = 2.0
-        for _ in range(60):
-            e_c, sched_c = err(cand)
-            if e_c is None:
-                cap = cand
-                cand = 0.5 * (lo + cand)
-                if cand - lo <= 1e-9 * cand:
-                    raise InfeasibleError("terminal target out of reach")
-                continue
-            if abs(e_c) <= tol:
-                return sched_c
-            if e_c > 0.0:
-                hi, e_hi = cand, e_c
-                break
-            lo, e_lo = cand, e_c
-            cand = 0.5 * (lo + cap) if cap is not None else 2.0 * lo
-            if cap is not None and cap - lo <= 1e-9 * cap:
-                raise InfeasibleError("terminal target out of reach")
-        if hi is None:
-            raise InfeasibleError("terminal target out of reach")
-    else:
-        hi, e_hi = 1.0, e
-        lo = 0.5
-        for _ in range(60):
-            e_lo, sched_lo = err(lo)
-            if e_lo is None:
-                raise InfeasibleError(
-                    "amplitude search lost feasibility while shrinking")
-            if abs(e_lo) <= tol:
-                return sched_lo
-            if e_lo < 0.0:
-                break
-            hi, e_hi = lo, e_lo
-            lo *= 0.5
-        else:
-            raise InfeasibleError("terminal target cannot be bracketed")
-
-    # false position with the Illinois cut: the terminal error is close
-    # to linear in the amplitude, so this lands in a handful of
-    # simulations where plain bisection needs dozens
-    side = 0
-    for _ in range(max_iter):
-        mid = hi - e_hi * (hi - lo) / (e_hi - e_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        e_mid, sched = err(mid)
-        if e_mid is None:
-            hi = mid
-            continue
-        if abs(e_mid) <= tol:
-            return sched
-        if e_mid < 0.0:
-            lo, e_lo = mid, e_mid
-            if side == -1:
-                e_hi *= 0.5
-            side = -1
-        else:
-            hi, e_hi = mid, e_mid
-            if side == 1:
-                e_lo *= 0.5
-            side = 1
-    raise ConvergenceError(
-        f"amplitude search did not reach {tol} in {max_iter} iterations")
+            "maneuver is infeasible at its natural amplitude") from exc
 
 
 def _scan_feasible(law, duration, omega_max, samples=2001):
@@ -270,14 +189,14 @@ def _scan_feasible(law, duration, omega_max, samples=2001):
                               f"at t={tl[np.argmax(bad)]:.3f}")
 
 
-def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX, dt=1e-3):
+def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX):
     """Turn in place through delta_psi radians.
 
     Rotors hold omega1 = omega3 and omega2 = omega4 with the thrust sum
     pinned to m g, so the vehicle neither translates nor tips; only the
     reaction torque acts. The commanded yaw rate is a raised-cosine
-    bump whose amplitude is tuned by false position with the Illinois
-    cut so the simulated final yaw matches delta_psi.
+    bump of peak 2 delta_psi / duration, whose integral is exactly
+    delta_psi; the rotor speeds invert the yaw dynamics along it.
 
     Raises:
         InfeasibleError: required torque drives a rotor outside
@@ -289,76 +208,56 @@ def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX, dt=1e-3):
     J3 = float(p.J[2])
     Ct3 = float(p.Ctau[2])
     two_pi = 2.0 * math.pi
+    amp = 2.0 * delta_psi / duration
 
-    def build(scale):
-        amp = scale * 2.0 * delta_psi / duration
+    def law(tl):
+        phase = two_pi * tl / duration
+        rate = 0.5 * amp * (1.0 - math.cos(phase))
+        accel = amp * (math.pi / duration) * math.sin(phase)
+        tau = J3 * accel + rate * abs(rate) * Ct3
+        diff = tau / (2.0 * p.Kd)  # omega1^2 - omega2^2
+        sq1 = 0.5 * (pair_sq + diff)
+        sq2 = 0.5 * (pair_sq - diff)
+        if sq1 < 0.0 or sq2 < 0.0:
+            raise InfeasibleError(
+                f"yaw torque exceeds rotor authority at t={tl:.3f}")
+        w1 = math.sqrt(sq1)
+        w2 = math.sqrt(sq2)
+        return np.array([w1, w2, w1, w2])
 
-        def law(tl):
-            phase = two_pi * tl / duration
-            rate = 0.5 * amp * (1.0 - math.cos(phase))
-            accel = amp * (math.pi / duration) * math.sin(phase)
-            tau = J3 * accel + rate * abs(rate) * Ct3
-            diff = tau / (2.0 * p.Kd)  # omega1^2 - omega2^2
-            sq1 = 0.5 * (pair_sq + diff)
-            sq2 = 0.5 * (pair_sq - diff)
-            if sq1 < 0.0 or sq2 < 0.0:
-                raise InfeasibleError(
-                    f"yaw torque exceeds rotor authority at t={tl:.3f}")
-            w1 = math.sqrt(sq1)
-            w2 = math.sqrt(sq2)
-            return np.array([w1, w2, w1, w2])
-
+    with _natural_amplitude():
         _scan_feasible(law, duration, omega_max)
-        return ControlSchedule((Segment(0.0, duration, law),), omega_max)
-
-    if delta_psi == 0.0:
-        return build(0.0)
-
-    def measure(sched):
-        run = simulate(hover_state(), sched, p, duration, dt)
-        return run.states[-1][5]
-
-    return _tune_amplitude(build, measure, delta_psi)
+    return ControlSchedule((Segment(0.0, duration, law),), omega_max)
 
 
-def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX, dt=1e-3):
+def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX):
     """Climb (or descend) dz meters, ending level and at rest.
 
     All four rotors stay equal, so no torque is ever produced; thrust
-    follows a raised-cosine vertical-velocity bump plus drag and
-    gravity compensation. The amplitude is tuned by false position with
-    the Illinois cut on the simulated final altitude.
+    follows a raised-cosine vertical-velocity bump of peak
+    2 dz / duration, whose integral is exactly dz, plus drag and
+    gravity compensation.
     """
     if not duration > 0.0:
         raise DomainError("duration must be positive")
     two_pi = 2.0 * math.pi
     CD3 = float(p.CD[2])
+    peak = 2.0 * dz / duration
 
-    def build(scale):
-        peak = scale * 2.0 * dz / duration
+    def law(tl):
+        phase = two_pi * tl / duration
+        vdes = 0.5 * peak * (1.0 - math.cos(phase))
+        adens = peak * (math.pi / duration) * math.sin(phase)
+        thrust = p.m * (adens + p.g) + vdes * abs(vdes) * CD3
+        if thrust < 0.0:
+            raise InfeasibleError(
+                f"descent wants negative thrust at t={tl:.3f}")
+        w = math.sqrt(thrust / (4.0 * p.Kr))
+        return np.array([w, w, w, w])
 
-        def law(tl):
-            phase = two_pi * tl / duration
-            vdes = 0.5 * peak * (1.0 - math.cos(phase))
-            adens = peak * (math.pi / duration) * math.sin(phase)
-            thrust = p.m * (adens + p.g) + vdes * abs(vdes) * CD3
-            if thrust < 0.0:
-                raise InfeasibleError(
-                    f"descent wants negative thrust at t={tl:.3f}")
-            w = math.sqrt(thrust / (4.0 * p.Kr))
-            return np.array([w, w, w, w])
-
+    with _natural_amplitude():
         _scan_feasible(law, duration, omega_max)
-        return ControlSchedule((Segment(0.0, duration, law),), omega_max)
-
-    if dz == 0.0:
-        return build(0.0)
-
-    def measure(sched):
-        run = simulate(hover_state(), sched, p, duration, dt)
-        return run.states[-1][2]
-
-    return _tune_amplitude(build, measure, dz)
+    return ControlSchedule((Segment(0.0, duration, law),), omega_max)
 
 
 def _smoothstep_ramp(peak, width, rising):
@@ -389,14 +288,15 @@ def _smoothstep_ramp(peak, width, rising):
 
 
 def axis_translation_schedule(p, axis, distance, duration,
-                              omega_max=OMEGA_MAX, dt=1e-3):
+                              omega_max=OMEGA_MAX):
     """Translate along body x or body y, from a level hover to a level
     hover.
 
     The leg commands the inertial speed V(t) along the axis: a
     trapezoid with smoothstep ramps of 20% each (_smoothstep_ramp),
-    whose cruise speed is tuned on the simulated displacement. Holding
-    the altitude and V fixes every other quantity in closed form. Let
+    whose cruise speed distance / (0.8 duration) makes V integrate to
+    exactly the distance. Holding the altitude and V fixes every other
+    quantity in closed form. Let
     the tilt be the pitch (s = +1, bodyX) or the roll (s = -1, bodyY).
     The body velocity is then V cos(tilt) along the axis and
     s V sin(tilt) along body z, and the axis's quadratic drag, c V|V|
@@ -427,10 +327,9 @@ def axis_translation_schedule(p, axis, distance, duration,
     integrated on its own formula up to its closed end.
 
     Raises:
-        GimbalLockError: the profile needs a tilt of pi/4 or more.
-        InfeasibleError: rotor speeds would leave [0, omega_max],
-            thrust would have to vanish, or there is no gravity to
-            tilt against.
+        InfeasibleError: the profile needs a tilt of pi/4 or more,
+            rotor speeds would leave [0, omega_max], thrust would have
+            to vanish, or there is no gravity to tilt against.
     """
     if axis not in ("bodyX", "bodyY"):
         raise DomainError(f"axis must be 'bodyX' or 'bodyY', got {axis!r}")
@@ -452,103 +351,91 @@ def axis_translation_schedule(p, axis, distance, duration,
     else:
         s, J, Ct, c = -1.0, inertia[0], ang_drag[0], drag[1] / m
     ramp = _RAMP_FRACTION * duration
+    peak = distance / ((1.0 - _RAMP_FRACTION) * duration)
+    # V keeps the sign of peak, so the drag term s c V|V| is kappa V^2
+    kappa = s * math.copysign(c, peak)
 
-    def build(scale):
-        peak = scale * distance / ((1.0 - _RAMP_FRACTION) * duration)
-        # V keeps the sign of peak, so the drag term s c V|V| is kappa V^2
-        kappa = s * math.copysign(c, peak)
+    def rotors(v, v1, v2, v3):
+        acc = s * v1
+        drag = kappa * v * v
+        w = (acc + drag) / g
+        for _ in range(20):
+            h = 1.0 / math.sqrt(1.0 + w * w)  # cos(tilt)
+            step = (g * w - acc - drag * h) / (g + drag * w * h ** 3)
+            w -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(w)):
+                break
+        if not abs(math.atan(w)) < tilt_limit:
+            raise GimbalLockError(
+                f"translation wants tilt beyond {tilt_limit:.3f} rad")
+        h = 1.0 / math.sqrt(1.0 + w * w)
+        h2 = h * h
+        dh = -w * h2 * h  # d cos(tilt) / dw
+        drag1 = 2.0 * kappa * v * v1
+        drag2 = 2.0 * kappa * (v1 * v1 + v * v2)
+        den = g - drag * dh
+        w1 = (s * v2 + drag1 * h) / den
+        w2 = (s * v3 + drag2 * h + 2.0 * drag1 * dh * w1
+              + drag * (2.0 * w * w - 1.0) * h2 * h2 * h * w1 * w1) / den
+        rate = w1 * h2
+        accel = (w2 - 2.0 * w * w1 * w1 * h2) * h2
+        sin = w * h
+        vz = s * v * sin  # body z speed
+        thrust = m * (s * v1 * sin + g * h) + CD3 * vz * abs(vz)
+        if not thrust > 0.0:
+            raise InfeasibleError("profile demands nonpositive thrust")
+        pair = thrust / (2.0 * Kr)  # sum of each pair's squares
+        pdiff = (J * accel + Ct * rate * abs(rate)) / Krd
+        if pair < abs(pdiff):
+            raise InfeasibleError("torque demand exceeds thrust budget")
+        a = math.sqrt(0.5 * (pair - pdiff))
+        b = math.sqrt(0.5 * (pair + pdiff))
+        # The other pair's squared-speed difference must cancel
+        # Jr rate sigma, and sigma depends on the pair itself, but
+        # only at second order in that difference: two updates from
+        # the balanced guess are exact to rounding. bodyX has sigma
+        # = (w1 + w3) - (w2 + w4) and roll torque Krd (w3^2 - w1^2);
+        # bodyY flips sigma and the torque's sign alike, so one
+        # update serves both.
+        half = 0.5 * pair
+        lo = hi = math.sqrt(half)
+        for _ in range(2):
+            half_diff = 0.5 * kg * rate * (lo + hi - a - b)
+            lo = math.sqrt(half + half_diff)
+            hi = math.sqrt(half - half_diff)
+        if body_x:
+            # pitch torque Krd (w4^2 - w2^2); rotors 1 and 3 balance
+            return np.array([lo, a, hi, b])
+        # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
+        return np.array([a, lo, b, hi])
 
-        def rotors(v, v1, v2, v3):
-            acc = s * v1
-            drag = kappa * v * v
-            w = (acc + drag) / g
-            for _ in range(20):
-                h = 1.0 / math.sqrt(1.0 + w * w)  # cos(tilt)
-                step = (g * w - acc - drag * h) / (g + drag * w * h ** 3)
-                w -= step
-                if abs(step) <= 1e-15 * (1.0 + abs(w)):
-                    break
-            if not abs(math.atan(w)) < tilt_limit:
-                raise GimbalLockError(
-                    f"translation wants tilt beyond {tilt_limit:.3f} rad")
-            h = 1.0 / math.sqrt(1.0 + w * w)
-            h2 = h * h
-            dh = -w * h2 * h  # d cos(tilt) / dw
-            drag1 = 2.0 * kappa * v * v1
-            drag2 = 2.0 * kappa * (v1 * v1 + v * v2)
-            den = g - drag * dh
-            w1 = (s * v2 + drag1 * h) / den
-            w2 = (s * v3 + drag2 * h + 2.0 * drag1 * dh * w1
-                  + drag * (2.0 * w * w - 1.0) * h2 * h2 * h * w1 * w1) / den
-            rate = w1 * h2
-            accel = (w2 - 2.0 * w * w1 * w1 * h2) * h2
-            sin = w * h
-            vz = s * v * sin  # body z speed
-            thrust = m * (s * v1 * sin + g * h) + CD3 * vz * abs(vz)
-            if not thrust > 0.0:
-                raise InfeasibleError("profile demands nonpositive thrust")
-            pair = thrust / (2.0 * Kr)  # sum of each pair's squares
-            pdiff = (J * accel + Ct * rate * abs(rate)) / Krd
-            if pair < abs(pdiff):
-                raise InfeasibleError("torque demand exceeds thrust budget")
-            a = math.sqrt(0.5 * (pair - pdiff))
-            b = math.sqrt(0.5 * (pair + pdiff))
-            # The other pair's squared-speed difference must cancel
-            # Jr rate sigma, and sigma depends on the pair itself, but
-            # only at second order in that difference: two updates from
-            # the balanced guess are exact to rounding. bodyX has sigma
-            # = (w1 + w3) - (w2 + w4) and roll torque Krd (w3^2 - w1^2);
-            # bodyY flips sigma and the torque's sign alike, so one
-            # update serves both.
-            half = 0.5 * pair
-            lo = hi = math.sqrt(half)
-            for _ in range(2):
-                half_diff = 0.5 * kg * rate * (lo + hi - a - b)
-                lo = math.sqrt(half + half_diff)
-                hi = math.sqrt(half - half_diff)
-            if body_x:
-                # pitch torque Krd (w4^2 - w2^2); rotors 1 and 3 balance
-                return np.array([lo, a, hi, b])
-            # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
-            return np.array([a, lo, b, hi])
-
+    up = _smoothstep_ramp(peak, ramp, True)
+    down = _smoothstep_ramp(peak, ramp, False)
+    with _natural_amplitude():
         # the cruise goes first: its tilt guard bounds the drag term by
         # sqrt(2) g over the whole leg, which keeps Newton's equation
         # increasing in w, so its root is unique
         cruise = rotors(peak, 0.0, 0.0, 0.0)
-        up = _smoothstep_ramp(peak, ramp, True)
-        down = _smoothstep_ramp(peak, ramp, False)
         segs = (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
                 Segment(ramp, duration - ramp, lambda tl: cruise),
                 Segment(duration - ramp, duration,
                         lambda tl: rotors(*down(tl))))
         for seg in segs:
             _scan_feasible(seg.law, seg.t1 - seg.t0, omega_max)
-        return ControlSchedule(segs, omega_max)
-
-    if distance == 0.0:
-        return build(0.0)
-
-    coord = 0 if body_x else 1
-
-    def measure(sched):
-        run = simulate(hover_state(), sched, p, duration, dt)
-        return run.states[-1][coord]
-
-    return _tune_amplitude(build, measure, distance)
+    return ControlSchedule(segs, omega_max)
 
 
-def schedule_for(p, spec, omega_max=OMEGA_MAX, dt=1e-3):
+def schedule_for(p, spec, omega_max=OMEGA_MAX):
     """Build the schedule for one ManeuverSpec."""
     if spec.kind == "hover":
         return hover_schedule(p, spec.duration, omega_max)
     if spec.kind == "yaw":
-        return yaw_schedule(p, spec.amount, spec.duration, omega_max, dt)
+        return yaw_schedule(p, spec.amount, spec.duration, omega_max)
     if spec.kind == "vertical":
-        return vertical_schedule(p, spec.amount, spec.duration, omega_max, dt)
+        return vertical_schedule(p, spec.amount, spec.duration, omega_max)
     if spec.kind in ("bodyX", "bodyY"):
         return axis_translation_schedule(
-            p, spec.kind, spec.amount, spec.duration, omega_max, dt)
+            p, spec.kind, spec.amount, spec.duration, omega_max)
     raise DomainError(f"unknown maneuver kind {spec.kind!r}")
 
 
@@ -578,7 +465,7 @@ def leg_durations(start_b, start_yaw, target):
     return specs
 
 
-def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX, dt=1e-3):
+def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX):
     """Plan the full flight from a level hover to a target point.
 
     Climbs or descends to the target altitude, yaws toward the target
@@ -599,5 +486,5 @@ def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX, dt=1e-3):
         raise DomainError(f"target must be a 3-vector, got {target.shape}")
 
     specs = leg_durations(start.b, start.angles[2], target)
-    parts = [schedule_for(p, spec, omega_max, dt) for spec in specs]
+    parts = [schedule_for(p, spec, omega_max) for spec in specs]
     return chain_schedules(parts, omega_max)

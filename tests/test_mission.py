@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -433,21 +434,34 @@ class TestCli:
                    "--dt", "inf"])
         assert rc == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_fails(self, tmp_path, capsys):
-        """A step far past RK4's stability bound turns the protocol's
-        numbers into NaN: the protocol stops at the first non-finite
-        sample, and the run exits 1 with a FAILED marker and writes
-        neither particle.csv nor report.json, which would otherwise
-        hold NaNs."""
-        rc = main(["run", str(scenario_path("scenario_2_5_2")),
-                   "--dt", "0.5", "--out", str(tmp_path)])
+        """A step far past RK4's stability bound is refused before the
+        first step, so not one numpy overflow warning is printed: the
+        run exits 1 with a FAILED marker and writes neither
+        particle.csv nor report.json, which would otherwise hold NaNs."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", str(scenario_path("scenario_2_5_2")),
+                       "--dt", "0.5", "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         dest = tmp_path / "scenario_2_5_2"
         assert "DivergenceError" in (dest / "FAILED").read_text()
         assert not (dest / "particle.csv").exists()
         assert not (dest / "report.json").exists()
+
+    def test_unstable_step_fails_though_finite(self, tmp_path, capsys):
+        """At dt = 1 the static 2_4_1 network has dt * lambda_max = 4,
+        past RK4's 2.785: its fastest mode grows fivefold per step but
+        stays finite over the horizon, so only the check up front can
+        refuse the run."""
+        rc = main(["run", str(scenario_path("scenario_2_4_1")),
+                   "--dt", "1.0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "largest stable step" in capsys.readouterr().err
+        dest = tmp_path / "scenario_2_4_1"
+        assert "DivergenceError" in (dest / "FAILED").read_text()
+        assert not (dest / "particle.csv").exists()
 
     def test_list_scenarios(self, capsys):
         rc = main(["list-scenarios"])
