@@ -15,8 +15,11 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
+from .consensus import _RK4_REAL_LIMIT
 from .errors import ParseError, SwarmError, ValidationError
 from .mission import load_config, run_mission
+from .network import weighted_laplacian_at
+from .numerics import sym_eigen
 
 
 def _build_parser():
@@ -75,6 +78,16 @@ def _cmd_validate(args):
     net = config.network
     print(f"OK: mode={config.mode} agents={net.n} "
           f"edges={len(net.edges)} policy={type(net.policy).__name__}")
+    if net.n >= 2:
+        lap = weighted_laplacian_at(net, config.agents[:, :3])
+        w = sym_eigen(lap.matrix)[0]
+        lam2, lam_max = float(w[1]), float(w[-1])
+        dt_max = _RK4_REAL_LIMIT / lam_max if lam_max > 0.0 else math.inf
+        print(f"spectrum of L(0): lambda2={lam2:.6g} "
+              f"lambda_max={lam_max:.6g} "
+              f"dt*lambda_max={config.dt * lam_max:.6g} "
+              f"(RK4 limit {_RK4_REAL_LIMIT}, largest stable dt "
+              f"{dt_max:.6g})")
     return 0
 
 

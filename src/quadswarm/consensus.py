@@ -205,7 +205,8 @@ def _moving_step(net, q, dt, coef, log):
     edges appear. Once complete the graph can only re-weight; that
     branch dominates the runtime, so it reuses fixed buffers and views
     of them (q is updated in place, which keeps the broadcast views
-    below valid across steps).
+    below valid across steps). The differences are coordinate-major,
+    (r, n, n), as in network.pairwise_distances.
     """
     n, r = q.shape
     thr = net.policy.threshold
@@ -214,7 +215,7 @@ def _moving_step(net, q, dt, coef, log):
     complete = int(adj.sum()) == n * (n - 1)
     c1, c2, c3, c4 = coef
     signed = np.array([-c1, c2, -c3, c4])
-    diff = np.empty((n, n, r))
+    diff = np.empty((r, n, n))
     dist = np.empty((n, n))
     mbuf = np.empty((n, n))
     mdiag = np.einsum("ii->i", mbuf)
@@ -223,27 +224,27 @@ def _moving_step(net, q, dt, coef, log):
     pflat = powers.reshape(4, n * r)
     acc = np.empty_like(q)
     accflat = acc.reshape(-1)
-    qa = q[:, None, :]
-    qb = q[None, :, :]
+    qa = q.T[:, :, None]
+    qb = q.T[:, None, :]
     subtract, multiply = np.subtract, np.multiply
     sqrt, negative, matmul, add = np.sqrt, np.negative, np.matmul, np.add
-    reduce_last = np.add.reduce
+    reduce = np.add.reduce
 
     def advance(k):
         nonlocal cur, adj, complete
         # network.pairwise_distances(q), written into the buffers.
         subtract(qa, qb, diff)
         multiply(diff, diff, diff)
-        reduce_last(diff, axis=2, out=dist)
+        reduce(diff, axis=0, out=dist)
         sqrt(dist, dist)
         if complete:
             negative(dist, mbuf)
-            dist.sum(axis=1, out=mdiag)
+            reduce(dist, axis=1, out=mdiag)
         else:
             new = proximity_edges(dist, adj, thr)
             w = np.where(adj | new, dist, 0.0)
             negative(w, mbuf)
-            w.sum(axis=1, out=mdiag)
+            reduce(w, axis=1, out=mdiag)
             if new.any():
                 cur = with_edges(cur, new)
                 adj = adj | new

@@ -173,10 +173,14 @@ def pairwise_distances(q):
 
     The square root of the summed squared differences. np.linalg.norm
     rounds some of these differently in the last bit, so every distance
-    weight in the package comes from this formula.
+    weight in the package comes from this formula. The differences are
+    laid out coordinate-major, (r, n, n): each ufunc loop then runs over
+    n*n contiguous elements instead of r = 3, and the reduce over the
+    leading axis adds (d0 + d1) + d2, the order of a last-axis reduce.
     """
-    diff = q[:, None, :] - q[None, :, :]
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    qt = q.T
+    diff = qt[:, :, None] - qt[:, None, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=0))
 
 
 def proximity_edges(dist, adj, threshold):

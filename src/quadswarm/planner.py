@@ -170,12 +170,13 @@ def hover_schedule(p, duration, omega_max=OMEGA_MAX):
 @contextmanager
 def _natural_amplitude():
     """Report a leg the rotors cannot fly at its natural amplitude as
-    infeasible, whichever check refused it."""
+    infeasible, naming the check that refused it."""
     try:
         yield
     except (GimbalLockError, InfeasibleError, SaturationError) as exc:
         raise InfeasibleError(
-            "maneuver is infeasible at its natural amplitude") from exc
+            f"maneuver is infeasible at its natural amplitude: {exc}"
+        ) from exc
 
 
 def _scan_feasible(law, duration, omega_max, samples=2001):

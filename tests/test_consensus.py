@@ -166,7 +166,50 @@ class TestMovingNetwork:
             k = int(np.argmin(np.abs(ts - t)))
             assert abs(ts[k] - t) <= 1e-12
             fresh = weighted_laplacian_at(lap.source, traj.states[k], t)
-            assert np.max(np.abs(fresh.matrix - lap.matrix)) <= 1e-9
+            assert np.array_equal(fresh.matrix, lap.matrix)
+
+    @pytest.mark.parametrize("case", ["tree4", "ring24"])
+    def test_step_matches_reference_loop_bit_for_bit(self, case):
+        # The fast step reuses buffers and a coordinate-major difference
+        # tensor; a plain loop over weighted_laplacian_at must reproduce
+        # every recorded state exactly, while the graph grows and after
+        # it is complete.
+        if case == "tree4":
+            net, q0, duration = self.net(), Q0, 0.15
+        else:
+            n = 24
+            q0 = np.random.default_rng(5).uniform(0.0, 40.0, size=(n, 3))
+            ring = {(i, i % n + 1) for i in range(1, n + 1)}
+            net, duration = Network(n, ring, DistanceWeighted(10.0)), 0.3
+        dt = 1e-3
+        traj = integrate_protocol(net, q0, duration, dt=dt, stride=1,
+                                  stop_tol=0.0)
+        n = net.n
+        edge_counts = [len(lap.source.edges) for _, lap in traj.laplacian_log]
+        assert len(edge_counts) > 2  # the graph grows more than once
+        assert edge_counts[-1] == n * (n - 1) // 2  # and ends complete
+        # Some steps run on the complete graph.
+        assert traj.laplacian_log[-1][0] < duration - 10 * dt
+
+        c2 = dt * dt / 2.0
+        c3 = dt * c2 / 3.0
+        signed = np.array([-dt, c2, -c3, dt * c3 / 4.0])
+        q = np.array(q0, dtype=float)
+        ref = [q.copy()]
+        for _ in range(len(traj.times) - 1):
+            lap = weighted_laplacian_at(net, q)
+            net = lap.source
+            m = lap.matrix
+            p0 = m @ q
+            p1 = m @ p0
+            p2 = m @ p1
+            p3 = m @ p2
+            acc = signed @ np.stack([p0, p1, p2, p3]).reshape(4, -1)
+            q = q + acc.reshape(q.shape)
+            ref.append(q.copy())
+        assert len(net.edges) == n * (n - 1) // 2
+        for got, want in zip(traj.states, ref):
+            assert np.array_equal(got, want)
 
     def test_initial_spectrum_self_consistent(self):
         lap = weighted_laplacian_at(self.net(), Q0)

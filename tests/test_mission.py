@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadswarm.cli import main
 from quadswarm.consensus import ConsensusTrajectory, integrate_protocol
@@ -223,6 +225,73 @@ leg1 = teleport, 1.0, 2.0
             load_config(write_cfg(tmp_path, text))
 
 
+_BUNDLED = ("scenario_2_4_1", "scenario_2_5_1", "scenario_2_5_2",
+            "scenario_4_2_1", "scenario_4_2_2")
+_FUZZ_VALUES = ("", "0", "-1", "1e400", "nan", "abc", "2-2", "1-99", "1,2",
+                "1, 2, 3", "0, 0, 0, 0, 1.6, 0", "1.5", "static",
+                "distance", "initial-distance", "quad", "bodyX, 1, 0")
+# (section, line): the line goes right after the section's header, and
+# the section is appended when the file has none.
+_FUZZ_INSERTS = (("params", "m = 0"), ("params", "J = 1, 2"),
+                 ("params", "g = -9.81"), ("params", "Kr = 1e400"),
+                 ("params", "CD = 0, 0, 0"), ("network", "weight_1_2 = 2"),
+                 ("network", "weight_2_1 = -1"),
+                 ("network", "weight_1_9 = 1"),
+                 ("network", "weight_x_y = 1"),
+                 ("network", "weights = static"),
+                 ("maneuvers", "leg1 = hover, 0, 1"),
+                 ("agents", "agent9 = 1, 2, 3"))
+_MUTATION = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 99),
+              st.sampled_from(_FUZZ_VALUES)),
+    st.tuples(st.just("delete"), st.integers(0, 99), st.none()),
+    st.tuples(st.just("insert"), st.none(), st.sampled_from(_FUZZ_INSERTS)),
+    st.tuples(st.just("truncate"), st.integers(0, 99),
+              st.integers(0, 40)),
+)
+
+
+def _mutate(lines, mutations):
+    """Apply (kind, index, argument) edits to a config's lines."""
+    lines = list(lines)
+    for kind, at, arg in mutations:
+        if kind == "insert":
+            section, line = arg
+            header = f"[{section}]"
+            if header in lines:
+                lines.insert(lines.index(header) + 1, line)
+            else:
+                lines += [header, line]
+            continue
+        live = [i for i, line in enumerate(lines)
+                if line.strip() and not line.startswith("#")]
+        if not live:
+            continue
+        i = live[at % len(live)]
+        if kind == "delete":
+            del lines[i]
+        elif kind == "truncate":
+            lines[i] = lines[i][:arg]
+        elif "=" in lines[i]:
+            lines[i] = lines[i].split("=", 1)[0] + "= " + arg
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(_BUNDLED),
+           mutations=st.lists(_MUTATION, min_size=1, max_size=6))
+    def test_mutated_scenarios_fail_only_as_config_errors(
+            self, tmp_path_factory, name, mutations):
+        lines = scenario_path(name).read_text(encoding="utf-8").splitlines()
+        path = tmp_path_factory.mktemp("fuzz") / "mission.cfg"
+        path.write_text(_mutate(lines, mutations), encoding="utf-8")
+        try:
+            load_config(path)
+        except (ParseError, ValidationError):
+            pass
+
+
 class TestExportCsv:
     def particle(self):
         net = Network(2, {(1, 2)})
@@ -381,6 +450,7 @@ leg1 = bodyX, 5000, 4
         marker = tmp_path / "doomed" / "FAILED"
         assert marker.exists()
         assert "InfeasibleError" in marker.read_text()
+        assert "tilt beyond" in marker.read_text()
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWARM_OUT_DIR", str(tmp_path))
@@ -396,6 +466,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("OK:")
         assert "agents=4" in out
+
+    def test_validate_prints_spectrum(self, capsys):
+        rc = main(["validate", str(scenario_path("scenario_2_5_2"))])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("OK:")
+        assert out[1].startswith("spectrum of L(0):")
+        fields = dict(tok.split("=") for tok in out[1].split()
+                      if "=" in tok)
+        assert float(fields["lambda2"]) == pytest.approx(6.2395, abs=1e-4)
+        assert float(fields["lambda_max"]) == pytest.approx(37.655,
+                                                            abs=1e-3)
+        assert float(fields["dt*lambda_max"]) == pytest.approx(0.0377,
+                                                               abs=1e-4)
+        assert "RK4 limit 2.785" in out[1]
+        assert "largest stable dt 0.07396" in out[1]
+
+    def test_validate_single_agent_prints_no_spectrum(self, capsys):
+        rc = main(["validate", str(scenario_path("scenario_4_2_1"))])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("OK:")
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "[mission]\nmode = particle\n")
