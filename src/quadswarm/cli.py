@@ -48,12 +48,10 @@ def _build_parser():
 
 def _cmd_run(args):
     config = load_config(args.config)
+    # replace() re-runs MissionConfig's checks, as load_config does
     if args.mode is not None:
         config = replace(config, mode=args.mode)
     if args.dt is not None:
-        if not 0.0 < args.dt < math.inf:
-            raise ValidationError(
-                f"dt must be positive and finite, got {args.dt}")
         config = replace(config, dt=args.dt)
     report = run_mission(config, out_dir=args.out)
     if report.rendezvous_point is not None:

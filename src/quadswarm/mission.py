@@ -11,7 +11,7 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,11 @@ class MissionConfig:
     may give 3 values per agent, in which case the angles are zero.
     T may be None only for scripted-maneuver missions, which integrate
     for exactly the schedule's duration.
+
+    The cross-field checks run on construction, so a config changed
+    with dataclasses.replace (the CLI's --mode and --dt) is checked
+    exactly like one loaded from a file: a violation raises
+    ValidationError.
     """
 
     mode: str
@@ -56,11 +61,46 @@ class MissionConfig:
     out: str
     maneuvers: tuple = None
 
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValidationError(
+                f"mode must be one of {', '.join(_MODES)}, got {self.mode!r}")
+        if self.maneuvers is not None:
+            if self.mode != "quad":
+                raise ValidationError("[maneuvers] requires mode = quad")
+            if self.network.n != 1:
+                raise ValidationError("[maneuvers] requires a single agent")
+        if self.T is None and self.maneuvers is None:
+            raise ValidationError("missing T in [mission]")
+        if self.T is not None and not self.T > 0.0:
+            raise ValidationError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValidationError(
+                f"dt must be positive and finite, got {self.dt}")
+        if self.stride < 1:
+            raise ValidationError(f"stride must be >= 1, got {self.stride}")
+        if not self.stop_tol > 0.0:
+            raise ValidationError(
+                f"stop_tol must be positive, got {self.stop_tol}")
+        if self.mode in ("quad", "compare"):
+            for i in range(self.network.n):
+                try:
+                    _quad_start(self, i)
+                except (DomainError, GimbalLockError) as e:
+                    raise ValidationError(f"agent{i + 1}: {e}") from e
+
 
 @dataclass(frozen=True)
 class AgentReport:
     """Per-agent outcome. Fields that do not apply to the run mode are
-    None and serialize as JSON null."""
+    None and serialize as JSON null.
+
+    particle mode fills particle_final_error; a scripted quad flight
+    fills flight_time; a rendezvous quad flight fills quad_final_error,
+    max_cross_track and flight_time; compare fills all of them.
+    final_position is the flight's endpoint when there is a flight,
+    else the protocol's.
+    """
 
     agent: int
     particle_final_error: float = None
@@ -70,15 +110,10 @@ class AgentReport:
     final_position: tuple = None
 
     def to_dict(self):
-        return {
-            "agent": self.agent,
-            "particle_final_error": self.particle_final_error,
-            "quad_final_error": self.quad_final_error,
-            "max_cross_track": self.max_cross_track,
-            "flight_time": self.flight_time,
-            "final_position": list(self.final_position)
-            if self.final_position is not None else None,
-        }
+        d = asdict(self)
+        if self.final_position is not None:
+            d["final_position"] = list(self.final_position)
+        return d
 
 
 @dataclass(frozen=True)
@@ -88,7 +123,9 @@ class ComparisonReport:
     rendezvous_point is the agreement point of the initial positions
     (None for scripted-maneuver runs, which have no rendezvous).
     eigenvalues logs (time, sorted Laplacian spectrum) at t=0 and at
-    every proximity edge addition.
+    every proximity edge addition in particle and compare runs; it is
+    empty in quad runs, even when an incomplete graph ran the protocol
+    for the flight targets.
     """
 
     mode: str
@@ -214,10 +251,6 @@ def load_config(path):
             raise ValidationError(f"missing [{required}] section")
 
     mode = cp.get("mission", "mode", fallback=None)
-    if mode not in _MODES:
-        raise ValidationError(
-            f"mode must be one of {', '.join(_MODES)}, got {mode!r}")
-
     n = _one_int(cp, "network", "n")
     if n is None or n < 1:
         raise ValidationError(f"network needs n >= 1, got {n!r}")
@@ -280,10 +313,6 @@ def load_config(path):
 
     maneuvers = None
     if cp.has_section("maneuvers") and cp.options("maneuvers"):
-        if mode != "quad":
-            raise ValidationError("[maneuvers] requires mode = quad")
-        if n != 1:
-            raise ValidationError("[maneuvers] requires a single agent")
         legs = []
         for key in sorted(cp.options("maneuvers"),
                           key=lambda k: (len(k), k)):
@@ -301,19 +330,9 @@ def load_config(path):
         maneuvers = tuple(legs)
 
     T = _one_float(cp, "mission", "T")
-    if T is None and maneuvers is None:
-        raise ValidationError("missing T in [mission]")
-    if T is not None and not T > 0.0:
-        raise ValidationError(f"T must be positive, got {T}")
     dt = _one_float(cp, "mission", "dt", 1e-3)
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
     stride = _one_int(cp, "mission", "stride", 10)
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
     stop_tol = _one_float(cp, "mission", "stop_tol", 1e-4)
-    if not stop_tol > 0.0:
-        raise ValidationError(f"stop_tol must be positive, got {stop_tol}")
     out = cp.get("mission", "out", fallback=path.stem)
 
     params = default_params()
@@ -331,14 +350,6 @@ def load_config(path):
             params = replace(params, **kw)
         except DomainError as e:
             raise ValidationError(f"bad params: {e}") from e
-
-    if mode in ("quad", "compare"):
-        for i in range(n):
-            try:
-                QuadState(b=agents[i, :3], angles=agents[i, 3:6],
-                          v=np.zeros(3), Omega=np.zeros(3))
-            except (DomainError, GimbalLockError) as e:
-                raise ValidationError(f"agent{i + 1}: {e}") from e
 
     return MissionConfig(
         mode=mode, agents=agents, network=network, T=T, dt=dt,
@@ -415,29 +426,51 @@ def compare_trajectories(particle, quads):
     Raises:
         DimensionError: if the counts disagree.
     """
-    k, n, r = particle.states.shape
+    n = particle.states.shape[1]
     if len(quads) != n:
         raise DimensionError(
             f"{len(quads)} quad runs for {n} agents")
-    alpha = consensus_point(particle.states[0])
-    agents = []
-    for i, run in enumerate(quads):
-        endpoint = run.states[-1][:3]
-        start = run.states[0][:3]
-        agents.append(AgentReport(
-            agent=i + 1,
-            particle_final_error=float(
-                np.linalg.norm(particle.states[-1][i] - alpha)),
-            quad_final_error=float(np.linalg.norm(endpoint - alpha)),
-            max_cross_track=_max_cross_track(run.states[:, :3], start, alpha),
-            flight_time=float(run.times[-1]),
-            final_position=tuple(float(x) for x in endpoint),
-        ))
+    return _report("compare", consensus_point(particle.states[0]),
+                   particle, quads)
+
+
+def _agent_report(i, alpha, particle, run):
+    """AgentReport of agent i (0-based). particle (the protocol run to
+    report on), run (the agent's flight) and alpha (the rendezvous
+    point) are None when the run has none; the fields they measure
+    then stay None."""
+    fields = {}
+    if particle is not None:
+        fields["particle_final_error"] = float(
+            np.linalg.norm(particle.states[-1][i] - alpha))
+    end = particle.states[-1][i] if run is None else run.states[-1][:3]
+    if run is not None:
+        fields["flight_time"] = float(run.times[-1])
+        if alpha is not None:
+            fields["quad_final_error"] = float(np.linalg.norm(end - alpha))
+            fields["max_cross_track"] = _max_cross_track(
+                run.states[:, :3], run.states[0][:3], alpha)
+    return AgentReport(agent=i + 1,
+                       final_position=tuple(float(x) for x in end),
+                       **fields)
+
+
+def _report(mode, alpha, particle, quads):
+    """ComparisonReport of a run; quads is empty when nothing flew.
+
+    The spectrum is logged only when particle is given, so a quad run
+    that ran the protocol just for its targets passes particle=None.
+    """
+    n = len(quads) if quads else particle.states.shape[1]
     return ComparisonReport(
-        mode="compare",
-        rendezvous_point=tuple(float(x) for x in alpha),
-        agents=tuple(agents),
-        eigenvalues=_spectrum_log(particle.laplacian_log),
+        mode=mode,
+        rendezvous_point=tuple(float(x) for x in alpha)
+        if alpha is not None else None,
+        agents=tuple(
+            _agent_report(i, alpha, particle, quads[i] if quads else None)
+            for i in range(n)),
+        eigenvalues=_spectrum_log(particle.laplacian_log)
+        if particle is not None else (),
     )
 
 
@@ -458,16 +491,12 @@ def _quad_start(config, i):
         v=np.zeros(3), Omega=np.zeros(3))
 
 
-def _run_quads(config, targets, dest):
-    runs = []
-    for i in range(config.network.n):
-        start = _quad_start(config, i)
-        sched = rendezvous_leg(config.params, start, targets[i])
-        run = simulate(start, sched, config.params, sched.total_duration,
-                       config.dt, config.stride)
-        export_csv(run, dest / f"quad_agent{i + 1}.csv")
-        runs.append(run)
-    return runs
+def _fly(config, i, sched, dest):
+    """Fly agent i (0-based) through sched and write its CSV."""
+    run = simulate(_quad_start(config, i), sched, config.params,
+                   sched.total_duration, config.dt, config.stride)
+    export_csv(run, dest / f"quad_agent{i + 1}.csv")
+    return run
 
 
 def run_mission(config, out_dir=None):
@@ -497,84 +526,35 @@ def _run_mission(config, dest):
     net = config.network
     n = net.n
     positions = config.agents[:, :3]
-    alpha = consensus_point(positions)
-
-    if config.mode == "quad" and config.maneuvers:
-        parts = [schedule_for(config.params, spec)
-                 for spec in config.maneuvers]
-        sched = chain_schedules(parts)
-        start = _quad_start(config, 0)
-        run = simulate(start, sched, config.params, sched.total_duration,
-                       config.dt, config.stride)
-        export_csv(run, dest / "quad_agent1.csv")
-        endpoint = run.states[-1][:3]
-        report = ComparisonReport(
-            mode="quad", rendezvous_point=None,
-            agents=(AgentReport(
-                agent=1, flight_time=float(run.times[-1]),
-                final_position=tuple(float(x) for x in endpoint)),),
-            eigenvalues=(),
-        )
-        _write_report(report, dest)
-        return report
-
+    alpha = None
     particle = None
-    complete = len(fully_connected_vertices(net)) == n
-    need_particle = config.mode in ("particle", "compare") or not complete
-    if need_particle:
-        particle = integrate_protocol(
-            net, positions, config.T, config.dt, config.stride,
-            config.stop_tol)
-    if config.mode in ("particle", "compare"):
-        export_csv(particle, dest / "particle.csv")
-
-    if config.mode == "particle":
-        agents = tuple(
-            AgentReport(
-                agent=i + 1,
-                particle_final_error=float(
-                    np.linalg.norm(particle.states[-1][i] - alpha)),
-                final_position=tuple(
-                    float(x) for x in particle.states[-1][i]),
-            ) for i in range(n))
-        report = ComparisonReport(
-            mode="particle",
-            rendezvous_point=tuple(float(x) for x in alpha),
-            agents=agents,
-            eigenvalues=_spectrum_log(particle.laplacian_log),
-        )
-        _write_report(report, dest)
-        return report
-
-    # Complete graphs rendezvous exactly at the agreement point; other
-    # connected graphs get each drone's own protocol endpoint as its
-    # flight target.
-    if complete:
-        targets = [alpha] * n
+    if config.maneuvers:
+        scripted = chain_schedules([schedule_for(config.params, spec)
+                                    for spec in config.maneuvers])
     else:
-        targets = [particle.states[-1][i] for i in range(n)]
-    quads = _run_quads(config, targets, dest)
+        alpha = consensus_point(positions)
+        complete = len(fully_connected_vertices(net)) == n
+        if config.mode != "quad" or not complete:
+            particle = integrate_protocol(
+                net, positions, config.T, config.dt, config.stride,
+                config.stop_tol)
+        if config.mode != "quad":
+            export_csv(particle, dest / "particle.csv")
+        # Complete graphs rendezvous exactly at the agreement point;
+        # other connected graphs get each drone's own protocol endpoint
+        # as its flight target.
+        targets = [alpha] * n if complete else list(particle.states[-1])
 
-    if config.mode == "compare":
-        report = compare_trajectories(particle, quads)
-    else:
-        agents = tuple(
-            AgentReport(
-                agent=i + 1,
-                quad_final_error=float(
-                    np.linalg.norm(quads[i].states[-1][:3] - alpha)),
-                max_cross_track=_max_cross_track(
-                    quads[i].states[:, :3], quads[i].states[0][:3], alpha),
-                flight_time=float(quads[i].times[-1]),
-                final_position=tuple(
-                    float(x) for x in quads[i].states[-1][:3]),
-            ) for i in range(n))
-        report = ComparisonReport(
-            mode="quad",
-            rendezvous_point=tuple(float(x) for x in alpha),
-            agents=agents,
-            eigenvalues=(),
-        )
+    # agent i is planned only after agent i-1's CSV is on disk
+    quads = []
+    if config.mode != "particle":
+        for i in range(n):
+            sched = scripted if config.maneuvers else rendezvous_leg(
+                config.params, _quad_start(config, i), targets[i])
+            quads.append(_fly(config, i, sched, dest))
+
+    report = _report(config.mode, alpha,
+                     None if config.mode == "quad" else particle, quads)
     _write_report(report, dest)
     return report
 

@@ -34,6 +34,31 @@ agent1 = 0, 0, 0
 agent2 = 1, 1, 1
 """
 
+SCRIPTED_CLIMB = """\
+[mission]
+mode = quad
+out = climb
+[network]
+n = 1
+[agents]
+agent1 = 0, 0, 0
+[maneuvers]
+leg1 = vertical, 1.0, 2.0
+"""
+# three drones within 2 m of each other on an incomplete graph
+PATH_3 = """\
+[mission]
+mode = quad
+T = 20
+[network]
+n = 3
+edges = 1-2, 2-3
+[agents]
+agent1 = 0, 0, 0
+agent2 = 1, 0.5, 0.3
+agent3 = 1.2, 1.4, 0.8
+"""
+
 
 def write_cfg(tmp_path, text, name="mission.cfg"):
     path = tmp_path / name
@@ -413,18 +438,7 @@ class TestRunMission:
         assert a == b
 
     def test_scripted_quad_mission(self, tmp_path):
-        text = """\
-[mission]
-mode = quad
-out = climb
-[network]
-n = 1
-[agents]
-agent1 = 0, 0, 0
-[maneuvers]
-leg1 = vertical, 1.0, 2.0
-"""
-        cfg = load_config(write_cfg(tmp_path, text))
+        cfg = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
         report = run_mission(cfg, out_dir=tmp_path)
         assert report.mode == "quad"
         assert report.rendezvous_point is None
@@ -457,6 +471,43 @@ leg1 = bodyX, 5000, 4
         cfg = load_config(scenario_path("scenario_2_4_1"))
         run_mission(cfg)
         assert (tmp_path / cfg.out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "case", ["particle", "scripted", "rendezvous", "compare"])
+    def test_report_shape_per_mode(self, tmp_path, case):
+        """The README's per-mode report.json spec: which agent fields
+        are null, whether there is a rendezvous point and a spectrum,
+        and whether particle.csv is written."""
+        nulls = {
+            "particle": {"quad_final_error", "max_cross_track",
+                         "flight_time"},
+            "scripted": {"particle_final_error", "quad_final_error",
+                         "max_cross_track"},
+            "rendezvous": {"particle_final_error"},
+            "compare": set(),
+        }[case]
+        if case == "particle":
+            cfg = load_config(scenario_path("scenario_2_4_1"))
+        elif case == "scripted":
+            cfg = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
+        else:
+            # the path 1-2, 2-3 is not complete, so the quad mode runs
+            # the protocol for its targets but reports no spectrum
+            mode = "quad" if case == "rendezvous" else "compare"
+            cfg = load_config(write_cfg(
+                tmp_path, PATH_3.replace("mode = quad", f"mode = {mode}")))
+        report = run_mission(cfg, out_dir=tmp_path)
+        dest = tmp_path / cfg.out
+        assert json.loads((dest / "report.json").read_text()) \
+            == report.to_dict()
+        assert (dest / "particle.csv").exists() == (report.mode != "quad")
+        assert (report.rendezvous_point is None) == (case == "scripted")
+        assert (report.eigenvalues == ()) == (report.mode == "quad")
+        for a in report.to_dict()["agents"]:
+            assert {k for k, v in a.items() if v is None} == nulls
+        if case == "rendezvous":
+            bound = math.sqrt(3) * cfg.stop_tol + 1e-6
+            assert all(a.quad_final_error <= bound for a in report.agents)
 
 
 class TestCli:
@@ -526,6 +577,30 @@ class TestCli:
         rc = main(["run", str(scenario_path("scenario_2_4_1")),
                    "--dt", "inf"])
         assert rc == 2
+
+    def test_rejects_maneuvers_under_non_quad_mode(self, tmp_path, capsys):
+        """--mode is checked like the file's mode: a scripted flight
+        has no protocol horizon T to run as a particle mission."""
+        for mode in ("particle", "compare"):
+            rc = main(["run", str(scenario_path("scenario_4_2_1")),
+                       "--mode", mode, "--out", str(tmp_path)])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: [maneuvers] requires mode = quad"]
+        assert not any(tmp_path.iterdir())
+
+    def test_rejects_gimbal_locked_agent_under_quad_mode(self, tmp_path,
+                                                         capsys):
+        """A particle file may hold any angles; --mode quad makes them
+        a quad start state, which must pass the file's own check."""
+        path = write_cfg(tmp_path, BASE.replace(
+            "agent2 = 1, 1, 1", "agent2 = 1, 1, 1, 0, 1.5707963, 0"))
+        out = tmp_path / "out"
+        rc = main(["run", str(path), "--mode", "quad", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent2:")
+        assert not out.exists()
 
     def test_diverged_run_fails(self, tmp_path, capsys):
         """A step far past RK4's stability bound is refused before the
