@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import ConsensusTrajectory, consensus_point, integrate_protocol
-from .errors import (DimensionError, DivergenceError, DomainError,
-                     GimbalLockError, IoError, ParseError, SwarmError,
-                     ValidationError)
+from .errors import (DimensionError, DivergenceError, DomainError, IoError,
+                     ParseError, SwarmError, ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
                       fully_connected_vertices, pairwise_distances)
 from .numerics import sym_eigen
-from .planner import ManeuverSpec, chain_schedules, rendezvous_leg, schedule_for
+from .planner import (ManeuverSpec, chain_schedules, rendezvous_leg,
+                      require_level_hover, schedule_for)
 from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
                    simulate)
 
@@ -47,7 +47,8 @@ class MissionConfig:
     The cross-field checks run on construction, so a config changed
     with dataclasses.replace (the CLI's --mode and --dt) is checked
     exactly like one loaded from a file: a violation raises
-    ValidationError.
+    ValidationError; among them, a rendezvous flight (no maneuvers)
+    needs level starts.
     """
 
     mode: str
@@ -85,8 +86,10 @@ class MissionConfig:
         if self.mode in ("quad", "compare"):
             for i in range(self.network.n):
                 try:
-                    _quad_start(self, i)
-                except (DomainError, GimbalLockError) as e:
+                    start = _quad_start(self, i)
+                    if self.maneuvers is None:
+                        require_level_hover(start)
+                except DomainError as e:
                     raise ValidationError(f"agent{i + 1}: {e}") from e
 
 

@@ -1,8 +1,8 @@
 """Open-loop maneuver planning.
 
-Every planner here emits a ControlSchedule: piecewise rotor-speed laws
-that steer the vehicle between level hovers. Maneuvers are built on
-invariant manifolds of the dynamics:
+Every planner here emits a ControlSchedule: piecewise laws, each giving
+its four rotor speeds as a tuple of floats, that steer the vehicle
+between level hovers. Maneuvers are built on invariant manifolds:
 
   * vertical legs keep all four rotors equal (no torque at all),
   * yaw legs keep omega1 = omega3 and omega2 = omega4 with the thrust
@@ -59,7 +59,7 @@ class ManeuverSpec:
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule piece on [t0, t1]; law maps local time to 4 speeds."""
+    """One schedule piece on [t0, t1]; law maps local time to 4 floats."""
 
     t0: float
     t1: float
@@ -70,10 +70,10 @@ class Segment:
 class ControlSchedule:
     """Contiguous rotor-speed segments covering [0, total_duration].
 
-    omega_at validates every emission: speeds must lie in
-    [0, omega_max], which NaN does not. Sampling outside the covered
-    interval raises ScheduleGapError, as does constructing
-    non-contiguous segments.
+    Every speed leaves through emit, the one range check: the planner's
+    probe, simulate's RK4 stages and omega_at all call it. Sampling
+    outside the covered interval raises ScheduleGapError, as does
+    constructing non-contiguous segments.
     """
 
     segments: tuple = ()
@@ -97,46 +97,44 @@ class ControlSchedule:
 
     @property
     def breakpoints(self):
-        """Interior segment junctions; the command may jump across one,
-        so integrators should not let a step straddle them."""
+        """Interior segment junctions, where the command may jump."""
         return tuple(seg.t1 for seg in self.segments[:-1])
 
-    def omega_at(self, t):
-        """Rotor speeds at time t, validated against [0, omega_max]."""
-        if not self.segments:
-            raise ScheduleGapError("schedule is empty")
-        total = self.segments[-1].t1
-        if t < -1e-9 or t > total + 1e-9:
-            raise ScheduleGapError(
-                f"t={t!r} outside schedule interval [0, {total}]")
-        seg = self.segments[-1]
-        for s in self.segments:
-            if t < s.t1:
-                seg = s
-                break
-        local = t - seg.t0
-        if local < 0.0:
-            local = 0.0
-        elif local > seg.t1 - seg.t0:
-            local = seg.t1 - seg.t0
-        om = np.asarray(seg.law(local), dtype=float)
+    def emit(self, seg, t):
+        """Rotor speeds of segment seg at schedule time t, a 4-tuple of
+        floats in [0, omega_max] up to 1e-9, else SaturationError."""
+        om = seg.law(t - seg.t0)
         # written so that NaN fails the range check too
         mx = self.omega_max + 1e-9
-        for w in om.tolist():
+        for w in om:
             if not 0.0 <= w <= mx:
                 raise SaturationError(
                     f"rotor speed {w!r} outside [0, {self.omega_max}] "
                     f"rad/s at t={t!r}")
         return om
 
+    def omega_at(self, t):
+        """Rotor speeds at time t as a fresh (4,) array; a junction
+        reads the segment that starts there."""
+        if not self.segments:
+            raise ScheduleGapError("schedule is empty")
+        total = self.segments[-1].t1
+        if t < -1e-9 or t > total + 1e-9:
+            raise ScheduleGapError(
+                f"t={t!r} outside schedule interval [0, {total}]")
+        t = min(max(t, 0.0), total)
+        seg = next((s for s in self.segments if t < s.t1), self.segments[-1])
+        return np.array(self.emit(seg, t))
+
     @classmethod
     def constant(cls, omega, duration, omega_max=OMEGA_MAX):
         """Hold fixed rotor speeds for the given duration."""
         if not duration > 0.0:
             raise DomainError("duration must be positive")
-        om = np.asarray(omega, dtype=float).copy()
+        om = np.asarray(omega, dtype=float)
         if om.shape != (4,):
             raise DomainError("omega must be a 4-vector")
+        om = tuple(om.tolist())
         return cls((Segment(0.0, float(duration), lambda tl: om),),
                    omega_max)
 
@@ -179,15 +177,13 @@ def _natural_amplitude():
         ) from exc
 
 
-def _scan_feasible(law, duration, omega_max, samples=2001):
-    """Probe a smooth law on a dense grid; saturation here is a plan
-    failure, not an emission failure."""
-    tl = np.linspace(0.0, duration, samples)
-    om = np.array([law(t) for t in tl])
-    bad = np.any((om < 0.0) | (om > omega_max), axis=1)
-    if bad.any():
-        raise InfeasibleError(f"rotor speeds leave [0, {omega_max}] "
-                              f"at t={tl[np.argmax(bad)]:.3f}")
+def _feasible(sched, samples=2001):
+    """Return sched once each segment has emitted in range on a dense
+    grid; _natural_amplitude turns a SaturationError into a plan failure."""
+    for seg in sched.segments:
+        for t in np.linspace(seg.t0, seg.t1, samples).tolist():
+            sched.emit(seg, t)
+    return sched
 
 
 def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX):
@@ -224,11 +220,11 @@ def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX):
                 f"yaw torque exceeds rotor authority at t={tl:.3f}")
         w1 = math.sqrt(sq1)
         w2 = math.sqrt(sq2)
-        return np.array([w1, w2, w1, w2])
+        return (w1, w2, w1, w2)
 
     with _natural_amplitude():
-        _scan_feasible(law, duration, omega_max)
-    return ControlSchedule((Segment(0.0, duration, law),), omega_max)
+        return _feasible(
+            ControlSchedule((Segment(0.0, duration, law),), omega_max))
 
 
 def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX):
@@ -254,11 +250,11 @@ def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX):
             raise InfeasibleError(
                 f"descent wants negative thrust at t={tl:.3f}")
         w = math.sqrt(thrust / (4.0 * p.Kr))
-        return np.array([w, w, w, w])
+        return (w, w, w, w)
 
     with _natural_amplitude():
-        _scan_feasible(law, duration, omega_max)
-    return ControlSchedule((Segment(0.0, duration, law),), omega_max)
+        return _feasible(
+            ControlSchedule((Segment(0.0, duration, law),), omega_max))
 
 
 def _smoothstep_ramp(peak, width, rising):
@@ -406,9 +402,9 @@ def axis_translation_schedule(p, axis, distance, duration,
             hi = math.sqrt(half - half_diff)
         if body_x:
             # pitch torque Krd (w4^2 - w2^2); rotors 1 and 3 balance
-            return np.array([lo, a, hi, b])
+            return (lo, a, hi, b)
         # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
-        return np.array([a, lo, b, hi])
+        return (a, lo, b, hi)
 
     up = _smoothstep_ramp(peak, ramp, True)
     down = _smoothstep_ramp(peak, ramp, False)
@@ -417,13 +413,12 @@ def axis_translation_schedule(p, axis, distance, duration,
         # sqrt(2) g over the whole leg, which keeps Newton's equation
         # increasing in w, so its root is unique
         cruise = rotors(peak, 0.0, 0.0, 0.0)
-        segs = (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
-                Segment(ramp, duration - ramp, lambda tl: cruise),
-                Segment(duration - ramp, duration,
-                        lambda tl: rotors(*down(tl))))
-        for seg in segs:
-            _scan_feasible(seg.law, seg.t1 - seg.t0, omega_max)
-    return ControlSchedule(segs, omega_max)
+        return _feasible(ControlSchedule(
+            (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
+             Segment(ramp, duration - ramp, lambda tl: cruise),
+             Segment(duration - ramp, duration,
+                     lambda tl: rotors(*down(tl)))),
+            omega_max))
 
 
 def schedule_for(p, spec, omega_max=OMEGA_MAX):
@@ -466,26 +461,32 @@ def leg_durations(start_b, start_yaw, target):
     return specs
 
 
-def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX):
-    """Plan the full flight from a level hover to a target point.
-
-    Climbs or descends to the target altitude, yaws toward the target
-    bearing, then translates along body x. Returns an empty schedule
-    when the vehicle already sits at the target.
-
-    Args:
-        start: QuadState at level hover (zero velocity, zero roll and
-            pitch); anything else raises DomainError.
-        target: inertial (3,) point.
-    """
+def require_level_hover(start):
+    """Raise DomainError unless QuadState start is a level hover: v,
+    Omega, roll and pitch zero within 1e-9, any yaw."""
     tol = 1e-9
     if (np.max(np.abs(start.v)) > tol or np.max(np.abs(start.Omega)) > tol
             or abs(start.angles[0]) > tol or abs(start.angles[1]) > tol):
         raise DomainError("rendezvous legs start from a level hover")
+
+
+def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX):
+    """Plan the full flight from a level hover to a target point.
+
+    Climbs or descends to the target altitude, yaws toward the target
+    bearing, then translates along body x. A vehicle already at the
+    target holds a 2 s hover, leg_durations' shortest leg.
+
+    Args:
+        start: QuadState at level hover (require_level_hover).
+        target: inertial (3,) point.
+    """
+    require_level_hover(start)
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise DomainError(f"target must be a 3-vector, got {target.shape}")
 
-    specs = leg_durations(start.b, start.angles[2], target)
+    specs = (leg_durations(start.b, start.angles[2], target)
+             or [ManeuverSpec("hover", 0.0, 2.0)])
     parts = [schedule_for(p, spec, omega_max) for spec in specs]
     return chain_schedules(parts, omega_max)

@@ -327,20 +327,19 @@ def geodesic_spray(s, p):
 def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     """Integrate the vehicle under a control schedule with fixed-step RK4.
 
-    Rotor speeds are sampled at each RK4 stage time, so piecewise-smooth
-    schedules integrate at full order. Samples are recorded at t=0,
-    every stride-th step, and the final time.
+    Each schedule segment, clipped to [0, duration], is one window of
+    full steps of dt plus one shorter step when its span is not a
+    multiple, so no step straddles a junction, where the command may
+    jump. Every RK4 stage reads its window's segment through
+    schedule.emit. Samples are recorded at t=0, every stride-th step
+    and each window's end, with rotor speeds from schedule.omega_at.
 
     Args:
         s0: initial QuadState.
-        schedule: object with omega_at(t) -> (4,) ndarray of rotor
-            speeds, defined on [0, duration]; a shorter schedule raises
-            ScheduleGapError.
+        schedule: planner.ControlSchedule covering [0, duration]; a
+            shorter schedule raises ScheduleGapError.
         p: QuadParams.
-        duration: time horizon, >= 0. Integration windows snap to the
-            schedule's breakpoints (when it exposes them); each window
-            is covered with full steps of dt plus one shorter final
-            step when its span is not a multiple.
+        duration: time horizon, >= 0.
         dt: step size, > 0.
         stride: sampling stride in steps.
 
@@ -360,24 +359,12 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
         raise DomainError(f"step size must be positive, got {dt!r}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride!r}")
-    total = getattr(schedule, "total_duration", None)
-    if total is not None and total + 1e-9 < duration:
+    total = schedule.total_duration
+    if total + 1e-9 < duration:
         raise ScheduleGapError(
             f"schedule covers [0, {total}], mission needs [0, {duration}]")
 
     pc = _param_tuple(p)
-    omega_at = schedule.omega_at
-
-    # integration windows snap to the schedule's interior junctions: the
-    # command may jump there, and a stage sampled across the jump would
-    # contaminate the step (the k4 stage of the step ending exactly on a
-    # junction otherwise picks up the next segment's first command)
-    edges = [0.0]
-    for bp in sorted({float(b) for b in getattr(schedule, "breakpoints", ())}):
-        if edges[-1] + 1e-9 < bp < duration - 1e-9:
-            edges.append(bp)
-    if duration > 0.0:
-        edges.append(duration)
 
     # samples go to flat float buffers: per-sample tuples or arrays
     # would cost an object header per sample
@@ -391,7 +378,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             raise DivergenceError(f"non-finite state at t={tn:.6f}")
         times.append(tn)
         states.extend(x)
-        omegas.extend(omega_at(tn))
+        omegas.extend(schedule.omega_at(tn))
 
     def step(t, x, h, law):
         # same operation order as numerics.rk4_step, element by element;
@@ -411,14 +398,18 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
 
     record(0.0, x)
     count = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # stage times at this window's right edge must still read this
-        # window's command, so clamp them just left of an interior
-        # junction; the final edge has nothing beyond it to leak in
-        edge = hi if hi >= duration else max(lo, hi - 1e-12)
+    lo = 0.0
+    for seg in schedule.segments:
+        # stages at an interior junction are clamped just left of it,
+        # or the k4 stage of the step ending there would read the next
+        # segment; the final window ends at duration, inside seg or
+        # within 1e-9 past its end
+        final = seg.t1 >= duration or seg is schedule.segments[-1]
+        hi = duration if final else seg.t1
+        edge = min(hi, seg.t1) if final else max(lo, hi - 1e-12)
 
-        def law(tq, _e=edge):
-            return omega_at(tq if tq < _e else _e).tolist()
+        def law(tq, _s=seg, _e=edge):
+            return schedule.emit(_s, tq if tq < _e else _e)
 
         span = hi - lo
         nfull = int(math.floor(span / dt + 1e-9))
@@ -442,6 +433,9 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
                     f"gimbal lock at t={hi:.6f}: pitch {x[4]!r}")
         if hi > times[-1]:
             record(hi, x)
+        if final:
+            break
+        lo = hi
 
     omegas = np.frombuffer(omegas).reshape(-1, 4)
     return QuadTrajectory(

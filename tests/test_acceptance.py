@@ -20,8 +20,8 @@ from quadswarm.consensus import (closed_form_state, consensus_point,
 from quadswarm.mission import load_config, run_mission
 from quadswarm.network import Network, laplacian, weighted_laplacian_at
 from quadswarm.numerics import rotation_from_euler, sym_eigen
-from quadswarm.planner import (axis_translation_schedule, hover_controls,
-                               hover_schedule, yaw_schedule)
+from quadswarm.planner import (ControlSchedule, axis_translation_schedule,
+                               hover_controls, hover_schedule, yaw_schedule)
 from quadswarm.quad import (Controls, QuadState, affine_fields,
                             default_params, hover_state, simulate,
                             state_derivative)
@@ -169,21 +169,14 @@ def test_affine_decomposition():
     assert worst <= 1e-12
 
 
-class _ZeroRotors:
-    total_duration = 10.0
-    breakpoints = ()
-
-    def omega_at(self, t):
-        return np.zeros(4)
-
-
 def test_force_free_invariants():
     """With no forces, energy and both inertial momenta are conserved."""
     p = replace(default_params(), g=0.0, CD=np.zeros(3), Ctau=np.zeros(3))
     s0 = QuadState(b=np.zeros(3), angles=np.zeros(3),
                    v=np.array([2.0, -1.0, 0.5]),
                    Omega=np.array([0.4, 0.3, 1.0]))
-    traj = simulate(s0, _ZeroRotors(), p, 10.0, dt=1e-3, stride=10)
+    rotors_off = ControlSchedule.constant((0.0, 0.0, 0.0, 0.0), 10.0)
+    traj = simulate(s0, rotors_off, p, 10.0, dt=1e-3, stride=10)
 
     v = traj.states[:, 6:9]
     w = traj.states[:, 9:12]

@@ -602,6 +602,50 @@ class TestCli:
         assert err.startswith("error: agent2:")
         assert not out.exists()
 
+    def test_rejects_tilted_rendezvous_start(self, tmp_path, capsys):
+        """A rendezvous starts every drone from a level hover, so a
+        rolled agent exits 2 before anything flies; a scripted flight
+        may start tilted."""
+        path = write_cfg(tmp_path, BASE.replace(
+            "mode = particle", "mode = quad").replace(
+            "agent2 = 1, 1, 1", "agent2 = 1, 1, 1, 0.3, 0, 0"))
+        out = tmp_path / "out"
+        rc = main(["run", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent2: rendezvous legs start from "
+                              "a level hover")
+        assert not out.exists()
+        scripted = write_cfg(tmp_path, SCRIPTED_CLIMB.replace(
+            "agent1 = 0, 0, 0", "agent1 = 0, 0, 0, 0.3, 0, 0"), "tilt.cfg")
+        assert load_config(scripted).agents[0, 3] == 0.3
+
+    def test_agent_already_at_meeting_point(self, tmp_path, capsys):
+        """Agent 1 sits at the agreement point of the three: its route
+        is one 2 s hover, flown like any other leg."""
+        path = write_cfg(tmp_path, """\
+[mission]
+mode = compare
+T = 10
+out = there
+[network]
+n = 3
+edges = 1-2, 1-3, 2-3
+[agents]
+agent1 = 0, 0, 5
+agent2 = 2, 0, 5
+agent3 = -2, 0, 5
+""")
+        rc = main(["run", str(path), "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "there" / "report.json").read_text())
+        first = report["agents"][0]
+        assert first["flight_time"] == 2.0
+        assert first["quad_final_error"] == 0.0
+        assert first["max_cross_track"] == 0.0
+        assert first["final_position"] == [0.0, 0.0, 5.0]
+        assert all(a["quad_final_error"] <= 1e-6 for a in report["agents"])
+
     def test_diverged_run_fails(self, tmp_path, capsys):
         """A step far past RK4's stability bound is refused before the
         first step, so not one numpy overflow warning is printed: the

@@ -114,6 +114,32 @@ class TestControlSchedule:
     def test_chain_of_nothing_is_empty(self):
         assert chain_schedules([]).total_duration == 0.0
 
+    @pytest.mark.parametrize("build", [
+        lambda: hover_schedule(P, 1.0),
+        lambda: yaw_schedule(P, 0.5, 2.0),
+        lambda: vertical_schedule(P, 1.0, 2.0),
+        lambda: axis_translation_schedule(P, "bodyX", 1.0, 2.0),
+        lambda: axis_translation_schedule(P, "bodyY", 1.0, 2.0),
+    ], ids=["hover", "yaw", "vertical", "bodyX", "bodyY"])
+    def test_laws_emit_float_tuples(self, build):
+        sched = build()
+        for seg in sched.segments:
+            for t in (seg.t0, 0.5 * (seg.t0 + seg.t1), seg.t1):
+                om = sched.emit(seg, t)
+                assert type(om) is tuple and len(om) == 4
+                assert all(type(w) is float for w in om)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_samples_do_not_alias_the_schedule(self, t):
+        # t=0.5 reads the hover's stored speeds, t=2.0 the cruise's
+        sched = chain_schedules([
+            hover_schedule(P, 0.75),
+            axis_translation_schedule(P, "bodyX", 1.0, 2.0)])
+        before = sched.omega_at(t)
+        sched.omega_at(t)[:] = 0.0
+        assert np.array_equal(sched.omega_at(t), before)
+        assert np.all(before > 0.0)
+
 
 class TestHover:
     def test_hover_controls_balance_gravity(self):
@@ -364,9 +390,18 @@ class TestRendezvousLeg:
             rendezvous_leg(P, hover_state(), (1.0, 0.0))
 
     def test_already_there(self):
-        sched = rendezvous_leg(P, hover_state(b=(1.0, 2.0, 3.0)),
-                               (1.0, 2.0, 3.0))
-        assert sched.total_duration == 0.0
+        """A vehicle at its target holds one 2 s hover, the shortest
+        leg leg_durations plans, so the route still has a flight, and
+        that flight holds the position exactly."""
+        start = hover_state(b=(1.0, 2.0, 3.0), yaw=0.4)
+        sched = rendezvous_leg(P, start, (1.0, 2.0, 3.0))
+        assert sched.total_duration == 2.0
+        assert len(sched.segments) == 1
+        assert np.array_equal(sched.omega_at(1.0), hover_controls(P).omega)
+        run = simulate(start, sched, P, sched.total_duration)
+        assert run.times[-1] == 2.0
+        assert np.array_equal(
+            run.states, np.tile(start.as_vector(), (len(run.times), 1)))
 
     def test_short_route_reaches_target(self):
         start = hover_state()

@@ -10,25 +10,15 @@ from quadswarm.errors import (DivergenceError, DomainError,
                               GimbalLockError, ScheduleGapError)
 from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
                                 rk4_step, rotation_from_euler)
-from quadswarm.planner import hover_controls, hover_schedule, yaw_schedule
+from quadswarm.planner import (ControlSchedule, Segment,
+                               axis_translation_schedule, hover_controls,
+                               hover_schedule, yaw_schedule)
 from quadswarm.quad import (Controls, QuadParams, QuadState, affine_fields,
                             default_params, forces_body, geodesic_spray,
                             hover_state, simulate, state_derivative,
                             torques_body)
 
 P = default_params()
-
-
-class _Law:
-    """Minimal duck-typed schedule for driving simulate directly."""
-
-    def __init__(self, fn, duration, breakpoints=()):
-        self._fn = fn
-        self.total_duration = duration
-        self.breakpoints = breakpoints
-
-    def omega_at(self, t):
-        return self._fn(t)
 
 
 def random_state(rng, speed=2.0, spin=1.0):
@@ -256,8 +246,7 @@ class TestSimulate:
 
     def test_gimbal_abort_reports_time(self):
         # A strong pitch torque tips the vehicle past the chart boundary.
-        om = np.array([200.0, 320.0, 200.0, 60.0])
-        sched = _Law(lambda t: om, 5.0)
+        sched = ControlSchedule.constant((200.0, 320.0, 200.0, 60.0), 5.0)
         with pytest.raises(GimbalLockError) as err:
             simulate(hover_state(), sched, P, 5.0)
         assert "t=" in str(err.value)
@@ -266,7 +255,7 @@ class TestSimulate:
         # Squared speeds overflow to inf, the torques to inf - inf =
         # NaN, and NaN pitch passes the gimbal check: the run stops at
         # its first recorded sample instead of integrating NaN.
-        sched = _Law(lambda t: np.full(4, 1e200), 1.0)
+        sched = ControlSchedule.constant((1e200,) * 4, 1.0, omega_max=1e200)
         with pytest.raises(DivergenceError, match=r"t=0\.010000"):
             simulate(hover_state(), sched, P, 1.0, dt=1e-3, stride=10)
 
@@ -284,13 +273,10 @@ class TestSimulate:
         # must land a step boundary exactly on it, and stages on either
         # side must read their own side's command.
         t_jump = 0.0123456
-        lo = hover_controls(P).omega
-        hi = lo * 1.05
-
-        def fn(t):
-            return lo if t < t_jump else hi
-
-        sched = _Law(fn, 0.05, breakpoints=(t_jump,))
+        lo = tuple(hover_controls(P).omega.tolist())
+        hi = tuple(w * 1.05 for w in lo)
+        sched = ControlSchedule((Segment(0.0, t_jump, lambda tl: lo),
+                                 Segment(t_jump, 0.05, lambda tl: hi)))
         traj = simulate(hover_state(), sched, P, 0.05, dt=1e-3, stride=1)
         assert np.any(np.abs(traj.times - t_jump) <= 1e-12)
         # Height must be monotone nonincreasing before the jump (hover is
@@ -299,7 +285,7 @@ class TestSimulate:
         pre = traj.states[traj.times <= t_jump + 1e-12, 2]
         assert np.max(np.abs(pre)) <= 1e-12
 
-    @pytest.mark.parametrize("leg", ["hover", "yaw"])
+    @pytest.mark.parametrize("leg", ["hover", "yaw", "bodyX"])
     def test_bitwise_equal_to_rk4_step(self, leg):
         # simulate's float loop must reproduce numerics.rk4_step over
         # state_derivative bit for bit; byte-identical artifacts rest on
@@ -308,34 +294,49 @@ class TestSimulate:
             s0 = random_state(np.random.default_rng(17), speed=0.5,
                               spin=0.3)
             sched, duration = hover_schedule(P, 0.5), 0.5
-        else:
+        elif leg == "yaw":
             s0 = hover_state(b=(1.0, -2.0, 0.5), yaw=0.3)
             sched, duration = yaw_schedule(P, 0.4, 2.0), 2.0
-        assert len(sched.segments) == 1
+        else:
+            # ramp up, cruise, ramp down: junctions at 0.4 s and 1.6 s,
+            # both on the dt grid
+            s0 = hover_state(b=(0.5, 1.0, -1.0), yaw=-0.2)
+            sched = axis_translation_schedule(P, "bodyX", 1.0, 2.0)
+            duration = 2.0
+        assert len(sched.segments) == (3 if leg == "bodyX" else 1)
         dt, stride = 1e-3, 10
         traj = simulate(s0, sched, P, duration, dt=dt, stride=stride)
 
-        def deriv(t, x):
-            om = sched.omega_at(t if t < duration else duration)
-            return state_derivative(QuadState.from_vector(x), Controls(om),
-                                    P)
-
         x = s0.as_vector()
         states = [x]
-        steps = round(duration / dt)
-        for k in range(steps):
-            x = rk4_step(deriv, x, k * dt, dt)
-            if (k + 1) % stride == 0:
-                states.append(x)
+        count = 0
+        for seg in sched.segments:
+            # stages at an interior junction read the segment that ends
+            # there, so they are clamped just left of it
+            edge = duration if seg.t1 >= duration else seg.t1 - 1e-12
+
+            def deriv(t, x, edge=edge):
+                om = sched.omega_at(t if t < edge else edge)
+                return state_derivative(QuadState.from_vector(x),
+                                        Controls(om), P)
+
+            steps = round((seg.t1 - seg.t0) / dt)
+            for k in range(steps):
+                x = rk4_step(deriv, x, seg.t0 + k * dt, dt)
+                count += 1
+                if count % stride == 0:
+                    states.append(x)
         assert len(states) == len(traj.times)
         assert np.array_equal(traj.states, np.array(states))
+        assert np.array_equal(
+            traj.omegas, np.array([sched.omega_at(t) for t in traj.times]))
 
     def test_drag_dissipates_kinetic_energy(self):
         free = replace(P, g=0.0)
         s0 = QuadState(b=np.zeros(3), angles=np.zeros(3),
                        v=np.array([3.0, -2.0, 1.0]),
                        Omega=np.array([0.5, 0.4, -0.3]))
-        sched = _Law(lambda t: np.zeros(4), 2.0)
+        sched = ControlSchedule.constant((0.0, 0.0, 0.0, 0.0), 2.0)
         traj = simulate(s0, sched, free, 2.0, dt=1e-3, stride=10)
         v = traj.states[:, 6:9]
         w = traj.states[:, 9:12]
