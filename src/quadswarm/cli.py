@@ -15,10 +15,12 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
-from .consensus import _RK4_REAL_LIMIT
+import numpy as np
+
+from .consensus import _RK4_REAL_LIMIT, consensus_point
 from .errors import ParseError, SwarmError, ValidationError
 from .mission import load_config, run_mission
-from .network import weighted_laplacian_at
+from .network import DistanceWeighted, weighted_laplacian_at
 from .numerics import sym_eigen
 
 
@@ -86,7 +88,32 @@ def _cmd_validate(args):
               f"dt*lambda_max={config.dt * lam_max:.6g} "
               f"(RK4 limit {_RK4_REAL_LIMIT}, largest stable dt "
               f"{dt_max:.6g})")
+        print(_predicted_stop(config, lam2))
     return 0
+
+
+def _predicted_stop(config, lam2):
+    """Line naming when the protocol's early stop should fire.
+
+    For a fixed Laplacian the offsets from the centroid decay like
+    exp(-lambda2 t), so the spread max |q0 - centroid| that the early
+    stop measures falls below stop_tol after ln(spread0 / stop_tol) /
+    lambda2. Distance weights change L with the positions every step,
+    and lambda2 of L(0) then bounds nothing.
+    """
+    if isinstance(config.network.policy, DistanceWeighted):
+        return ("predicted stop: none; distance weights change L(t) every "
+                "step, so lambda2 of L(0) does not set the decay rate")
+    if not lam2 > 1e-9:
+        return "predicted stop: none; L(0) has no spectral gap"
+    q0 = config.agents[:, :3]
+    spread0 = float(np.max(np.abs(q0 - consensus_point(q0))))
+    t_stop = 0.0
+    if spread0 > config.stop_tol:
+        t_stop = math.log(spread0 / config.stop_tol) / lam2
+    return (f"predicted stop: t={t_stop:.4g} s "
+            f"(ln(spread0/stop_tol)/lambda2, spread0={spread0:.6g} "
+            f"stop_tol={config.stop_tol:.6g}, horizon T={config.T:.6g})")
 
 
 def _cmd_list_scenarios():

@@ -107,7 +107,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     Args:
         net: communication graph; must be connected at t=0.
         q0: (n, r) initial state matrix.
-        duration: time horizon, > 0.
+        duration: time horizon, at least half a step: the run takes
+            round(duration / dt) >= 1 steps.
         dt: step size, > 0.
         stride: record every stride-th step (plus t=0 and the end).
         stop_tol: early-stop threshold on max |q - consensus|.
@@ -129,6 +130,11 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         raise DomainError(f"duration must be positive, got {duration!r}")
     if not dt > 0.0:
         raise DomainError(f"step size must be positive, got {dt!r}")
+    steps = int(round(duration / dt))
+    if steps < 1:
+        raise DomainError(
+            f"duration {duration!r} is shorter than half a step dt={dt!r}; "
+            "no step would run")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride!r}")
     if not is_connected(net):
@@ -157,7 +163,6 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
 
     times = [0.0]
     states = [q.copy()]
-    steps = int(round(duration / dt))
     last = steps - 1
     for k in range(steps):
         advance(k)
@@ -183,15 +188,16 @@ def _static_step(m, q, coef):
     """Step function for a constant Laplacian m; advances q in place.
 
     The whole step propagator is one fixed matrix, so it is computed
-    once and each step costs one matmul.
+    once and each step costs one np.dot product (see _moving_step).
     """
     c1, c2, c3, c4 = coef
     prop = np.eye(len(m)) - c1 * m + c2 * (m @ m) - c3 * (m @ m @ m) \
         + c4 * (m @ m @ m @ m)
     qn = np.empty_like(q)
+    dot = np.dot
 
     def advance(k):
-        np.matmul(prop, q, out=qn)
+        dot(prop, q, qn)
         q[...] = qn
 
     return advance
@@ -206,7 +212,10 @@ def _moving_step(net, q, dt, coef, log):
     branch dominates the runtime, so it reuses fixed buffers and views
     of them (q is updated in place, which keeps the broadcast views
     below valid across steps). The differences are coordinate-major,
-    (r, n, n), as in network.pairwise_distances.
+    (r, n, n), as in network.pairwise_distances. The five products of
+    the step go through np.dot, which reaches the same BLAS call as
+    np.matmul with less per-call dispatch; every buffer is C-contiguous
+    float64, as np.dot's out requires.
     """
     n, r = q.shape
     thr = net.policy.threshold
@@ -227,7 +236,7 @@ def _moving_step(net, q, dt, coef, log):
     qa = q.T[:, :, None]
     qb = q.T[:, None, :]
     subtract, multiply = np.subtract, np.multiply
-    sqrt, negative, matmul, add = np.sqrt, np.negative, np.matmul, np.add
+    sqrt, negative, dot, add = np.sqrt, np.negative, np.dot, np.add
     reduce = np.add.reduce
 
     def advance(k):
@@ -251,11 +260,11 @@ def _moving_step(net, q, dt, coef, log):
                 complete = int(adj.sum()) == n * (n - 1)
                 log.append((k * dt, Laplacian(matrix=mbuf.copy(), source=cur,
                                               time=k * dt)))
-        matmul(mbuf, q, p0)
-        matmul(mbuf, p0, p1)
-        matmul(mbuf, p1, p2)
-        matmul(mbuf, p2, p3)
-        matmul(signed, pflat, accflat)
+        dot(mbuf, q, p0)
+        dot(mbuf, p0, p1)
+        dot(mbuf, p1, p2)
+        dot(mbuf, p2, p3)
+        dot(signed, pflat, accflat)
         add(q, acc, q)
 
     return advance

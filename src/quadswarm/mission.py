@@ -78,6 +78,10 @@ class MissionConfig:
         if not 0.0 < self.dt < math.inf:
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt}")
+        if self.T is not None and round(self.T / self.dt) < 1:
+            raise ValidationError(
+                f"T={self.T} is shorter than half a step dt={self.dt}; "
+                "the protocol would take no step")
         if self.stride < 1:
             raise ValidationError(f"stride must be >= 1, got {self.stride}")
         if not self.stop_tol > 0.0:

@@ -123,6 +123,35 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate_protocol(HUB, Q0, 1.0, stride=0)
 
+    def test_rejects_horizon_shorter_than_half_a_step(self):
+        with pytest.raises(DomainError, match="shorter than half a step"):
+            integrate_protocol(HUB, Q0, 4e-4, dt=1e-3)
+        traj = integrate_protocol(HUB, Q0, 6e-4, dt=1e-3)
+        assert traj.times.tolist() == [0.0, 1e-3]
+
+    @pytest.mark.parametrize("policy", ["unweighted", "static"])
+    def test_static_step_matches_reference_loop_bit_for_bit(self, policy):
+        # A fixed Laplacian folds the RK4 step into one propagator
+        # matrix; a plain loop of `prop @ q` must reproduce every
+        # recorded state exactly.
+        net = HUB
+        if policy == "static":
+            net = Network(4, HUB.edges, StaticWeights(
+                {e: 1.0 / (k + 3) for k, e in enumerate(sorted(HUB.edges))}))
+        dt = 1e-3
+        traj = integrate_protocol(net, Q0, 0.2, dt=dt, stride=1,
+                                  stop_tol=0.0)
+        m = weighted_laplacian_at(net, Q0).matrix
+        c2 = dt * dt / 2.0
+        c3 = dt * c2 / 3.0
+        prop = np.eye(4) - dt * m + c2 * (m @ m) - c3 * (m @ m @ m) \
+            + dt * c3 / 4.0 * (m @ m @ m @ m)
+        q = np.array(Q0, dtype=float)
+        assert len(traj.states) == 201
+        for got in traj.states:
+            assert np.array_equal(got, q)
+            q = prop @ q
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            n=st.integers(min_value=2, max_value=6))

@@ -534,6 +534,59 @@ class TestCli:
         assert "RK4 limit 2.785" in out[1]
         assert "largest stable dt 0.07396" in out[1]
 
+    @pytest.mark.parametrize("name, t_stop", [
+        # ln(spread0 / 1e-4) / lambda2 with spread0 and lambda2 of L(0)
+        ("scenario_2_4_1", math.log(7.75 / 1e-4) / 1.0),
+        ("scenario_4_2_2", math.log(10.0 / 1e-4) / 3.0),
+    ], ids=["2_4_1", "4_2_2"])
+    def test_validate_predicts_stop_unweighted(self, capsys, name, t_stop):
+        rc = main(["validate", str(scenario_path(name))])
+        assert rc == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line.startswith(f"predicted stop: t={t_stop:.4g} s ")
+
+    def test_validate_predicts_stop_static(self, tmp_path, capsys):
+        """Two agents on one edge of weight 2: the offset from the
+        centroid decays exactly like exp(-4 t), so the run stops at the
+        first sample past the prediction."""
+        path = write_cfg(tmp_path, BASE.replace(
+            "edges = 1-2", "edges = 1-2\nweights = static\nweight_1_2 = 2"))
+        t_stop = math.log(0.5 / 1e-4) / 4.0
+        assert main(["validate", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line.startswith(f"predicted stop: t={t_stop:.4g} s ")
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "mission" / "particle.csv").read_text(
+            encoding="utf-8").splitlines()
+        stopped = float(rows[-1].split(",")[0])
+        assert t_stop < stopped <= t_stop + 0.01  # stride 10 at dt 1e-3
+
+    def test_validate_predicts_stop_initial_distance(self, capsys):
+        rc = main(["validate", str(scenario_path("scenario_2_5_1"))])
+        assert rc == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        fields = dict(tok.split("=") for tok in line.split() if "=" in tok)
+        assert float(fields["spread0"]) == 11.75
+        assert float(fields["t"]) == pytest.approx(
+            math.log(11.75 / 1e-4) / 13.0602, abs=1e-3)
+
+    def test_validate_gives_no_prediction_for_distance_weights(self,
+                                                               capsys):
+        """On 2_5_2 lambda2 of L(0) would predict a stop near 1.8 s,
+        but the re-weighted run never reaches stop_tol."""
+        rc = main(["validate", str(scenario_path("scenario_2_5_2"))])
+        assert rc == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line.startswith("predicted stop: none; distance weights")
+
+    def test_validate_gives_no_prediction_without_spectral_gap(
+            self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE.replace("n = 2", "n = 3")
+                         + "agent3 = 5, 5, 5\n")
+        assert main(["validate", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line == "predicted stop: none; L(0) has no spectral gap"
+
     def test_validate_single_agent_prints_no_spectrum(self, capsys):
         rc = main(["validate", str(scenario_path("scenario_4_2_1"))])
         assert rc == 0
@@ -577,6 +630,22 @@ class TestCli:
         rc = main(["run", str(scenario_path("scenario_2_4_1")),
                    "--dt", "inf"])
         assert rc == 2
+
+    def test_rejects_horizon_shorter_than_half_a_step(self, tmp_path,
+                                                      capsys):
+        """round(T / dt) == 0 would integrate nothing and report the
+        start state as the result."""
+        path = write_cfg(tmp_path, BASE.replace("T = 10", "T = 0.0004"))
+        out = tmp_path / "out"
+        rc = main(["run", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "shorter than half a step" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["validate", str(path)]) == 2
+        rc = main(["run", str(scenario_path("scenario_2_4_1")),
+                   "--dt", "200", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_rejects_maneuvers_under_non_quad_mode(self, tmp_path, capsys):
         """--mode is checked like the file's mode: a scripted flight
