@@ -5,8 +5,10 @@
     quadswarm list-scenarios
 
 Exit codes: 0 on success, 2 for config parse or validation problems,
-1 for any other failure. The output root defaults to $SWARM_OUT_DIR
-(falling back to the working directory); --out overrides it.
+1 for any other failure. validate also exits 2, after a FAIL: line,
+for a config whose run could not start its protocol. The output root
+defaults to $SWARM_OUT_DIR (falling back to the working directory);
+--out overrides it.
 """
 
 import argparse
@@ -17,9 +19,10 @@ from importlib import resources
 
 import numpy as np
 
-from .consensus import _RK4_REAL_LIMIT, consensus_point
-from .errors import ParseError, SwarmError, ValidationError
-from .mission import load_config, run_mission
+from .consensus import _RK4_REAL_LIMIT, consensus_point, starting_laplacian
+from .errors import (DisconnectedError, DivergenceError, ParseError,
+                     SwarmError, ValidationError)
+from .mission import integrates_protocol, load_config, run_mission
 from .network import DistanceWeighted, weighted_laplacian_at
 from .numerics import sym_eigen
 
@@ -76,8 +79,12 @@ def _cmd_run(args):
 def _cmd_validate(args):
     config = load_config(args.config)
     net = config.network
-    print(f"OK: mode={config.mode} agents={net.n} "
-          f"edges={len(net.edges)} policy={type(net.policy).__name__}")
+    problem = _protocol_problem(config)
+    if problem is None:
+        print(f"OK: mode={config.mode} agents={net.n} "
+              f"edges={len(net.edges)} policy={type(net.policy).__name__}")
+    else:
+        print(f"FAIL: {type(problem).__name__}: {problem}")
     if net.n >= 2:
         lap = weighted_laplacian_at(net, config.agents[:, :3])
         w = sym_eigen(lap.matrix)[0]
@@ -89,7 +96,19 @@ def _cmd_validate(args):
               f"(RK4 limit {_RK4_REAL_LIMIT}, largest stable dt "
               f"{dt_max:.6g})")
         print(_predicted_stop(config, lam2))
-    return 0
+    return 0 if problem is None else 2
+
+
+def _protocol_problem(config):
+    """The error the run would stop with before its first protocol
+    step, or None: the checks integrate_protocol makes on L(0)."""
+    if not integrates_protocol(config):
+        return None
+    try:
+        starting_laplacian(config.network, config.agents[:, :3], config.dt)
+    except (DisconnectedError, DivergenceError) as e:
+        return e
+    return None
 
 
 def _predicted_stop(config, lam2):

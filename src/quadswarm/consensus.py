@@ -137,8 +137,7 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
             "no step would run")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride!r}")
-    if not is_connected(net):
-        raise DisconnectedError("network is not connected at t=0")
+    lap = starting_laplacian(net, q, dt)
 
     alpha = consensus_point(q)
     # For a matrix frozen across the step, the classical RK4 update on
@@ -147,14 +146,6 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     c2 = dt * dt / 2.0
     c3 = dt * c2 / 3.0
     coef = (dt, c2, c3, dt * c3 / 4.0)
-    lap = weighted_laplacian_at(net, q, 0.0)
-    lam_max = float(sym_eigen(lap.matrix)[0][-1])
-    if dt * lam_max > _RK4_REAL_LIMIT:
-        raise DivergenceError(
-            f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
-            f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
-            f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
-            f"{_RK4_REAL_LIMIT / lam_max:.6g}")
     log = [(0.0, lap)]
     if isinstance(net.policy, DistanceWeighted):
         advance = _moving_step(lap.source, q, dt, coef, log)
@@ -182,6 +173,28 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         states=np.array(states),
         laplacian_log=log,
     )
+
+
+def starting_laplacian(net, q, dt):
+    """L(0) of net at the (n, r) positions q, once the protocol can
+    start from it at step dt.
+
+    Raises:
+        DisconnectedError: net is not connected.
+        DivergenceError: dt times the largest eigenvalue of L(0)
+            exceeds 2.785, RK4's real-axis stability limit.
+    """
+    if not is_connected(net):
+        raise DisconnectedError("network is not connected at t=0")
+    lap = weighted_laplacian_at(net, q, 0.0)
+    lam_max = float(sym_eigen(lap.matrix)[0][-1])
+    if dt * lam_max > _RK4_REAL_LIMIT:
+        raise DivergenceError(
+            f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
+            f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
+            f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
+            f"{_RK4_REAL_LIMIT / lam_max:.6g}")
+    return lap
 
 
 def _static_step(m, q, coef):

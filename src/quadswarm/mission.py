@@ -506,6 +506,18 @@ def _fly(config, i, sched, dest):
     return run
 
 
+def _complete(net):
+    return len(fully_connected_vertices(net)) == net.n
+
+
+def integrates_protocol(config):
+    """Whether running config integrates the agreement protocol: a
+    rendezvous (no [maneuvers]) outside quad mode, or on a graph that
+    is not complete. A complete graph flies straight to the centroid."""
+    return not config.maneuvers and (
+        config.mode != "quad" or not _complete(config.network))
+
+
 def run_mission(config, out_dir=None):
     """Execute a mission and write its artifacts.
 
@@ -540,8 +552,8 @@ def _run_mission(config, dest):
                                     for spec in config.maneuvers])
     else:
         alpha = consensus_point(positions)
-        complete = len(fully_connected_vertices(net)) == n
-        if config.mode != "quad" or not complete:
+        complete = _complete(net)
+        if integrates_protocol(config):
             particle = integrate_protocol(
                 net, positions, config.T, config.dt, config.stride,
                 config.stop_tol)

@@ -24,7 +24,7 @@ simulates.
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,11 +59,16 @@ class ManeuverSpec:
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule piece on [t0, t1]; law maps local time to 4 floats."""
+    """One schedule piece on [t0, t1]; law maps local time to 4 floats.
+
+    constant, when not None, is the 4-tuple that law returns at every
+    time, so a flight through the segment needs to emit it only once.
+    """
 
     t0: float
     t1: float
     law: object
+    constant: tuple = None
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,9 @@ class ControlSchedule:
     """Contiguous rotor-speed segments covering [0, total_duration].
 
     Every speed leaves through emit, the one range check: the planner's
-    probe, simulate's RK4 stages and omega_at all call it. Sampling
+    probe, simulate's RK4 stages and omega_at all call it; a segment
+    with a constant is checked once per window. windows() cuts a flight
+    into the integration windows simulate steps through. Sampling
     outside the covered interval raises ScheduleGapError, as does
     constructing non-contiguous segments.
     """
@@ -113,6 +120,33 @@ class ControlSchedule:
                     f"rad/s at t={t!r}")
         return om
 
+    def windows(self, duration, dt):
+        """Integration windows of a flight over [0, duration] at step dt.
+
+        Yields (seg, lo, hi, edge, nfull, rem) for each segment clipped
+        to [0, duration]: the window [lo, hi] takes nfull full steps of
+        dt, then one step of rem when rem > 0, so no step straddles a
+        junction, where the command may jump. Stages read seg at times
+        clamped to edge: at an interior junction that is just left of
+        it, or the k4 stage of the step ending there would read the
+        next segment. The final window ends at duration, inside seg or
+        within 1e-9 past its end.
+        """
+        lo = 0.0
+        for seg in self.segments:
+            final = seg.t1 >= duration or seg is self.segments[-1]
+            hi = duration if final else seg.t1
+            edge = min(hi, seg.t1) if final else max(lo, hi - 1e-12)
+            span = hi - lo
+            nfull = int(math.floor(span / dt + 1e-9))
+            rem = span - nfull * dt
+            if rem <= 1e-9 * max(1.0, span):
+                rem = 0.0
+            yield seg, lo, hi, edge, nfull, rem
+            if final:
+                return
+            lo = hi
+
     def omega_at(self, t):
         """Rotor speeds at time t as a fresh (4,) array; a junction
         reads the segment that starts there."""
@@ -134,9 +168,13 @@ class ControlSchedule:
         om = np.asarray(omega, dtype=float)
         if om.shape != (4,):
             raise DomainError("omega must be a 4-vector")
-        om = tuple(om.tolist())
-        return cls((Segment(0.0, float(duration), lambda tl: om),),
+        return cls((_held(0.0, float(duration), tuple(om.tolist())),),
                    omega_max)
+
+
+def _held(t0, t1, om):
+    """Segment holding the rotor-speed tuple om on [t0, t1]."""
+    return Segment(t0, t1, lambda tl: om, om)
 
 
 def chain_schedules(parts, omega_max=OMEGA_MAX):
@@ -145,7 +183,7 @@ def chain_schedules(parts, omega_max=OMEGA_MAX):
     offset = 0.0
     for part in parts:
         for seg in part.segments:
-            segs.append(Segment(offset + seg.t0, offset + seg.t1, seg.law))
+            segs.append(replace(seg, t0=offset + seg.t0, t1=offset + seg.t1))
         offset += part.total_duration
     return ControlSchedule(tuple(segs), omega_max)
 
@@ -179,8 +217,12 @@ def _natural_amplitude():
 
 def _feasible(sched, samples=2001):
     """Return sched once each segment has emitted in range on a dense
-    grid; _natural_amplitude turns a SaturationError into a plan failure."""
+    grid, or once at its start if it is constant; _natural_amplitude
+    turns a SaturationError into a plan failure."""
     for seg in sched.segments:
+        if seg.constant is not None:
+            sched.emit(seg, seg.t0)
+            continue
         for t in np.linspace(seg.t0, seg.t1, samples).tolist():
             sched.emit(seg, t)
     return sched
@@ -415,7 +457,7 @@ def axis_translation_schedule(p, axis, distance, duration,
         cruise = rotors(peak, 0.0, 0.0, 0.0)
         return _feasible(ControlSchedule(
             (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
-             Segment(ramp, duration - ramp, lambda tl: cruise),
+             _held(ramp, duration - ramp, cruise),
              Segment(duration - ramp, duration,
                      lambda tl: rotors(*down(tl)))),
             omega_max))

@@ -194,28 +194,29 @@ def _deriv(x, om, pc):
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(psi), math.sin(psi)
     tt = st / ct
+    # a * b * c is (a * b) * c, so a shared leading product keeps the bits
+    cpst, spst, gct = cp * st, sp * st, g * ct
+    O2sf, O3cf = O2 * sf, O3 * cf
+    q1, q2, q3, q4 = w1 * w1, w2 * w2, w3 * w3, w4 * w4
 
-    thrust = Kr * (w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
+    thrust = Kr * (q1 + q2 + q3 + q4)
     sigma = w1 - w2 + w3 - w4
 
     return (
-        v1 * cp * ct + v2 * (cp * st * sf - sp * cf)
-        + v3 * (cp * st * cf + sp * sf),
-        v1 * sp * ct + v2 * (sp * st * sf + cp * cf)
-        + v3 * (sp * st * cf - cp * sf),
+        v1 * cp * ct + v2 * (cpst * sf - sp * cf) + v3 * (cpst * cf + sp * sf),
+        v1 * sp * ct + v2 * (spst * sf + cp * cf) + v3 * (spst * cf - cp * sf),
         -v1 * st + v2 * ct * sf + v3 * ct * cf,
-        O1 + O2 * sf * tt + O3 * cf * tt,
+        O1 + O2sf * tt + O3cf * tt,
         O2 * cf - O3 * sf,
-        O2 * sf / ct + O3 * cf / ct,
+        O2sf / ct + O3cf / ct,
         v2 * O3 - v3 * O2 - v1 * abs(v1) * CD1 / m + g * st,
-        v3 * O1 - v1 * O3 - v2 * abs(v2) * CD2 / m - g * ct * sf,
-        v1 * O2 - v2 * O1 + (thrust - v3 * abs(v3) * CD3) / m - g * ct * cf,
+        v3 * O1 - v1 * O3 - v2 * abs(v2) * CD2 / m - gct * sf,
+        v1 * O2 - v2 * O1 + (thrust - v3 * abs(v3) * CD3) / m - gct * cf,
         ((J2 - J3) * O2 * O3 + Jr * O2 * sigma
-         + Krd * (w3 * w3 - w1 * w1) - O1 * abs(O1) * Ct1) / J1,
+         + Krd * (q3 - q1) - O1 * abs(O1) * Ct1) / J1,
         ((J3 - J1) * O1 * O3 - Jr * O1 * sigma
-         + Krd * (w4 * w4 - w2 * w2) - O2 * abs(O2) * Ct2) / J2,
-        ((J1 - J2) * O1 * O2
-         + Kd * (w1 * w1 - w2 * w2 + w3 * w3 - w4 * w4)
+         + Krd * (q4 - q2) - O2 * abs(O2) * Ct2) / J2,
+        ((J1 - J2) * O1 * O2 + Kd * (q1 - q2 + q3 - q4)
          - O3 * abs(O3) * Ct3) / J3,
     )
 
@@ -327,12 +328,16 @@ def geodesic_spray(s, p):
 def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     """Integrate the vehicle under a control schedule with fixed-step RK4.
 
-    Each schedule segment, clipped to [0, duration], is one window of
-    full steps of dt plus one shorter step when its span is not a
-    multiple, so no step straddles a junction, where the command may
-    jump. Every RK4 stage reads its window's segment through
-    schedule.emit. Samples are recorded at t=0, every stride-th step
-    and each window's end, with rotor speeds from schedule.omega_at.
+    The flight steps through schedule.windows(duration, dt): per
+    segment, full steps of dt plus one shorter step when its span is
+    not a multiple, so no step straddles a junction. RK4 stages read
+    the window's segment through schedule.emit, once per window for a
+    segment with a constant. The law is pure, so samples are shared:
+    a step's k1 reuses the previous step's k4 sample when it starts at
+    exactly that time. States are recorded at t=0, every stride-th
+    step and each window's end; the rotor speeds of a sample at its
+    step's k4 time, inside the window, are that k4 sample, and all
+    others, junctions included, come from schedule.omega_at.
 
     Args:
         s0: initial QuadState.
@@ -365,6 +370,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             f"schedule covers [0, {total}], mission needs [0, {duration}]")
 
     pc = _param_tuple(p)
+    emit = schedule.emit
 
     # samples go to flat float buffers: per-sample tuples or arrays
     # would cost an object header per sample
@@ -373,69 +379,50 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     states = array("d")
     omegas = array("d")
 
-    def record(tn, x):
+    def record(tn, x, om=None):
         if not all(map(math.isfinite, x)):
             raise DivergenceError(f"non-finite state at t={tn:.6f}")
         times.append(tn)
         states.extend(x)
-        omegas.extend(schedule.omega_at(tn))
-
-    def step(t, x, h, law):
-        # same operation order as numerics.rk4_step, element by element;
-        # the law is pure, so k2 and k3 share its midpoint sample
-        try:
-            half = 0.5 * h
-            k1 = _deriv(x, law(t), pc)
-            mid = law(t + half)
-            k2 = _deriv(_stage(x, half, k1), mid, pc)
-            k3 = _deriv(_stage(x, half, k2), mid, pc)
-            k4 = _deriv(_stage(x, h, k3), law(t + h), pc)
-        except GimbalLockError as e:
-            raise GimbalLockError(f"gimbal lock near t={t:.6f}: {e}") from e
-        c = h / 6.0
-        return tuple([xi + c * (((a + 2.0 * b) + 2.0 * d) + e)
-                      for xi, a, b, d, e in zip(x, k1, k2, k3, k4)])
+        omegas.extend(schedule.omega_at(tn) if om is None else om)
 
     record(0.0, x)
     count = 0
-    lo = 0.0
-    for seg in schedule.segments:
-        # stages at an interior junction are clamped just left of it,
-        # or the k4 stage of the step ending there would read the next
-        # segment; the final window ends at duration, inside seg or
-        # within 1e-9 past its end
-        final = seg.t1 >= duration or seg is schedule.segments[-1]
-        hi = duration if final else seg.t1
-        edge = min(hi, seg.t1) if final else max(lo, hi - 1e-12)
-
-        def law(tq, _s=seg, _e=edge):
-            return schedule.emit(_s, tq if tq < _e else _e)
-
-        span = hi - lo
-        nfull = int(math.floor(span / dt + 1e-9))
-        rem = span - nfull * dt
-        if rem <= 1e-9 * max(1.0, span):
-            rem = 0.0
-        for k in range(nfull):
-            x = step(lo + k * dt, x, dt, law)
+    pitch_max = _HALF_PI - GIMBAL_EPS
+    for seg, lo, hi, edge, nfull, rem in schedule.windows(duration, dt):
+        nsteps = nfull + (rem > 0.0)
+        const = seg.constant
+        if nsteps and const is not None:
+            # the one range check of the window, at its first stage
+            w1 = wm = w4 = emit(seg, lo)
+        t4 = None
+        for k in range(nsteps):
+            if k < nfull:
+                t, h = lo + k * dt, dt
+                tn = hi if rem == 0.0 and k == nfull - 1 else lo + (k + 1) * dt
+            else:
+                t, h, tn = hi - rem, rem, hi
+            try:
+                if const is None:
+                    # the law is pure: a k1 at the last k4's time reuses it
+                    w1 = w4 if t == t4 else emit(seg, t if t < edge else edge)
+                    tq = t + 0.5 * h
+                    wm = emit(seg, tq if tq < edge else edge)
+                    t4 = t + h
+                    w4 = emit(seg, t4 if t4 < edge else edge)
+                x = _rk4_step(x, h, w1, wm, w4, pc)
+            except GimbalLockError as e:
+                raise GimbalLockError(
+                    f"gimbal lock near t={t:.6f}: {e}") from e
             count += 1
-            tn = hi if (rem == 0.0 and k == nfull - 1) else lo + (k + 1) * dt
-            if abs(x[4]) >= _HALF_PI - GIMBAL_EPS:
+            if abs(x[4]) >= pitch_max:
                 raise GimbalLockError(
                     f"gimbal lock at t={tn:.6f}: pitch {x[4]!r}")
             if count % stride == 0 and tn > times[-1]:
-                record(tn, x)
-        if rem > 0.0:
-            x = step(hi - rem, x, rem, law)
-            count += 1
-            if abs(x[4]) >= _HALF_PI - GIMBAL_EPS:
-                raise GimbalLockError(
-                    f"gimbal lock at t={hi:.6f}: pitch {x[4]!r}")
+                # at a junction omega_at reads the next segment instead
+                record(tn, x, w4 if tn < edge and tn == t + h else None)
         if hi > times[-1]:
             record(hi, x)
-        if final:
-            break
-        lo = hi
 
     omegas = np.frombuffer(omegas).reshape(-1, 4)
     return QuadTrajectory(
@@ -443,6 +430,35 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
         states=np.frombuffer(states).reshape(-1, 12),
         omegas=omegas,
         thrust=p.Kr * np.sum(omegas ** 2, axis=1),
+    )
+
+
+def _rk4_step(x, h, w1, wm, w4, pc):
+    """One classical RK4 step of _deriv under the rotor-speed samples
+    at the step's start, midpoint and end.
+
+    Same operation order as numerics.rk4_step, element by element; the
+    midpoint sample serves both k2 and k3.
+    """
+    half = 0.5 * h
+    k1 = _deriv(x, w1, pc)
+    k2 = _deriv(_stage(x, half, k1), wm, pc)
+    k3 = _deriv(_stage(x, half, k2), wm, pc)
+    k4 = _deriv(_stage(x, h, k3), w4, pc)
+    c = h / 6.0
+    return (
+        x[0] + c * (((k1[0] + 2.0 * k2[0]) + 2.0 * k3[0]) + k4[0]),
+        x[1] + c * (((k1[1] + 2.0 * k2[1]) + 2.0 * k3[1]) + k4[1]),
+        x[2] + c * (((k1[2] + 2.0 * k2[2]) + 2.0 * k3[2]) + k4[2]),
+        x[3] + c * (((k1[3] + 2.0 * k2[3]) + 2.0 * k3[3]) + k4[3]),
+        x[4] + c * (((k1[4] + 2.0 * k2[4]) + 2.0 * k3[4]) + k4[4]),
+        x[5] + c * (((k1[5] + 2.0 * k2[5]) + 2.0 * k3[5]) + k4[5]),
+        x[6] + c * (((k1[6] + 2.0 * k2[6]) + 2.0 * k3[6]) + k4[6]),
+        x[7] + c * (((k1[7] + 2.0 * k2[7]) + 2.0 * k3[7]) + k4[7]),
+        x[8] + c * (((k1[8] + 2.0 * k2[8]) + 2.0 * k3[8]) + k4[8]),
+        x[9] + c * (((k1[9] + 2.0 * k2[9]) + 2.0 * k3[9]) + k4[9]),
+        x[10] + c * (((k1[10] + 2.0 * k2[10]) + 2.0 * k3[10]) + k4[10]),
+        x[11] + c * (((k1[11] + 2.0 * k2[11]) + 2.0 * k3[11]) + k4[11]),
     )
 
 

@@ -581,11 +581,45 @@ class TestCli:
 
     def test_validate_gives_no_prediction_without_spectral_gap(
             self, tmp_path, capsys):
+        """Agent 3 has no edge: the run cannot start, so validate fails
+        it, and still prints the spectrum and the missing prediction."""
         path = write_cfg(tmp_path, BASE.replace("n = 2", "n = 3")
                          + "agent3 = 5, 5, 5\n")
-        assert main(["validate", str(path)]) == 0
+        assert main(["validate", str(path)]) == 2
         line = capsys.readouterr().out.splitlines()[2]
         assert line == "predicted stop: none; L(0) has no spectral gap"
+
+    def test_validate_fails_a_disconnected_protocol(self, tmp_path, capsys):
+        """validate exits 2 for the particle run that would stop with
+        DisconnectedError (exit 1) before its first step; a complete
+        graph under quad mode integrates nothing and passes."""
+        path = write_cfg(tmp_path, BASE.replace("n = 2", "n = 3")
+                         + "agent3 = 5, 5, 5\n")
+        assert main(["validate", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("FAIL: DisconnectedError: network is not "
+                          "connected at t=0")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out_dir)]) == 1
+        assert "DisconnectedError" in (
+            out_dir / "mission" / "FAILED").read_text()
+        quad = write_cfg(tmp_path, BASE.replace(
+            "mode = particle", "mode = quad"), "quad.cfg")
+        assert main(["validate", str(quad)]) == 0
+
+    def test_validate_fails_an_unstable_step(self, tmp_path, capsys):
+        """scenario_2_4_1 with dt = 1 in the file: dt * lambda_max = 4
+        is past RK4's 2.785, which run refuses with DivergenceError."""
+        text = scenario_path("scenario_2_4_1").read_text(encoding="utf-8")
+        path = write_cfg(tmp_path, text.replace("dt = 0.001", "dt = 1.0"))
+        assert load_config(path).dt == 1.0
+        assert main(["validate", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("FAIL: DivergenceError: step dt=1.0 is "
+                                 "unstable for RK4")
+        assert "largest stable step is 0.69625" in out[0]
+        assert "dt*lambda_max=4 " in out[1]
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
 
     def test_validate_single_agent_prints_no_spectrum(self, capsys):
         rc = main(["validate", str(scenario_path("scenario_4_2_1"))])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadswarm import planner
+from quadswarm.consensus import consensus_point
 from quadswarm.errors import (DomainError, InfeasibleError, SaturationError,
                               ScheduleGapError)
 from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
@@ -15,8 +16,11 @@ from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                                hover_schedule, leg_durations, rendezvous_leg,
                                schedule_for, vertical_schedule, yaw_schedule,
                                _smoothstep_ramp)
+from quadswarm.mission import load_config
 from quadswarm.quad import (Controls, QuadState, default_params, hover_state,
                             simulate, torques_body)
+
+from conftest import scenario_path
 
 P = default_params()
 HOVER_W = math.sqrt(P.m * P.g / (4.0 * P.Kr))
@@ -128,6 +132,72 @@ class TestControlSchedule:
                 om = sched.emit(seg, t)
                 assert type(om) is tuple and len(om) == 4
                 assert all(type(w) is float for w in om)
+
+    def test_constant_segments_carry_their_speeds(self):
+        """ControlSchedule.constant and the translation cruise mark
+        their segments constant, chain_schedules keeps the mark, and
+        Segment(t0, t1, law) is not constant."""
+        bodyx = axis_translation_schedule(P, "bodyX", 1.0, 2.0)
+        sched = chain_schedules([hover_schedule(P, 0.75), bodyx])
+        marks = [seg.constant is not None for seg in sched.segments]
+        assert marks == [True, False, True, False]
+        for seg in sched.segments[::2]:
+            assert seg.constant == seg.law(0.3)
+        assert Segment(0.0, 1.0, lambda tl: (1.0,) * 4).constant is None
+
+    def test_feasibility_checks_a_constant_segment_once(self, monkeypatch):
+        calls = []
+        real = ControlSchedule.emit
+        monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
+                            calls.append(t) or real(self, seg, t))
+        hover_schedule(P, 2.0)
+        assert calls == []  # constant() builds without emitting
+        planner._feasible(hover_schedule(P, 2.0))
+        assert calls == [0.0]
+        calls.clear()
+        axis_translation_schedule(P, "bodyX", 1.0, 2.0)
+        assert len(calls) == 2 * 2001 + 1
+        assert calls[2001] == 0.4  # the cruise, at its start
+
+    def test_out_of_range_constant_segment_names_its_start(self):
+        fast = (600.0,) * 4
+        sched = ControlSchedule((
+            Segment(0.0, 1.0, lambda tl: (300.0,) * 4),
+            Segment(1.0, 2.0, lambda tl: fast, fast)))
+        with pytest.raises(SaturationError, match=r"at t=1\.0$"):
+            planner._feasible(sched)
+        with pytest.raises(InfeasibleError, match=r"at t=1\.0$"):
+            with planner._natural_amplitude():
+                planner._feasible(sched)
+
+    def test_windows_clip_segments_to_the_duration(self):
+        sched = chain_schedules([hover_schedule(P, 0.0105),
+                                 hover_schedule(P, 0.02)])
+        got = list(sched.windows(0.025, 1e-3))
+        assert [w[0] for w in got] == list(sched.segments)
+        (_, lo1, hi1, edge1, n1, rem1), (_, lo2, hi2, edge2, n2, rem2) = got
+        assert (lo1, hi1, edge1) == (0.0, 0.0105, 0.0105 - 1e-12)
+        assert (n1, rem1) == (10, pytest.approx(5e-4, abs=1e-15))
+        # the final window ends at the duration, inside its segment
+        assert (lo2, hi2, edge2, n2) == (0.0105, 0.025, 0.025, 14)
+        assert rem2 == pytest.approx(5e-4, abs=1e-15)
+        # a duration ending at the first segment's end takes one window
+        assert [w[1:3] for w in sched.windows(0.0105, 1e-3)] == [
+            (0.0, 0.0105)]
+        assert list(sched.windows(0.0, 1e-3))[0][4:] == (0, 0.0)
+
+    def test_window_steps_of_the_three_drone_rendezvous(self):
+        """scenario_4_2_2 flies 28891 RK4 steps at dt = 1e-3: every
+        window's full steps plus its remainder step."""
+        config = load_config(scenario_path("scenario_4_2_2"))
+        alpha = consensus_point(config.agents[:, :3])
+        steps = 0
+        for row in config.agents:
+            sched = rendezvous_leg(
+                config.params, hover_state(b=row[:3], yaw=row[5]), alpha)
+            steps += sum(nfull + (rem > 0.0) for _, _, _, _, nfull, rem
+                         in sched.windows(sched.total_duration, 1e-3))
+        assert steps == 28891
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_samples_do_not_alias_the_schedule(self, t):

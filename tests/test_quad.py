@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from quadswarm.errors import (DivergenceError, DomainError,
-                              GimbalLockError, ScheduleGapError)
+                              GimbalLockError, SaturationError,
+                              ScheduleGapError)
 from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
                                 rk4_step, rotation_from_euler)
 from quadswarm.planner import (ControlSchedule, Segment,
-                               axis_translation_schedule, hover_controls,
-                               hover_schedule, yaw_schedule)
+                               axis_translation_schedule, chain_schedules,
+                               hover_controls, hover_schedule, yaw_schedule)
 from quadswarm.quad import (Controls, QuadParams, QuadState, affine_fields,
                             default_params, forces_body, geodesic_spray,
                             hover_state, simulate, state_derivative,
-                            torques_body)
+                            torques_body, _deriv, _param_tuple)
 
 P = default_params()
 
@@ -150,6 +151,52 @@ class TestDerivative:
     def test_hover_fixed_point(self):
         dx = state_derivative(hover_state(), hover_controls(P), P)
         assert np.max(np.abs(dx)) <= 1e-12
+
+    def test_written_out_formula_bit_for_bit(self):
+        """_deriv computes each repeated leading product once. Python
+        groups a * b * c as (a * b) * c, so it must still equal the
+        model written out term by term, to the last bit."""
+        (m, g, Kr, Krd, Kd, Jr,
+         J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3) = _param_tuple(P)
+
+        def written_out(x, om):
+            _, _, _, phi, theta, psi, v1, v2, v3, O1, O2, O3 = x
+            w1, w2, w3, w4 = om
+            cf, sf = math.cos(phi), math.sin(phi)
+            ct, st = math.cos(theta), math.sin(theta)
+            cp, sp = math.cos(psi), math.sin(psi)
+            tt = st / ct
+            thrust = Kr * (w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
+            sigma = w1 - w2 + w3 - w4
+            return (
+                v1 * cp * ct + v2 * (cp * st * sf - sp * cf)
+                + v3 * (cp * st * cf + sp * sf),
+                v1 * sp * ct + v2 * (sp * st * sf + cp * cf)
+                + v3 * (sp * st * cf - cp * sf),
+                -v1 * st + v2 * ct * sf + v3 * ct * cf,
+                O1 + O2 * sf * tt + O3 * cf * tt,
+                O2 * cf - O3 * sf,
+                O2 * sf / ct + O3 * cf / ct,
+                v2 * O3 - v3 * O2 - v1 * abs(v1) * CD1 / m + g * st,
+                v3 * O1 - v1 * O3 - v2 * abs(v2) * CD2 / m - g * ct * sf,
+                v1 * O2 - v2 * O1 + (thrust - v3 * abs(v3) * CD3) / m
+                - g * ct * cf,
+                ((J2 - J3) * O2 * O3 + Jr * O2 * sigma
+                 + Krd * (w3 * w3 - w1 * w1) - O1 * abs(O1) * Ct1) / J1,
+                ((J3 - J1) * O1 * O3 - Jr * O1 * sigma
+                 + Krd * (w4 * w4 - w2 * w2) - O2 * abs(O2) * Ct2) / J2,
+                ((J1 - J2) * O1 * O2
+                 + Kd * (w1 * w1 - w2 * w2 + w3 * w3 - w4 * w4)
+                 - O3 * abs(O3) * Ct3) / J3,
+            )
+
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            x = tuple(random_state(rng, speed=5.0, spin=3.0)
+                      .as_vector().tolist())
+            om = tuple(rng.uniform(0.0, 500.0, size=4).tolist())
+            assert (np.array(_deriv(x, om, _param_tuple(P))).tobytes()
+                    == np.array(written_out(x, om)).tobytes())
 
     def test_kinematics_rows(self):
         rng = np.random.default_rng(11)
@@ -330,6 +377,73 @@ class TestSimulate:
         assert np.array_equal(traj.states, np.array(states))
         assert np.array_equal(
             traj.omegas, np.array([sched.omega_at(t) for t in traj.times]))
+
+    def test_bitwise_equal_to_rk4_step_across_off_grid_junctions(self):
+        # agent 1 of scenario_4_2_2 yaws for 2.2308635070104357 s, so
+        # every window of the chain starts off the dt grid and ends
+        # with a remainder step; the k1 and recorded samples simulate
+        # shares must still be the ones rk4_step would draw
+        s0 = hover_state(b=(0.5, 1.0, -1.0), yaw=-0.2)
+        sched = chain_schedules([
+            yaw_schedule(P, 0.8760580505981934, 2.2308635070104357),
+            axis_translation_schedule(P, "bodyX", 1.0, 2.0123)])
+        duration = sched.total_duration
+        dt, stride = 1e-3, 10
+        traj = simulate(s0, sched, P, duration, dt=dt, stride=stride)
+
+        x = s0.as_vector()
+        times, states = [0.0], [x]
+        count = 0
+        lo = 0.0
+        for seg in sched.segments:
+            hi = seg.t1
+            edge = hi if seg is sched.segments[-1] else hi - 1e-12
+
+            def deriv(t, x, edge=edge):
+                om = sched.omega_at(t if t < edge else edge)
+                return state_derivative(QuadState.from_vector(x),
+                                        Controls(om), P)
+
+            span = hi - lo
+            nfull = int(math.floor(span / dt + 1e-9))
+            rem = span - nfull * dt
+            assert rem > 1e-9
+            for k in range(nfull):
+                x = rk4_step(deriv, x, lo + k * dt, dt)
+                count += 1
+                if count % stride == 0:
+                    times.append(lo + (k + 1) * dt)
+                    states.append(x)
+            x = rk4_step(deriv, x, hi - rem, rem)
+            count += 1
+            times.append(hi)
+            states.append(x)
+            lo = hi
+        assert np.array_equal(traj.times, np.array(times))
+        assert np.array_equal(traj.states, np.array(states))
+        assert np.array_equal(
+            traj.omegas, np.array([sched.omega_at(t) for t in times]))
+
+    def test_constant_window_emits_once(self, monkeypatch):
+        """A constant segment is range-checked once per window; the
+        other emits are the samples at t=0 and at each window's end."""
+        calls = []
+        real = ControlSchedule.emit
+        monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
+                            calls.append(t) or real(self, seg, t))
+        sched = chain_schedules([hover_schedule(P, 0.0105),
+                                 hover_schedule(P, 0.02)])
+        traj = simulate(hover_state(), sched, P, 0.0305, stride=10 ** 6)
+        assert list(traj.times) == [0.0, 0.0105, 0.0305]
+        assert calls == [0.0, 0.0, 0.0105, 0.0105, 0.0305]
+
+    def test_out_of_range_constant_window_names_its_start(self):
+        sched = chain_schedules([
+            hover_schedule(P, 0.5),
+            ControlSchedule.constant((600.0,) * 4, 1.0)])
+        with pytest.raises(SaturationError,
+                           match=r"rotor speed 600\.0 .* at t=0\.5$"):
+            simulate(hover_state(), sched, P, 1.5)
 
     def test_drag_dissipates_kinetic_energy(self):
         free = replace(P, g=0.0)
