@@ -126,6 +126,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     if q.ndim != 2 or q.shape[0] != net.n:
         raise DomainError(
             f"state shape {q.shape} does not match n={net.n} agents")
+    if q.shape[1] == 0:
+        raise DomainError(f"state shape {q.shape} has no coordinates")
     if not duration > 0.0:
         raise DomainError(f"duration must be positive, got {duration!r}")
     if not dt > 0.0:
@@ -152,6 +154,10 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     else:
         advance = _static_step(lap.matrix, q, coef)
 
+    # The spread check at recorded samples, max |q - alpha|, as direct
+    # ufunc calls into one buffer (np.max adds a Python wrapper).
+    off = np.empty_like(q)
+    subtract, absolute, peak = np.subtract, np.absolute, np.maximum.reduce
     times = [0.0]
     states = [q.copy()]
     last = steps - 1
@@ -160,10 +166,10 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         if (k + 1) % stride == 0 or k == last:
             times.append((k + 1) * dt)
             states.append(q.copy())
-            spread = np.max(np.abs(q - alpha))
+            spread = peak(absolute(subtract(q, alpha, off), off), None)
             if spread < stop_tol:
                 break
-            # np.max propagates NaN, so this costs no extra pass
+            # np.maximum propagates NaN, so this costs no extra pass
             if not math.isfinite(spread):
                 raise DivergenceError(
                     f"protocol state is non-finite at t={times[-1]:.6f}")
@@ -201,16 +207,17 @@ def _static_step(m, q, coef):
     """Step function for a constant Laplacian m; advances q in place.
 
     The whole step propagator is one fixed matrix, so it is computed
-    once and each step costs one np.dot product (see _moving_step).
+    once and each step costs one product through the bound prop.dot
+    (see _moving_step).
     """
     c1, c2, c3, c4 = coef
     prop = np.eye(len(m)) - c1 * m + c2 * (m @ m) - c3 * (m @ m @ m) \
         + c4 * (m @ m @ m @ m)
     qn = np.empty_like(q)
-    dot = np.dot
+    pdot = prop.dot
 
     def advance(k):
-        dot(prop, q, qn)
+        pdot(q, qn)
         q[...] = qn
 
     return advance
@@ -225,10 +232,15 @@ def _moving_step(net, q, dt, coef, log):
     branch dominates the runtime, so it reuses fixed buffers and views
     of them (q is updated in place, which keeps the broadcast views
     below valid across steps). The differences are coordinate-major,
-    (r, n, n), as in network.pairwise_distances. The five products of
-    the step go through np.dot, which reaches the same BLAS call as
-    np.matmul with less per-call dispatch; every buffer is C-contiguous
-    float64, as np.dot's out requires.
+    (r, n, n), as in network.pairwise_distances; their squares are
+    summed in place into the first plane, ((d0 + d1) + d2) for r = 3,
+    the order of that function's reduce over the leading axis. Every
+    call of the complete-graph branch is a direct C entry point, as its
+    cost is per-call dispatch, not arithmetic: the five products go
+    through the bound methods mbuf.dot and signed.dot, which run the
+    same routine as np.dot without its Python-level dispatcher (and the
+    same BLAS call as np.matmul with less per-call work); every buffer
+    is C-contiguous float64, as dot's out requires.
     """
     n, r = q.shape
     thr = net.policy.threshold
@@ -238,7 +250,7 @@ def _moving_step(net, q, dt, coef, log):
     c1, c2, c3, c4 = coef
     signed = np.array([-c1, c2, -c3, c4])
     diff = np.empty((r, n, n))
-    dist = np.empty((n, n))
+    dist, *planes = diff  # the distances overwrite the first plane
     mbuf = np.empty((n, n))
     mdiag = np.einsum("ii->i", mbuf)
     powers = np.empty((4, n, r))
@@ -248,8 +260,9 @@ def _moving_step(net, q, dt, coef, log):
     accflat = acc.reshape(-1)
     qa = q.T[:, :, None]
     qb = q.T[:, None, :]
+    mdot, sdot = mbuf.dot, signed.dot
     subtract, multiply = np.subtract, np.multiply
-    sqrt, negative, dot, add = np.sqrt, np.negative, np.dot, np.add
+    sqrt, negative, add = np.sqrt, np.negative, np.add
     reduce = np.add.reduce
 
     def advance(k):
@@ -257,7 +270,8 @@ def _moving_step(net, q, dt, coef, log):
         # network.pairwise_distances(q), written into the buffers.
         subtract(qa, qb, diff)
         multiply(diff, diff, diff)
-        reduce(diff, axis=0, out=dist)
+        for plane in planes:
+            add(dist, plane, dist)
         sqrt(dist, dist)
         if complete:
             negative(dist, mbuf)
@@ -273,11 +287,11 @@ def _moving_step(net, q, dt, coef, log):
                 complete = int(adj.sum()) == n * (n - 1)
                 log.append((k * dt, Laplacian(matrix=mbuf.copy(), source=cur,
                                               time=k * dt)))
-        dot(mbuf, q, p0)
-        dot(mbuf, p0, p1)
-        dot(mbuf, p1, p2)
-        dot(mbuf, p2, p3)
-        dot(signed, pflat, accflat)
+        mdot(q, p0)
+        mdot(p0, p1)
+        mdot(p1, p2)
+        mdot(p2, p3)
+        sdot(pflat, accflat)
         add(q, acc, q)
 
     return advance

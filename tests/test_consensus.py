@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quadswarm.consensus import (closed_form_state, consensus_point,
                                  convergence_rate, integrate_protocol,
                                  lyapunov, straightness_residual)
-from quadswarm.errors import DisconnectedError, DomainError
+from quadswarm.errors import DisconnectedError, DivergenceError, DomainError
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                laplacian, weighted_laplacian_at)
 from quadswarm.numerics import sym_eigen
@@ -24,6 +24,15 @@ Q0 = np.array([
     [12.0, 16.0, 33.0],
     [14.0, 1.0, 26.0],
 ])
+
+
+def ring24():
+    """A distance-weighted ring of 24 agents, uniform in a 40 m cube;
+    the proximity rule grows it to the complete graph."""
+    n = 24
+    q0 = np.random.default_rng(5).uniform(0.0, 40.0, size=(n, 3))
+    ring = {(i, i % n + 1) for i in range(1, n + 1)}
+    return Network(n, ring, DistanceWeighted(10.0)), q0
 
 
 def random_connected(seed, n):
@@ -95,6 +104,15 @@ class TestIntegrate:
         # One sample earlier the state was still outside the tolerance.
         assert np.max(np.abs(traj.states[-2] - alpha)) > 1.0
 
+    def test_early_stop_measures_offsets_below_the_centroid(self):
+        # Offsets -2, 1, 1 from the centroid 2 all decay like exp(-3t)
+        # on the complete graph, so the spread is 2 exp(-3t): it drops
+        # below 1 after ln(2) / 3 = 0.231, not at the first sample.
+        net = Network(3, {(1, 2), (1, 3), (2, 3)})
+        traj = integrate_protocol(net, [[0.0], [3.0], [3.0]], 1.0,
+                                  dt=1e-3, stride=10, stop_tol=1.0)
+        assert traj.times[-1] == pytest.approx(0.24, abs=1e-12)
+
     def test_column_sums_conserved(self):
         traj = integrate_protocol(HUB, Q0, 5.0, dt=1e-3, stop_tol=0.0)
         sums = traj.states.sum(axis=1)
@@ -122,6 +140,23 @@ class TestIntegrate:
             integrate_protocol(HUB, Q0, 1.0, dt=-1e-3)
         with pytest.raises(DomainError):
             integrate_protocol(HUB, Q0, 1.0, stride=0)
+
+    def test_rejects_state_without_coordinates(self):
+        # An (n, 0) state has no spread to check at the recorded samples.
+        with pytest.raises(DomainError, match="no coordinates"):
+            integrate_protocol(HUB, Q0[:, :0], 1.0)
+
+    def test_growing_graph_diverges_mid_run(self):
+        # dt passes the stability guard on L(0), but the proximity rule
+        # adds edges, lambda_max grows past 2.785 / dt, and the state
+        # overflows; the check at the recorded samples stops the run.
+        net, q0 = ring24()
+        lam_max = sym_eigen(weighted_laplacian_at(net, q0).matrix)[0][-1]
+        dt = 0.9 * 2.785 / lam_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError,
+                               match=r"non-finite at t=0\.166016$"):
+                integrate_protocol(net, q0, 3.0, dt=dt, stride=10)
 
     def test_rejects_horizon_shorter_than_half_a_step(self):
         with pytest.raises(DomainError, match="shorter than half a step"):
@@ -197,19 +232,22 @@ class TestMovingNetwork:
             fresh = weighted_laplacian_at(lap.source, traj.states[k], t)
             assert np.array_equal(fresh.matrix, lap.matrix)
 
-    @pytest.mark.parametrize("case", ["tree4", "ring24"])
+    @pytest.mark.parametrize("case", ["tree4", "planar4", "line4",
+                                      "ring24"])
     def test_step_matches_reference_loop_bit_for_bit(self, case):
         # The fast step reuses buffers and a coordinate-major difference
-        # tensor; a plain loop over weighted_laplacian_at must reproduce
-        # every recorded state exactly, while the graph grows and after
-        # it is complete.
-        if case == "tree4":
-            net, q0, duration = self.net(), Q0, 0.15
+        # tensor whose squares it sums in place, one plane per extra
+        # coordinate; a plain loop over weighted_laplacian_at must
+        # reproduce every recorded state exactly, while the graph grows
+        # and after it is complete, with r = 3, 2 and 1 coordinates.
+        # line4 keeps Q0's y column: on its x column every pair starts
+        # within the threshold, so the graph is complete at t=0.
+        if case == "ring24":
+            (net, q0), duration = ring24(), 0.3
         else:
-            n = 24
-            q0 = np.random.default_rng(5).uniform(0.0, 40.0, size=(n, 3))
-            ring = {(i, i % n + 1) for i in range(1, n + 1)}
-            net, duration = Network(n, ring, DistanceWeighted(10.0)), 0.3
+            cols = {"tree4": slice(0, 3), "planar4": slice(0, 2),
+                    "line4": slice(1, 2)}[case]
+            net, q0, duration = self.net(), Q0[:, cols], 0.15
         dt = 1e-3
         traj = integrate_protocol(net, q0, duration, dt=dt, stride=1,
                                   stop_tol=0.0)
