@@ -117,6 +117,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         ConsensusTrajectory.
 
     Raises:
+        DomainError: a malformed argument, among them a q0 holding a
+            non-finite number.
         DivergenceError: before the first step when dt times the largest
             eigenvalue of L(0) exceeds 2.785, RK4's real-axis stability
             limit, so the fastest mode would grow instead of decay;
@@ -128,6 +130,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
             f"state shape {q.shape} does not match n={net.n} agents")
     if q.shape[1] == 0:
         raise DomainError(f"state shape {q.shape} has no coordinates")
+    if not np.isfinite(q).all():
+        raise DomainError("initial state holds a non-finite number")
     if not duration > 0.0:
         raise DomainError(f"duration must be positive, got {duration!r}")
     if not dt > 0.0:

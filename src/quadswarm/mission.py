@@ -8,9 +8,11 @@ marker file next to whatever partial outputs were flushed.
 """
 
 import configparser
+import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -372,7 +374,12 @@ def export_csv(traj, path):
     thrust. Floats are rendered with 17 significant digits, so equal
     runs produce byte-identical files.
     """
-    path = Path(path)
+    _write_lines(path, _csv_lines(traj))
+
+
+def _csv_lines(traj):
+    """Iterator over the lines of traj's CSV; raises DomainError for an
+    unknown payload before a line is made."""
     if isinstance(traj, ConsensusTrajectory):
         k, n, r = traj.states.shape
         if r == 3:
@@ -393,11 +400,16 @@ def export_csv(traj, path):
     # '%.17g' % x renders a float exactly as format(x, '.17g') does,
     # including -0, inf, nan and subnormals, in one call per row
     line = ",".join(["%.17g"] * (1 + rows.shape[1])) + "\n"
+    return itertools.chain(
+        (header + "\n",),
+        (line % (t, *row.tolist()) for t, row in zip(times, rows)))
+
+
+def _write_lines(path, lines):
+    path = Path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(header + "\n")
-            for t, row in zip(times, rows):
-                f.write(line % (t, *row.tolist()))
+            f.writelines(lines)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
 
@@ -437,8 +449,10 @@ def compare_trajectories(particle, quads):
     if len(quads) != n:
         raise DimensionError(
             f"{len(quads)} quad runs for {n} agents")
-    return _report("compare", consensus_point(particle.states[0]),
-                   particle, quads)
+    alpha = consensus_point(particle.states[0])
+    return _report("compare", alpha, particle,
+                   [_agent_report(i, alpha, particle, run)
+                    for i, run in enumerate(quads)])
 
 
 def _agent_report(i, alpha, particle, run):
@@ -462,20 +476,17 @@ def _agent_report(i, alpha, particle, run):
                        **fields)
 
 
-def _report(mode, alpha, particle, quads):
-    """ComparisonReport of a run; quads is empty when nothing flew.
+def _report(mode, alpha, particle, agents):
+    """ComparisonReport of a run from its AgentReports, in agent order.
 
     The spectrum is logged only when particle is given, so a quad run
     that ran the protocol just for its targets passes particle=None.
     """
-    n = len(quads) if quads else particle.states.shape[1]
     return ComparisonReport(
         mode=mode,
         rendezvous_point=tuple(float(x) for x in alpha)
         if alpha is not None else None,
-        agents=tuple(
-            _agent_report(i, alpha, particle, quads[i] if quads else None)
-            for i in range(n)),
+        agents=tuple(agents),
         eigenvalues=_spectrum_log(particle.laplacian_log)
         if particle is not None else (),
     )
@@ -496,14 +507,6 @@ def _quad_start(config, i):
     return QuadState(
         b=config.agents[i, :3], angles=config.agents[i, 3:6],
         v=np.zeros(3), Omega=np.zeros(3))
-
-
-def _fly(config, i, sched, dest):
-    """Fly agent i (0-based) through sched and write its CSV."""
-    run = simulate(_quad_start(config, i), sched, config.params,
-                   sched.total_duration, config.dt, config.stride)
-    export_csv(run, dest / f"quad_agent{i + 1}.csv")
-    return run
 
 
 def _complete(net):
@@ -564,18 +567,146 @@ def _run_mission(config, dest):
         # as its flight target.
         targets = [alpha] * n if complete else list(particle.states[-1])
 
-    # agent i is planned only after agent i-1's CSV is on disk
-    quads = []
-    if config.mode != "particle":
-        for i in range(n):
-            sched = scripted if config.maneuvers else rendezvous_leg(
-                config.params, _quad_start(config, i), targets[i])
-            quads.append(_fly(config, i, sched, dest))
+    # the protocol run reported on; a quad run reports none
+    reported = None if config.mode == "quad" else particle
+    if config.mode == "particle":
+        agents = [_agent_report(i, alpha, particle, None) for i in range(n)]
+    else:
+        agents = _fly_agents(config, [
+            scripted if config.maneuvers else _planned(config, i, targets[i])
+            for i in range(n)], alpha, reported, dest)
 
-    report = _report(config.mode, alpha,
-                     None if config.mode == "quad" else particle, quads)
+    report = _report(config.mode, alpha, reported, agents)
     _write_report(report, dest)
     return report
+
+
+def _planned(config, i, target):
+    """Agent i's rendezvous leg, or the error planning it raised."""
+    try:
+        return rendezvous_leg(config.params, _quad_start(config, i), target)
+    except Exception as e:
+        return e
+
+
+def _fly_agents(config, scheds, alpha, particle, dest):
+    """Fly agent i through scheds[i], write its CSV and return the
+    AgentReports in agent order, as a serial loop over the agents would.
+
+    The flights are independent, so the agents before the first one
+    whose planning failed (scheds[i] is then the error) are spread over
+    W = min(usable CPUs, agents) lanes by flight time. Lane 0 flies in
+    this process, every other lane in a forked child. The CSVs are
+    written in agent order up to the first agent that failed, in
+    planning or in flight, and that agent's error is raised, so the
+    artifacts and the error are those of the serial loop. W = 1 forks
+    nothing.
+    """
+    planned = next((i for i, s in enumerate(scheds)
+                    if isinstance(s, Exception)), len(scheds))
+    width = min(_usable_cpus(), planned) if hasattr(os, "fork") else 1
+    lanes = _lpt_lanes([s.total_duration for s in scheds[:planned]],
+                       max(width, 1))
+
+    def fly(lane):
+        return _fly_lane(config, lane, scheds, alpha, particle)
+
+    flown = {}
+    workers = []    # (pid, pipe) of every child not yet reaped
+    try:
+        for lane in lanes[1:]:
+            workers.append(_fork(fly, lane))
+        flown.update(fly(lanes[0]))
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status != 0:
+                raise ChildProcessError(
+                    f"flight worker {pid} ended with wait status {status}")
+            flown.update(pickle.loads(data))
+    finally:
+        if workers:
+            import signal
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    agents = []
+    for i in range(len(scheds)):
+        out = flown.get(i, scheds[i])
+        if isinstance(out, Exception):
+            raise out
+        text, agent = out
+        _write_lines(dest / f"quad_agent{i + 1}.csv", (text,))
+        agents.append(agent)
+    return agents
+
+
+def _lpt_lanes(durations, width):
+    """Graham's LPT rule: the indices of durations, longest first (ties
+    to the lower index), each to the lane with the least total so far
+    (ties to the lower lane); each lane lists its indices in order."""
+    lanes = [[] for _ in range(width)]
+    loads = [0.0] * width
+    for i in sorted(range(len(durations)), key=lambda i: -durations[i]):
+        k = loads.index(min(loads))
+        lanes[k].append(i)
+        loads[k] += durations[i]
+    return [sorted(lane) for lane in lanes]
+
+
+def _fly_lane(config, lane, scheds, alpha, particle):
+    """Fly the agents of one lane in index order; returns {agent:
+    (CSV text, AgentReport)}, ending at the lane's first failed agent,
+    which maps to its error: no later agent of the lane can matter."""
+    flown = {}
+    for i in lane:
+        try:
+            run = simulate(_quad_start(config, i), scheds[i], config.params,
+                           scheds[i].total_duration, config.dt,
+                           config.stride)
+            flown[i] = ("".join(_csv_lines(run)),
+                        _agent_report(i, alpha, particle, run))
+        except Exception as e:
+            flown[i] = e
+            break
+    return flown
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, so `taskset` narrows it, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(fn, arg):
+    """Run fn(arg) in a forked child; returns its pid and the read end
+    of the pipe that carries its pickled result."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as f:
+                f.write(pickle.dumps(fn(arg), pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            # never return into the caller's stack, on any path
+            os._exit(code)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
 
 
 def _write_report(report, dest):

@@ -146,6 +146,17 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="no coordinates"):
             integrate_protocol(HUB, Q0[:, :0], 1.0)
 
+    @pytest.mark.parametrize("policy", [None, DistanceWeighted(10.0)],
+                             ids=["unweighted", "distance"])
+    def test_rejects_non_finite_start(self, policy):
+        # A bad start is named as such before any step, whatever the
+        # weights, not reported as a later divergence or a bad Laplacian.
+        net = HUB if policy is None else Network(4, HUB.edges, policy)
+        q0 = Q0.copy()
+        q0[2, 1] = np.nan
+        with pytest.raises(DomainError, match="non-finite number"):
+            integrate_protocol(net, q0, 1.0)
+
     def test_growing_graph_diverges_mid_run(self):
         # dt passes the stability guard on L(0), but the proximity rule
         # adds edges, lambda_max grows past 2.785 / dt, and the state

@@ -1,18 +1,24 @@
 """Unit checks for mission configs, artifacts, and the CLI."""
 
+import hashlib
 import json
 import math
+import os
+import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadswarm import mission
 from quadswarm.cli import main
 from quadswarm.consensus import ConsensusTrajectory, integrate_protocol
-from quadswarm.errors import (DimensionError, DomainError, InfeasibleError,
-                              IoError, ParseError, ValidationError)
+from quadswarm.errors import (DimensionError, DomainError, GimbalLockError,
+                              InfeasibleError, IoError, ParseError,
+                              SwarmError, ValidationError)
 from quadswarm.mission import (compare_trajectories, export_csv, load_config,
                                run_mission, _max_cross_track)
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
@@ -510,6 +516,140 @@ leg1 = bodyX, 5000, 4
             assert all(a.quad_final_error <= bound for a in report.agents)
 
 
+def digests(root):
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def agent_of(start):
+    """1-based agent of scenario_4_2_2 that starts at start.b."""
+    return [(0, 0, 0), (0, 9, 0), (15, 9, 0)].index(
+        tuple(start.b.tolist())) + 1
+
+
+class TestParallelFlights:
+    """Rendezvous flights run in W = min(CPUs, agents) lanes, one in
+    this process and the rest in forked workers; whatever W is, the
+    artifacts and the error must be those of one serial loop."""
+
+    def _run(self, cfg, out, cpus, monkeypatch):
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        try:
+            run_mission(cfg, out_dir=out)
+        except SwarmError:
+            pass
+        assert_no_child_left()
+        return digests(out)
+
+    def test_lanes_follow_the_lpt_rule(self):
+        # scenario_4_2_2's flights: agent 3's 13.09 s outweighs the rest
+        assert mission._lpt_lanes([8.48, 7.31, 13.09], 2) == [[2], [0, 1]]
+        assert mission._lpt_lanes([8.48, 7.31, 13.09], 1) == [[0, 1, 2]]
+        # ties go to the lower agent, then to the lower lane
+        assert mission._lpt_lanes([1.0] * 4, 3) == [[0, 3], [1], [2]]
+        assert mission._lpt_lanes([2.0, 1.0, 1.0, 2.0], 2) \
+            == [[0, 1], [2, 3]]
+        assert mission._lpt_lanes([], 1) == [[]]
+
+    @pytest.mark.parametrize("case", [
+        "4_2_2", "4_2_2 dt=0.9", "path3 quad", "path3 compare"])
+    def test_any_lane_count_writes_the_serial_bytes(self, tmp_path, case,
+                                                    monkeypatch):
+        if case.startswith("4_2_2"):
+            cfg = load_config(scenario_path("scenario_4_2_2"))
+            if case.endswith("0.9"):
+                cfg = replace(cfg, dt=0.9)
+        else:
+            mode = case.split()[1]
+            cfg = load_config(write_cfg(
+                tmp_path, PATH_3.replace("mode = quad", f"mode = {mode}")))
+        serial = self._run(cfg, tmp_path / "w1", 1, monkeypatch)
+        assert len(serial) == (3 if case.endswith("0.9") else
+                               4 + (case != "path3 quad"))
+        for cpus in (2, 3):
+            assert self._run(cfg, tmp_path / f"w{cpus}", cpus,
+                             monkeypatch) == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_failed_agent_wins(self, tmp_path, cpus, monkeypatch):
+        # agents 1 and 3 fail; from 2 lanes on, agent 3, the longest
+        # flight, is lane 0's and agent 1 a worker's
+        real = mission.simulate
+
+        def simulate(start, *args):
+            if agent_of(start) != 2:
+                raise GimbalLockError(f"agent {agent_of(start)}")
+            return real(start, *args)
+
+        monkeypatch.setattr(mission, "simulate", simulate)
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        with pytest.raises(GimbalLockError, match="^agent 1$"):
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        assert sorted(p.name for p in (tmp_path / cfg.out).iterdir()) \
+            == ["FAILED", "particle.csv"]
+
+    def test_planning_failure_keeps_earlier_agents(self, tmp_path,
+                                                   monkeypatch):
+        real = mission.rendezvous_leg
+
+        def rendezvous_leg(params, start, target):
+            if agent_of(start) == 2:
+                raise InfeasibleError("agent 2")
+            return real(params, start, target)
+
+        monkeypatch.setattr(mission, "rendezvous_leg", rendezvous_leg)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: 3)
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        with pytest.raises(InfeasibleError):
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        dest = tmp_path / cfg.out
+        assert sorted(p.name for p in dest.iterdir()) \
+            == ["FAILED", "particle.csv", "quad_agent1.csv"]
+        assert (dest / "FAILED").read_text() == "InfeasibleError: agent 2\n"
+
+    def test_dead_worker_fails_the_run(self, tmp_path, monkeypatch):
+        parent, real = os.getpid(), mission.simulate
+
+        def simulate(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(mission, "simulate", simulate)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: 3)
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        with pytest.raises(ChildProcessError, match="wait status 768"):
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        assert not list((tmp_path / cfg.out).glob("quad_agent*"))
+
+    def test_interrupt_kills_and_reaps_workers(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def simulate(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(mission, "simulate", simulate)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: 3)
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_mission(cfg, out_dir=tmp_path)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         rc = main(["validate", str(scenario_path("scenario_2_4_1"))])
@@ -777,6 +917,22 @@ agent3 = -2, 0, 5
         dest = tmp_path / "scenario_2_4_1"
         assert "DivergenceError" in (dest / "FAILED").read_text()
         assert not (dest / "particle.csv").exists()
+
+    def test_failed_flight_leaves_earlier_agents_only(self, tmp_path,
+                                                      capsys):
+        """At dt = 0.9 agent 2 of scenario_4_2_2 gimbal-locks at t=2
+        while agent 3 flies: the run keeps agent 1's CSV, writes none
+        after the failing agent, and FAILED holds agent 2's error."""
+        rc = main(["run", str(scenario_path("scenario_4_2_2")),
+                   "--dt", "0.9", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "gimbal lock near t=2.000000" in capsys.readouterr().err
+        dest = tmp_path / "scenario_4_2_2"
+        assert sorted(p.name for p in dest.iterdir()) \
+            == ["FAILED", "particle.csv", "quad_agent1.csv"]
+        assert (dest / "FAILED").read_text() == (
+            "GimbalLockError: gimbal lock near t=2.000000: pitch "
+            "-1.840401756544152 within 1e-06 of +-pi/2\n")
 
     def test_list_scenarios(self, capsys):
         rc = main(["list-scenarios"])
