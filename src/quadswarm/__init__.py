@@ -28,9 +28,8 @@ from .planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                       hover_controls, hover_schedule, rendezvous_leg,
                       schedule_for, vertical_schedule, yaw_schedule)
 from .quad import (Controls, QuadParams, QuadState, QuadTrajectory,
-                   affine_fields, default_params, forces_body,
-                   geodesic_spray, hover_state, simulate, state_derivative,
-                   torques_body)
+                   affine_fields, default_params, geodesic_spray,
+                   hover_state, simulate, state_derivative)
 
 __version__ = "0.1.0"
 
@@ -47,12 +46,12 @@ __all__ = [
     "add_proximity_edges", "affine_fields", "axis_translation_schedule",
     "chain_schedules", "closed_form_state", "compare_trajectories",
     "consensus_point", "convergence_rate", "default_params", "euler_rate_matrix",
-    "export_csv", "forces_body", "fully_connected_vertices",
+    "export_csv", "fully_connected_vertices",
     "geodesic_spray", "hat", "hover_controls", "hover_schedule",
     "hover_state", "integrate_protocol", "is_connected", "laplacian",
     "load_config", "lyapunov", "rendezvous_leg", "rk4_step",
     "rotation_from_euler", "run_mission", "schedule_for", "simulate",
     "state_derivative", "straightness_residual", "sym_eigen",
-    "torques_body", "vertical_schedule", "weighted_laplacian_at",
+    "vertical_schedule", "weighted_laplacian_at",
     "yaw_schedule",
 ]

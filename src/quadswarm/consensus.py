@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedError, DivergenceError, DomainError
-from .network import (DistanceWeighted, Laplacian, adjacency, is_connected,
-                      proximity_edges, weighted_laplacian_at, with_edges)
+from .network import (DistanceWeighted, Laplacian, adjacency, is_complete,
+                      is_connected, proximity_edges, weighted_laplacian_at,
+                      with_edges)
 from .numerics import sym_eigen
 
 # Real-axis stability limit of classical RK4: |R(z)| <= 1 on
@@ -190,13 +191,15 @@ def starting_laplacian(net, q, dt):
     start from it at step dt.
 
     Raises:
-        DisconnectedError: net is not connected.
+        DisconnectedError: the graph L(0) is built on is not connected;
+            for distance weights that is net grown by the proximity
+            rule at q.
         DivergenceError: dt times the largest eigenvalue of L(0)
             exceeds 2.785, RK4's real-axis stability limit.
     """
-    if not is_connected(net):
-        raise DisconnectedError("network is not connected at t=0")
     lap = weighted_laplacian_at(net, q, 0.0)
+    if not is_connected(lap.source):
+        raise DisconnectedError("network is not connected at t=0")
     lam_max = float(sym_eigen(lap.matrix)[0][-1])
     if dt * lam_max > _RK4_REAL_LIMIT:
         raise DivergenceError(
@@ -250,7 +253,7 @@ def _moving_step(net, q, dt, coef, log):
     thr = net.policy.threshold
     cur = net
     adj = adjacency(net)
-    complete = int(adj.sum()) == n * (n - 1)
+    complete = is_complete(net)
     c1, c2, c3, c4 = coef
     signed = np.array([-c1, c2, -c3, c4])
     diff = np.empty((r, n, n))
@@ -288,7 +291,7 @@ def _moving_step(net, q, dt, coef, log):
             if new.any():
                 cur = with_edges(cur, new)
                 adj = adj | new
-                complete = int(adj.sum()) == n * (n - 1)
+                complete = is_complete(cur)
                 log.append((k * dt, Laplacian(matrix=mbuf.copy(), source=cur,
                                               time=k * dt)))
         mdot(q, p0)

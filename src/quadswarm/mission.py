@@ -22,7 +22,7 @@ from .consensus import ConsensusTrajectory, consensus_point, integrate_protocol
 from .errors import (DimensionError, DivergenceError, DomainError, IoError,
                      ParseError, SwarmError, ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
-                      fully_connected_vertices, pairwise_distances)
+                      is_complete, pairwise_distances)
 from .numerics import sym_eigen
 from .planner import (ManeuverSpec, chain_schedules, rendezvous_leg,
                       require_level_hover, schedule_for)
@@ -509,16 +509,12 @@ def _quad_start(config, i):
         v=np.zeros(3), Omega=np.zeros(3))
 
 
-def _complete(net):
-    return len(fully_connected_vertices(net)) == net.n
-
-
 def integrates_protocol(config):
     """Whether running config integrates the agreement protocol: a
     rendezvous (no [maneuvers]) outside quad mode, or on a graph that
     is not complete. A complete graph flies straight to the centroid."""
     return not config.maneuvers and (
-        config.mode != "quad" or not _complete(config.network))
+        config.mode != "quad" or not is_complete(config.network))
 
 
 def run_mission(config, out_dir=None):
@@ -555,7 +551,7 @@ def _run_mission(config, dest):
                                     for spec in config.maneuvers])
     else:
         alpha = consensus_point(positions)
-        complete = _complete(net)
+        complete = is_complete(net)
         if integrates_protocol(config):
             particle = integrate_protocol(
                 net, positions, config.T, config.dt, config.stride,

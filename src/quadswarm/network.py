@@ -260,6 +260,11 @@ def is_connected(net):
     return len(seen) == net.n
 
 
+def is_complete(net):
+    """Whether every vertex pair is an edge."""
+    return len(net.edges) == net.n * (net.n - 1) // 2
+
+
 def fully_connected_vertices(net):
     """Vertices adjacent to every other vertex, as a set of 1-based ids."""
     return {i for i in range(1, net.n + 1) if net.degree(i) == net.n - 1}

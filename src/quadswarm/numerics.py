@@ -11,8 +11,15 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GimbalLockError
 
-# Pitch values within this distance of +-pi/2 count as gimbal lock.
+# Pitch values within this distance of +-pi/2 count as gimbal lock:
+# every chart of the Euler angles needs |pitch| < PITCH_LIMIT.
 GIMBAL_EPS = 1e-6
+PITCH_LIMIT = math.pi / 2 - GIMBAL_EPS
+
+
+def gimbal_lock(theta):
+    """The GimbalLockError for a pitch theta outside the chart."""
+    return GimbalLockError(f"pitch {theta!r} within {GIMBAL_EPS} of +-pi/2")
 
 
 def hat(y):
@@ -44,16 +51,19 @@ def rotation_from_euler(phi, theta, psi):
     about x: R = Rz(psi) Ry(theta) Rx(phi). Columns are the body axes
     expressed in the inertial frame.
 
-    Pitch must lie strictly inside (-pi/2, pi/2). Roll and yaw are
-    unrestricted so integrated attitudes can pass +-pi without
-    wraparound; normalize only when reporting.
+    Pitch must satisfy |pitch| < PITCH_LIMIT, the chart every Euler
+    map here shares; NaN is refused too. Roll and yaw are unrestricted
+    so integrated attitudes can pass +-pi without wraparound; normalize
+    only when reporting.
 
     Returns:
         3x3 orthogonal ndarray with determinant +1.
+
+    Raises:
+        GimbalLockError: pitch outside the chart.
     """
-    if not abs(theta) < math.pi / 2:
-        raise DomainError(
-            f"pitch {theta!r} outside (-pi/2, pi/2); rotation chart invalid")
+    if not abs(theta) < PITCH_LIMIT:
+        raise gimbal_lock(theta)
     cf, sf = math.cos(phi), math.sin(phi)
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(psi), math.sin(psi)
@@ -69,14 +79,13 @@ def euler_rate_matrix(phi, theta):
 
     eta_dot = euler_rate_matrix(phi, theta) @ Omega, where eta is
     (roll, pitch, yaw). The map blows up as pitch approaches +-pi/2;
-    within GIMBAL_EPS of that the matrix is refused.
+    from PITCH_LIMIT on the matrix is refused.
 
     Returns:
         3x3 ndarray.
     """
-    if abs(theta) >= math.pi / 2 - GIMBAL_EPS:
-        raise GimbalLockError(
-            f"pitch {theta!r} within {GIMBAL_EPS} of +-pi/2")
+    if abs(theta) >= PITCH_LIMIT:
+        raise gimbal_lock(theta)
     cf, sf = math.cos(phi), math.sin(phi)
     ct = math.cos(theta)
     tt = math.tan(theta)

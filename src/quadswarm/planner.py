@@ -188,19 +188,24 @@ def chain_schedules(parts, omega_max=OMEGA_MAX):
     return ControlSchedule(tuple(segs), omega_max)
 
 
-def hover_controls(p, omega_max=OMEGA_MAX):
-    """Rotor speeds that balance gravity exactly at level attitude."""
+def hover_controls(p):
+    """Rotor speeds that balance gravity exactly at level attitude.
+
+    No ceiling applies here: a schedule checks its speeds against its
+    omega_max in ControlSchedule.emit, as hover_schedule does.
+    """
     w = math.sqrt(p.m * p.g / (4.0 * p.Kr))
-    if w > omega_max:
-        raise SaturationError(
-            f"hover needs {w:.1f} rad/s, above the {omega_max} limit")
     return Controls(omega=np.array([w, w, w, w]))
 
 
 def hover_schedule(p, duration, omega_max=OMEGA_MAX):
-    """Hold a level hover for the given duration."""
-    return ControlSchedule.constant(
-        hover_controls(p, omega_max).omega, duration, omega_max)
+    """Hold a level hover for the given duration.
+
+    Raises:
+        SaturationError: the hover speed is above omega_max.
+    """
+    return _feasible(ControlSchedule.constant(
+        hover_controls(p).omega, duration, omega_max))
 
 
 @contextmanager
@@ -217,8 +222,8 @@ def _natural_amplitude():
 
 def _feasible(sched, samples=2001):
     """Return sched once each segment has emitted in range on a dense
-    grid, or once at its start if it is constant; _natural_amplitude
-    turns a SaturationError into a plan failure."""
+    grid, or once at its start if it is constant, else raise emit's
+    SaturationError; under _natural_amplitude that is a plan failure."""
     for seg in sched.segments:
         if seg.constant is not None:
             sched.emit(seg, seg.t0)

@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, GimbalLockError,
                      ScheduleGapError)
-from .numerics import GIMBAL_EPS
-
-_HALF_PI = math.pi / 2
+from .numerics import PITCH_LIMIT, gimbal_lock
 
 
 def _as_vec(x, k, name):
@@ -101,8 +99,8 @@ class QuadState:
 
     Attributes:
         b: inertial position (3,).
-        angles: (roll, pitch, yaw) in radians; |pitch| must stay clear
-            of pi/2 by GIMBAL_EPS.
+        angles: (roll, pitch, yaw) in radians; |pitch| must stay
+            below PITCH_LIMIT.
         v: body-frame linear velocity (3,).
         Omega: body-frame angular velocity (3,).
     """
@@ -117,9 +115,8 @@ class QuadState:
         object.__setattr__(self, "angles", _as_vec(self.angles, 3, "angles"))
         object.__setattr__(self, "v", _as_vec(self.v, 3, "v"))
         object.__setattr__(self, "Omega", _as_vec(self.Omega, 3, "Omega"))
-        if abs(self.angles[1]) >= _HALF_PI - GIMBAL_EPS:
-            raise GimbalLockError(
-                f"pitch {self.angles[1]!r} within {GIMBAL_EPS} of +-pi/2")
+        if abs(self.angles[1]) >= PITCH_LIMIT:
+            raise gimbal_lock(self.angles[1])
 
     def as_vector(self):
         return np.concatenate([self.b, self.angles, self.v, self.Omega])
@@ -185,9 +182,8 @@ def _deriv(x, om, pc):
     (m, g, Kr, Krd, Kd, Jr,
      J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3) = pc
     _, _, _, phi, theta, psi, v1, v2, v3, O1, O2, O3 = x
-    if abs(theta) >= _HALF_PI - GIMBAL_EPS:
-        raise GimbalLockError(
-            f"pitch {theta!r} within {GIMBAL_EPS} of +-pi/2")
+    if abs(theta) >= PITCH_LIMIT:
+        raise gimbal_lock(theta)
     w1, w2, w3, w4 = om
 
     cf, sf = math.cos(phi), math.sin(phi)
@@ -221,52 +217,6 @@ def _deriv(x, om, pc):
     )
 
 
-def forces_body(s, c, p):
-    """Body-frame force split acting on the vehicle.
-
-    Returns:
-        (f_drag, f_gravity, f_thrust): quadratic drag opposing v,
-        gravity rotated into the body frame, and total rotor thrust
-        along body z.
-    """
-    v = s.v
-    f_drag = -np.array([v[0] * abs(v[0]) * p.CD[0],
-                        v[1] * abs(v[1]) * p.CD[1],
-                        v[2] * abs(v[2]) * p.CD[2]])
-    phi, theta, _ = s.angles
-    cf, sf = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    f_gravity = p.m * p.g * np.array([st, -ct * sf, -ct * cf])
-    f_thrust = np.array([0.0, 0.0, p.Kr * float(np.sum(c.omega ** 2))])
-    return f_drag, f_gravity, f_thrust
-
-
-def torques_body(s, c, p):
-    """Body-frame torque split acting on the vehicle.
-
-    Returns:
-        (tau_drag, tau_gyro, tau_rotor): quadratic angular drag, the
-        gyroscopic torque from the spinning rotors, and the rotor
-        thrust-differential / reaction torque.
-    """
-    O = s.Omega
-    tau_drag = -np.array([O[0] * abs(O[0]) * p.Ctau[0],
-                          O[1] * abs(O[1]) * p.Ctau[1],
-                          O[2] * abs(O[2]) * p.Ctau[2]])
-    w1, w2, w3, w4 = c.omega
-    sigma = w1 - w2 + w3 - w4
-    tau_gyro = np.array([p.Jr_bar * O[1] * sigma,
-                         -p.Jr_bar * O[0] * sigma,
-                         0.0])
-    Krd = p.Kr * p.d
-    tau_rotor = np.array([
-        Krd * (w3 * w3 - w1 * w1),
-        Krd * (w4 * w4 - w2 * w2),
-        p.Kd * (w1 * w1 - w2 * w2 + w3 * w3 - w4 * w4),
-    ])
-    return tau_drag, tau_gyro, tau_rotor
-
-
 def state_derivative(s, c, p):
     """Full twelve-dimensional time derivative at state s under controls c.
 
@@ -290,27 +240,24 @@ def affine_fields(s, p):
     action (inertia-scaled), and the gyroscopic torque, linear in the
     rotor speeds, stays outside the omega^2 form.
 
+    Both come from the one force law, _deriv. The drift is _deriv with
+    the rotors off. Thrust and rotor torques act in the body frame, so
+    g_i does not depend on the state: it is _deriv at the level rest
+    state under the unit input e_i, with gravity, drag and the rotor
+    inertia masked so that nothing but rotor i's action is left.
+
     Returns:
         (drift, fields): drift a 12-vector, fields a list of four
         12-vectors [g1, g2, g3, g4].
     """
-    pc = _param_tuple(p)
-    drift = np.array(_deriv(s.as_vector(), (0.0, 0.0, 0.0, 0.0), pc))
-    thrust_row = p.Kr / p.m
-    Krd = p.Kr * p.d
-    J1, J2, J3 = p.J
-    fields = []
-    for k_roll, k_pitch, k_yaw in (
-            (-Krd, 0.0, p.Kd),
-            (0.0, -Krd, -p.Kd),
-            (Krd, 0.0, p.Kd),
-            (0.0, Krd, -p.Kd)):
-        gi = np.zeros(12)
-        gi[8] = thrust_row
-        gi[9] = k_roll / J1
-        gi[10] = k_pitch / J2
-        gi[11] = k_yaw / J3
-        fields.append(gi)
+    drift = np.array(
+        _deriv(s.as_vector(), (0.0, 0.0, 0.0, 0.0), _param_tuple(p)))
+    pc = _param_tuple(
+        replace(p, g=0.0, CD=np.zeros(3), Ctau=np.zeros(3), Jr_bar=0.0))
+    rest = (0.0,) * 12
+    fields = [np.array(_deriv(rest, e, pc))
+              for e in ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                        (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))]
     return drift, fields
 
 
@@ -388,7 +335,6 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
 
     record(0.0, x)
     count = 0
-    pitch_max = _HALF_PI - GIMBAL_EPS
     for seg, lo, hi, edge, nfull, rem in schedule.windows(duration, dt):
         nsteps = nfull + (rem > 0.0)
         const = seg.constant
@@ -415,7 +361,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
                 raise GimbalLockError(
                     f"gimbal lock near t={t:.6f}: {e}") from e
             count += 1
-            if abs(x[4]) >= pitch_max:
+            if abs(x[4]) >= PITCH_LIMIT:
                 raise GimbalLockError(
                     f"gimbal lock at t={tn:.6f}: pitch {x[4]!r}")
             if count % stride == 0 and tn > times[-1]:

@@ -747,6 +747,23 @@ class TestCli:
             "mode = particle", "mode = quad"), "quad.cfg")
         assert main(["validate", str(quad)]) == 0
 
+    def test_proximity_edges_connect_an_edgeless_start(self, tmp_path,
+                                                       capsys):
+        """Distance weights with no edges in the file: every pair starts
+        within the threshold, so the graph L(0) is built on is complete
+        and both validate and run accept it."""
+        path = write_cfg(tmp_path, BASE.replace("n = 2", "n = 3").replace(
+            "edges = 1-2", "weights = distance\nthreshold = 10").replace(
+            "agent2 = 1, 1, 1", "agent2 = 3, 0, 0\nagent3 = 0, 4, 0"))
+        assert load_config(path).network.edges == frozenset()
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("OK:")
+        assert out[1].startswith("spectrum of L(0): lambda2=10.2679 ")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out_dir)]) == 0
+        assert not (out_dir / "mission" / "FAILED").exists()
+
     def test_validate_fails_an_unstable_step(self, tmp_path, capsys):
         """scenario_2_4_1 with dt = 1 in the file: dt * lambda_max = 4
         is past RK4's 2.785, which run refuses with DivergenceError."""

@@ -9,8 +9,9 @@ from quadswarm.errors import DimensionError, DomainError, PolicyError
 from quadswarm.network import (DistanceWeighted, Laplacian, Network,
                                StaticWeights, Unweighted,
                                add_proximity_edges, fully_connected_vertices,
-                               is_connected, laplacian, pairwise_distances,
-                               proximity_edges, weighted_laplacian_at)
+                               is_complete, is_connected, laplacian,
+                               pairwise_distances, proximity_edges,
+                               weighted_laplacian_at)
 from quadswarm.numerics import sym_eigen
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
@@ -231,3 +232,16 @@ class TestConnectivity:
         assert fully_connected_vertices(TREE) == set()
         k3 = Network(3, {(1, 2), (1, 3), (2, 3)})
         assert fully_connected_vertices(k3) == {1, 2, 3}
+
+    def test_is_complete(self):
+        assert is_complete(Network(1))
+        assert is_complete(Network(3, {(1, 2), (1, 3), (2, 3)}))
+        assert not is_complete(HUB)
+        assert not is_complete(TREE)
+        # a ring grown by proximity until every pair is an edge
+        ring = Network(4, {(1, 2), (2, 3), (3, 4), (1, 4)},
+                       DistanceWeighted(threshold=10.0))
+        assert not is_complete(ring)
+        grown, added = add_proximity_edges(
+            ring, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        assert added and is_complete(grown)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadswarm.errors import DomainError, GimbalLockError
-from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
-                                rotation_from_euler, rk4_step, sym_eigen)
+from quadswarm.numerics import (GIMBAL_EPS, PITCH_LIMIT, euler_rate_matrix,
+                                hat, rotation_from_euler, rk4_step,
+                                sym_eigen)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -76,6 +77,16 @@ class TestRotation:
             rotation_from_euler(0.0, math.pi / 2, 0.0)
         with pytest.raises(DomainError):
             rotation_from_euler(0.0, -math.pi / 2 - 0.1, 0.0)
+
+    def test_rejects_the_gimbal_band(self):
+        # the band every Euler chart refuses, not just pi/2 itself
+        with pytest.raises(GimbalLockError):
+            rotation_from_euler(0.0, math.pi / 2 - GIMBAL_EPS / 2, 0.0)
+        with pytest.raises(GimbalLockError):
+            rotation_from_euler(0.0, -PITCH_LIMIT, 0.0)
+        with pytest.raises(GimbalLockError):
+            rotation_from_euler(0.0, math.nan, 0.0)
+        rotation_from_euler(0.0, math.nextafter(PITCH_LIMIT, 0.0), 0.0)
 
 
 class TestEulerRateMatrix:

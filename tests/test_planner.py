@@ -18,7 +18,7 @@ from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                                _smoothstep_ramp)
 from quadswarm.mission import load_config
 from quadswarm.quad import (Controls, QuadState, default_params, hover_state,
-                            simulate, torques_body)
+                            simulate, state_derivative)
 
 from conftest import scenario_path
 
@@ -35,18 +35,23 @@ def _check_balanced_pair(axis, distance, duration):
         sq = sched.omega_at(t) ** 2
         assert abs(sq[0] - sq[1] + sq[2] - sq[3]) <= 1e-12 * np.sum(sq)
 
+    # The rotor-driven torques are J (dx(omega) - dx(0))[9:12] at the
+    # same state, and the gyroscopic one alone differences against a
+    # vehicle without rotor inertia.
     run = simulate(hover_state(), sched, P, duration)
-    k = 0 if axis == "bodyX" else 1
+    k = 9 if axis == "bodyX" else 10
+    J = P.J[k - 9]
+    no_gyro = replace(P, Jr_bar=0.0)
     gyro = np.empty(len(run.times))
-    rotor = np.empty(len(run.times))
+    both = np.empty(len(run.times))
     for j, (x, om) in enumerate(zip(run.states, run.omegas)):
-        _, tau_gyro, tau_rotor = torques_body(
-            QuadState.from_vector(x), Controls(om), P)
-        gyro[j] = tau_gyro[k]
-        rotor[j] = tau_rotor[k]
+        s, c = QuadState.from_vector(x), Controls(om)
+        dx = state_derivative(s, c, P)
+        gyro[j] = J * (dx - state_derivative(s, c, no_gyro))[k]
+        both[j] = J * (dx - state_derivative(s, Controls(np.zeros(4)), P))[k]
     peak = np.max(np.abs(gyro))
     assert peak > 0.0
-    assert np.max(np.abs(gyro + rotor)) <= 1e-3 * peak
+    assert np.max(np.abs(both)) <= 1e-3 * peak
 
 
 class TestControlSchedule:
@@ -150,9 +155,12 @@ class TestControlSchedule:
         real = ControlSchedule.emit
         monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
                             calls.append(t) or real(self, seg, t))
-        hover_schedule(P, 2.0)
+        hover = ControlSchedule.constant(np.full(4, HOVER_W), 2.0)
         assert calls == []  # constant() builds without emitting
-        planner._feasible(hover_schedule(P, 2.0))
+        planner._feasible(hover)
+        assert calls == [0.0]
+        calls.clear()
+        hover_schedule(P, 2.0)  # a hover is checked like every leg
         assert calls == [0.0]
         calls.clear()
         axis_translation_schedule(P, "bodyX", 1.0, 2.0)
@@ -219,8 +227,9 @@ class TestHover:
                                                             abs=1e-12)
 
     def test_hover_saturation(self):
+        # the schedule's emit holds the ceiling, at planning time
         with pytest.raises(SaturationError):
-            hover_controls(P, omega_max=100.0)
+            hover_schedule(P, 1.0, omega_max=100.0)
 
     def test_hover_schedule_holds_position(self):
         traj = simulate(hover_state(), hover_schedule(P, 0.5), P, 0.5)

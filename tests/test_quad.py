@@ -15,11 +15,11 @@ from quadswarm.planner import (ControlSchedule, Segment,
                                axis_translation_schedule, chain_schedules,
                                hover_controls, hover_schedule, yaw_schedule)
 from quadswarm.quad import (Controls, QuadParams, QuadState, affine_fields,
-                            default_params, forces_body, geodesic_spray,
-                            hover_state, simulate, state_derivative,
-                            torques_body, _deriv, _param_tuple)
+                            default_params, geodesic_spray, hover_state,
+                            simulate, state_derivative, _deriv, _param_tuple)
 
 P = default_params()
+OFF = Controls(np.zeros(4))
 
 
 def random_state(rng, speed=2.0, spin=1.0):
@@ -85,37 +85,44 @@ class TestState:
 
 
 class TestForceTorqueSplit:
+    """Each force and torque term of the one force law, isolated by
+    masking the others in the parameters, as geodesic_spray does, and
+    read off state_derivative: m times the body acceleration is the
+    force, J times the angular acceleration the torque."""
+
     def test_rest_level_forces(self):
         s = hover_state()
-        c = hover_controls(P)
-        f_drag, f_grav, f_thr = forces_body(s, c, P)
-        assert np.array_equal(f_drag, np.zeros(3))
+        # at rest nothing drags, and with gravity off nothing else acts
+        assert np.array_equal(state_derivative(s, OFF, replace(P, g=0.0)),
+                              np.zeros(12))
+        f_grav = P.m * state_derivative(s, OFF, P)[6:9]
         assert np.allclose(f_grav, [0.0, 0.0, -P.m * P.g], atol=0.0)
+        f_thr = P.m * state_derivative(s, hover_controls(P),
+                                       replace(P, g=0.0))[6:9]
         assert np.allclose(f_thr, [0.0, 0.0, P.m * P.g], atol=1e-12)
 
     def test_gravity_tilts_with_pitch(self):
         theta = 0.3
         s = QuadState(b=np.zeros(3), angles=np.array([0.0, theta, 0.0]),
                       v=np.zeros(3), Omega=np.zeros(3))
-        _, f_grav, _ = forces_body(s, Controls(np.zeros(4)), P)
+        f_grav = P.m * state_derivative(s, OFF, P)[6:9]
         expect = P.m * P.g * np.array([math.sin(theta), 0.0,
                                        -math.cos(theta)])
         assert np.allclose(f_grav, expect, atol=1e-15)
 
     def test_drag_opposes_velocity_quadratically(self):
+        # level and not spinning: no gravity, no v x Omega term
         s = QuadState(b=np.zeros(3), angles=np.zeros(3),
                       v=np.array([2.0, -3.0, 0.5]), Omega=np.zeros(3))
-        f_drag, _, _ = forces_body(s, Controls(np.zeros(4)), P)
+        f_drag = P.m * state_derivative(s, OFF, replace(P, g=0.0))[6:9]
         expect = -np.array([4.0 * P.CD[0], -9.0 * P.CD[1], 0.25 * P.CD[2]])
         assert np.allclose(f_drag, expect, atol=1e-18)
 
     def test_rotor_torques(self):
         a, b = 250.0, 150.0
         c = Controls(np.array([a, b, a, b]))
-        s = hover_state()
-        tau_drag, tau_gyro, tau_rotor = torques_body(s, c, P)
-        assert np.array_equal(tau_drag, np.zeros(3))
-        assert np.array_equal(tau_gyro, np.zeros(3))  # Omega = 0
+        # Omega = 0: no angular drag, gyroscopic or Euler torque
+        tau_rotor = P.J * state_derivative(hover_state(), c, P)[9:12]
         # Opposite rotors share a speed, so roll and pitch torques vanish
         # and only the reaction torque about body z survives.
         expect = [0.0, 0.0, P.Kd * 2.0 * (a * a - b * b)]
@@ -126,21 +133,36 @@ class TestForceTorqueSplit:
         sigma = 300.0 - 100.0 + 300.0 - 100.0
         s = QuadState(b=np.zeros(3), angles=np.zeros(3), v=np.zeros(3),
                       Omega=np.array([0.4, -0.2, 0.9]))
-        _, tau_gyro, _ = torques_body(s, c, P)
+        # the rotor inertia carries the gyroscopic torque alone
+        tau_gyro = P.J * (state_derivative(s, c, P)
+                          - state_derivative(s, c, replace(P, Jr_bar=0.0))
+                          )[9:12]
         expect = [P.Jr_bar * (-0.2) * sigma, -P.Jr_bar * 0.4 * sigma, 0.0]
         assert np.allclose(tau_gyro, expect, atol=1e-15)
 
     def test_splits_reassemble_into_the_derivative(self):
         # Newton-Euler: m v_dot = f + m v x Omega, J Omega_dot =
-        # tau + (J Omega) x Omega. The published splits must add up to
-        # exactly what state_derivative integrates.
+        # tau + (J Omega) x Omega, with the force and torque terms the
+        # tests above isolate, summed as vectors.
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = random_state(rng)
-            c = Controls(rng.uniform(0.0, 400.0, size=4))
-            dx = state_derivative(s, c, P)
-            f = np.sum(forces_body(s, c, P), axis=0)
-            tau = np.sum(torques_body(s, c, P), axis=0)
+            om = rng.uniform(0.0, 400.0, size=4)
+            dx = state_derivative(s, Controls(om), P)
+            phi, theta, _ = s.angles
+            sq = om * om
+            sigma = om[0] - om[1] + om[2] - om[3]
+            f = (-s.v * np.abs(s.v) * P.CD
+                 + P.m * P.g * np.array([
+                     math.sin(theta), -math.cos(theta) * math.sin(phi),
+                     -math.cos(theta) * math.cos(phi)])
+                 + np.array([0.0, 0.0, P.Kr * np.sum(sq)]))
+            tau = (-s.Omega * np.abs(s.Omega) * P.Ctau
+                   + P.Jr_bar * sigma * np.array([s.Omega[1], -s.Omega[0],
+                                                  0.0])
+                   + np.array([P.Kr * P.d * (sq[2] - sq[0]),
+                               P.Kr * P.d * (sq[3] - sq[1]),
+                               P.Kd * (sq[0] - sq[1] + sq[2] - sq[3])]))
             v_dot = f / P.m + np.cross(s.v, s.Omega)
             w_dot = (tau + np.cross(P.J * s.Omega, s.Omega)) / P.J
             assert np.allclose(dx[6:9], v_dot, atol=1e-12)
@@ -237,6 +259,21 @@ class TestDerivative:
                 rebuilt = rebuilt + gi * w * w
             dx = state_derivative(s, Controls(om), P)
             assert np.max(np.abs(dx - rebuilt)) <= 1e-12
+
+    def test_control_fields_match_the_written_out_table(self):
+        # g_i moves only v3 (thrust Kr / m) and the angular rates: roll
+        # by -+Kr d / J1 (rotors 1, 3), pitch by -+Kr d / J2 (rotors 2,
+        # 4), yaw by +-Kd / J3 (rotors 1, 3 against 2, 4)
+        Krd = P.Kr * P.d
+        J1, J2, J3 = P.J
+        _, fields = affine_fields(hover_state(), P)
+        for gi, (roll, pitch, yaw) in zip(fields, (
+                (-Krd, 0.0, P.Kd), (0.0, -Krd, -P.Kd),
+                (Krd, 0.0, P.Kd), (0.0, Krd, -P.Kd))):
+            expect = np.zeros(12)
+            expect[8] = P.Kr / P.m
+            expect[9:12] = roll / J1, pitch / J2, yaw / J3
+            assert gi.tobytes() == expect.tobytes()
 
     def test_control_fields_are_state_independent(self):
         rng = np.random.default_rng(9)
@@ -427,12 +464,14 @@ class TestSimulate:
     def test_constant_window_emits_once(self, monkeypatch):
         """A constant segment is range-checked once per window; the
         other emits are the samples at t=0 and at each window's end."""
+        # hover_schedule's own planning check emits too, so the count
+        # starts once the schedule is built
+        sched = chain_schedules([hover_schedule(P, 0.0105),
+                                 hover_schedule(P, 0.02)])
         calls = []
         real = ControlSchedule.emit
         monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
                             calls.append(t) or real(self, seg, t))
-        sched = chain_schedules([hover_schedule(P, 0.0105),
-                                 hover_schedule(P, 0.02)])
         traj = simulate(hover_state(), sched, P, 0.0305, stride=10 ** 6)
         assert list(traj.times) == [0.0, 0.0105, 0.0305]
         assert calls == [0.0, 0.0, 0.0105, 0.0105, 0.0305]
