@@ -7,19 +7,17 @@ so identical inputs reproduce identical outputs byte for byte.
 """
 
 from .consensus import (ConsensusTrajectory, closed_form_state,
-                        consensus_point, convergence_rate,
-                        integrate_protocol, lyapunov, straightness_residual)
+                        consensus_point, integrate_protocol, lyapunov,
+                        straightness_residual)
 from .errors import (ConvergenceError, DimensionError, DisconnectedError,
                      DivergenceError, DomainError, GimbalLockError,
                      InfeasibleError, IoError, ParseError, PolicyError,
                      SaturationError, ScheduleGapError, SwarmError,
                      ValidationError)
 from .mission import (AgentReport, ComparisonReport, MissionConfig,
-                      compare_trajectories, export_csv, load_config,
-                      run_mission)
+                      export_csv, load_config, run_mission)
 from .network import (DistanceWeighted, Laplacian, Network, StaticWeights,
-                      Unweighted, add_proximity_edges,
-                      fully_connected_vertices, is_connected, laplacian,
+                      Unweighted, is_connected, laplacian,
                       weighted_laplacian_at)
 from .numerics import (GIMBAL_EPS, euler_rate_matrix, hat, rk4_step,
                        rotation_from_euler, sym_eigen)
@@ -37,21 +35,18 @@ __all__ = [
     "AgentReport", "ComparisonReport", "ConsensusTrajectory",
     "ControlSchedule", "Controls", "ConvergenceError", "DimensionError",
     "DisconnectedError", "DistanceWeighted", "DivergenceError",
-    "DomainError",
-    "GIMBAL_EPS", "GimbalLockError", "InfeasibleError", "IoError",
-    "Laplacian", "ManeuverSpec", "MissionConfig", "Network", "OMEGA_MAX",
-    "ParseError", "PolicyError", "QuadParams", "QuadState",
+    "DomainError", "GIMBAL_EPS", "GimbalLockError", "InfeasibleError",
+    "IoError", "Laplacian", "ManeuverSpec", "MissionConfig", "Network",
+    "OMEGA_MAX", "ParseError", "PolicyError", "QuadParams", "QuadState",
     "QuadTrajectory", "SaturationError", "ScheduleGapError",
     "StaticWeights", "SwarmError", "Unweighted", "ValidationError",
-    "add_proximity_edges", "affine_fields", "axis_translation_schedule",
-    "chain_schedules", "closed_form_state", "compare_trajectories",
-    "consensus_point", "convergence_rate", "default_params", "euler_rate_matrix",
-    "export_csv", "fully_connected_vertices",
-    "geodesic_spray", "hat", "hover_controls", "hover_schedule",
-    "hover_state", "integrate_protocol", "is_connected", "laplacian",
-    "load_config", "lyapunov", "rendezvous_leg", "rk4_step",
-    "rotation_from_euler", "run_mission", "schedule_for", "simulate",
-    "state_derivative", "straightness_residual", "sym_eigen",
-    "vertical_schedule", "weighted_laplacian_at",
-    "yaw_schedule",
+    "affine_fields", "axis_translation_schedule", "chain_schedules",
+    "closed_form_state", "consensus_point", "default_params",
+    "euler_rate_matrix", "export_csv", "geodesic_spray", "hat",
+    "hover_controls", "hover_schedule", "hover_state",
+    "integrate_protocol", "is_connected", "laplacian", "load_config",
+    "lyapunov", "rendezvous_leg", "rk4_step", "rotation_from_euler",
+    "run_mission", "schedule_for", "simulate", "state_derivative",
+    "straightness_residual", "sym_eigen", "vertical_schedule",
+    "weighted_laplacian_at", "yaw_schedule",
 ]

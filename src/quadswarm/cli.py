@@ -19,12 +19,10 @@ from importlib import resources
 
 import numpy as np
 
-from .consensus import _RK4_REAL_LIMIT, consensus_point, starting_laplacian
-from .errors import (DisconnectedError, DivergenceError, ParseError,
-                     SwarmError, ValidationError)
+from .consensus import consensus_point, start_spectrum
+from .errors import ParseError, SwarmError, ValidationError
 from .mission import integrates_protocol, load_config, run_mission
-from .network import DistanceWeighted, weighted_laplacian_at
-from .numerics import sym_eigen
+from .network import DistanceWeighted
 
 
 def _build_parser():
@@ -79,36 +77,22 @@ def _cmd_run(args):
 def _cmd_validate(args):
     config = load_config(args.config)
     net = config.network
-    problem = _protocol_problem(config)
+    spec = start_spectrum(net, config.agents[:, :3])
+    # the checks integrate_protocol makes on L(0), for a run that has one
+    problem = spec.problem(config.dt) if integrates_protocol(config) else None
     if problem is None:
         print(f"OK: mode={config.mode} agents={net.n} "
               f"edges={len(net.edges)} policy={type(net.policy).__name__}")
     else:
         print(f"FAIL: {type(problem).__name__}: {problem}")
     if net.n >= 2:
-        lap = weighted_laplacian_at(net, config.agents[:, :3])
-        w = sym_eigen(lap.matrix)[0]
-        lam2, lam_max = float(w[1]), float(w[-1])
-        dt_max = _RK4_REAL_LIMIT / lam_max if lam_max > 0.0 else math.inf
-        print(f"spectrum of L(0): lambda2={lam2:.6g} "
-              f"lambda_max={lam_max:.6g} "
-              f"dt*lambda_max={config.dt * lam_max:.6g} "
-              f"(RK4 limit {_RK4_REAL_LIMIT}, largest stable dt "
-              f"{dt_max:.6g})")
-        print(_predicted_stop(config, lam2))
+        print(f"spectrum of L(0): lambda2={spec.lambda2:.6g} "
+              f"lambda_max={spec.lambda_max:.6g} "
+              f"dt*lambda_max={config.dt * spec.lambda_max:.6g} "
+              f"(RK4 limit {spec.rk4_limit}, largest stable dt "
+              f"{spec.dt_max:.6g})")
+        print(_predicted_stop(config, spec.lambda2))
     return 0 if problem is None else 2
-
-
-def _protocol_problem(config):
-    """The error the run would stop with before its first protocol
-    step, or None: the checks integrate_protocol makes on L(0)."""
-    if not integrates_protocol(config):
-        return None
-    try:
-        starting_laplacian(config.network, config.agents[:, :3], config.dt)
-    except (DisconnectedError, DivergenceError) as e:
-        return e
-    return None
 
 
 def _predicted_stop(config, lam2):

@@ -7,6 +7,7 @@ to the centroid of the initial rows when the graph is connected.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,20 +81,6 @@ def lyapunov(q, qstar):
     return 0.5 * float(np.sum((q - qstar) ** 2))
 
 
-def convergence_rate(lap):
-    """Smallest nonzero Laplacian eigenvalue (the algebraic connectivity).
-
-    Raises:
-        DisconnectedError: if the second-smallest eigenvalue is <= 1e-9,
-            i.e. the underlying graph is not connected.
-    """
-    m = lap.matrix if isinstance(lap, Laplacian) else np.asarray(lap, float)
-    w, _ = sym_eigen(m)
-    if len(w) < 2 or w[1] <= 1e-9:
-        raise DisconnectedError("graph has no spectral gap; not connected")
-    return float(w[1])
-
-
 def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     """Integrate q_dot = -L q with fixed-step RK4.
 
@@ -101,7 +88,9 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     constant across the step's stages. Distance-weighted networks are
     re-weighted every step and may gain edges as agents approach each
     other; each such change is recorded in the trajectory's
-    laplacian_log. Integration stops early once every agent sits within
+    laplacian_log. Holding L(q) fixed within a step makes the scheme
+    first order for distance weights; it is fourth order only for a
+    fixed Laplacian. Integration stops early once every agent sits within
     stop_tol of the consensus point in every coordinate; the condition
     is checked whenever a sample is recorded, and so is finiteness.
 
@@ -186,28 +175,74 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     )
 
 
+@dataclass(frozen=True)
+class StartSpectrum:
+    """L(0) of a network at its agents' starting positions, the
+    connectivity of the graph it is built on, and its ascending
+    eigenvalues.
+
+    For distance weights that graph is the network grown by the
+    proximity rule at the positions (laplacian.source).
+    """
+
+    laplacian: Laplacian
+    connected: bool
+    eigenvalues: np.ndarray
+    rk4_limit: ClassVar[float] = _RK4_REAL_LIMIT
+
+    @property
+    def lambda2(self):
+        """The algebraic connectivity; needs n >= 2."""
+        return float(self.eigenvalues[1])
+
+    @property
+    def lambda_max(self):
+        return float(self.eigenvalues[-1])
+
+    @property
+    def dt_max(self):
+        """Largest step with dt * lambda_max within RK4's real-axis
+        stability limit."""
+        lam = self.lambda_max
+        return _RK4_REAL_LIMIT / lam if lam > 0.0 else math.inf
+
+    def problem(self, dt):
+        """The error the protocol stops with before its first step of
+        dt, or None: DisconnectedError for a graph that is not
+        connected, else DivergenceError when dt * lambda_max exceeds
+        RK4's real-axis stability limit, 2.785."""
+        if not self.connected:
+            return DisconnectedError("network is not connected at t=0")
+        lam_max = self.lambda_max
+        if dt * lam_max > _RK4_REAL_LIMIT:
+            return DivergenceError(
+                f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
+                f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
+                f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
+                f"{self.dt_max:.6g}")
+        return None
+
+
+def start_spectrum(net, q):
+    """StartSpectrum of net at the (n, r) positions q; raises nothing
+    about the graph or its spectrum. One eigendecomposition."""
+    lap = weighted_laplacian_at(net, q, 0.0)
+    return StartSpectrum(laplacian=lap, connected=is_connected(lap.source),
+                         eigenvalues=sym_eigen(lap.matrix)[0])
+
+
 def starting_laplacian(net, q, dt):
     """L(0) of net at the (n, r) positions q, once the protocol can
     start from it at step dt.
 
     Raises:
-        DisconnectedError: the graph L(0) is built on is not connected;
-            for distance weights that is net grown by the proximity
-            rule at q.
-        DivergenceError: dt times the largest eigenvalue of L(0)
-            exceeds 2.785, RK4's real-axis stability limit.
+        DisconnectedError, DivergenceError: StartSpectrum.problem(dt).
     """
-    lap = weighted_laplacian_at(net, q, 0.0)
-    if not is_connected(lap.source):
-        raise DisconnectedError("network is not connected at t=0")
-    lam_max = float(sym_eigen(lap.matrix)[0][-1])
-    if dt * lam_max > _RK4_REAL_LIMIT:
-        raise DivergenceError(
-            f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
-            f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
-            f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
-            f"{_RK4_REAL_LIMIT / lam_max:.6g}")
-    return lap
+    spec = start_spectrum(net, q)
+    problem = spec.problem(dt)
+    if problem is not None:
+        raise problem
+    return spec.laplacian
 
 
 def _static_step(m, q, coef):
@@ -252,7 +287,6 @@ def _moving_step(net, q, dt, coef, log):
     n, r = q.shape
     thr = net.policy.threshold
     cur = net
-    adj = adjacency(net)
     complete = is_complete(net)
     c1, c2, c3, c4 = coef
     signed = np.array([-c1, c2, -c3, c4])
@@ -273,7 +307,7 @@ def _moving_step(net, q, dt, coef, log):
     reduce = np.add.reduce
 
     def advance(k):
-        nonlocal cur, adj, complete
+        nonlocal cur, complete
         # network.pairwise_distances(q), written into the buffers.
         subtract(qa, qb, diff)
         multiply(diff, diff, diff)
@@ -284,13 +318,12 @@ def _moving_step(net, q, dt, coef, log):
             negative(dist, mbuf)
             reduce(dist, axis=1, out=mdiag)
         else:
-            new = proximity_edges(dist, adj, thr)
-            w = np.where(adj | new, dist, 0.0)
+            grown = with_edges(cur, proximity_edges(dist, adjacency(cur), thr))
+            w = np.where(adjacency(grown), dist, 0.0)
             negative(w, mbuf)
             reduce(w, axis=1, out=mdiag)
-            if new.any():
-                cur = with_edges(cur, new)
-                adj = adj | new
+            if grown is not cur:
+                cur = grown
                 complete = is_complete(cur)
                 log.append((k * dt, Laplacian(matrix=mbuf.copy(), source=cur,
                                               time=k * dt)))

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import ConsensusTrajectory, consensus_point, integrate_protocol
-from .errors import (DimensionError, DivergenceError, DomainError, IoError,
-                     ParseError, SwarmError, ValidationError)
+from .errors import (DivergenceError, DomainError, IoError, ParseError,
+                     SwarmError, ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
                       is_complete, pairwise_distances)
 from .numerics import sym_eigen
@@ -433,26 +433,6 @@ def _spectrum_log(laplacian_log):
         w, _ = sym_eigen(lap.matrix)
         out.append((float(t), tuple(float(x) for x in w)))
     return tuple(out)
-
-
-def compare_trajectories(particle, quads):
-    """Build the comparison report for one rendezvous.
-
-    Args:
-        particle: ConsensusTrajectory of the point-mass protocol.
-        quads: list of QuadTrajectory, one per agent, same order.
-
-    Raises:
-        DimensionError: if the counts disagree.
-    """
-    n = particle.states.shape[1]
-    if len(quads) != n:
-        raise DimensionError(
-            f"{len(quads)} quad runs for {n} agents")
-    alpha = consensus_point(particle.states[0])
-    return _report("compare", alpha, particle,
-                   [_agent_report(i, alpha, particle, run)
-                    for i, run in enumerate(quads)])
 
 
 def _agent_report(i, alpha, particle, run):

@@ -1,14 +1,15 @@
 """Communication graphs and their Laplacians.
 
 Vertices are numbered 1..n in the public interface. Edges are unordered
-pairs. Three weight policies are supported: plain 0/1 weights, a fixed
-symmetric weight map, and distance weights that grow edges permanently
-whenever two agents pass within a threshold of each other. That
-proximity rule is written once, in proximity_edges, and every distance
-weight comes from pairwise_distances.
+pairs; a network builds its boolean adjacency matrix once, and every
+graph query below reads it. Three weight policies are supported: plain
+0/1 weights, a fixed symmetric weight map, and distance weights that
+grow edges permanently whenever two agents pass within a threshold of
+each other. That proximity rule is written once, in proximity_edges,
+and every distance weight comes from pairwise_distances.
 """
 
-from collections import deque
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +27,6 @@ class StaticWeights:
     """Fixed positive weight per edge, keyed by (i, j) with i < j."""
 
     weights: dict
-
-    def weight(self, i, j):
-        key = (i, j) if i < j else (j, i)
-        return self.weights[key]
 
 
 @dataclass(frozen=True)
@@ -64,16 +61,32 @@ class Network:
         edges: iterable of (i, j) pairs, 1-indexed, i != j. Order within
             a pair does not matter; duplicates collapse.
         policy: Unweighted (default), StaticWeights, or DistanceWeighted.
+
+    The (n, n) boolean adjacency matrix is built once, on construction,
+    and is read-only; adjacency(net) returns it. Equality, hashing and
+    repr go by n, edges and policy alone.
     """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
     policy: object = field(default_factory=Unweighted)
+    _adj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need at least one vertex, got n={self.n}")
         object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        for i, j in self.edges:
+            adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
+        self._set_adjacency(adj)
+        self._check_policy()
+
+    def _set_adjacency(self, adj):
+        adj.flags.writeable = False
+        object.__setattr__(self, "_adj", adj)
+
+    def _check_policy(self):
         if isinstance(self.policy, StaticWeights):
             for e in self.edges:
                 if e not in self.policy.weights:
@@ -89,16 +102,7 @@ class Network:
 
     def degree(self, i):
         """Number of edges incident to vertex i (1-indexed)."""
-        return sum(1 for (a, b) in self.edges if a == i or b == i)
-
-    def neighbors(self, i):
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
+        return int(np.count_nonzero(self._adj[i - 1]))
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,8 @@ class Laplacian:
 
 
 def adjacency(net):
-    """(n, n) boolean adjacency matrix of a network."""
-    adj = np.zeros((net.n, net.n), dtype=bool)
-    for i, j in net.edges:
-        adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
-    return adj
+    """The network's read-only (n, n) boolean adjacency matrix."""
+    return net._adj
 
 
 def _laplacian_of(a, net, t):
@@ -196,30 +197,24 @@ def proximity_edges(dist, adj, threshold):
 
 
 def with_edges(net, mask):
-    """The network plus the edges marked in an (n, n) boolean mask."""
-    pairs = {(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(mask))}
-    return Network(net.n, net.edges | pairs, net.policy)
+    """The network plus the edges marked in a symmetric (n, n) boolean
+    mask with a clear diagonal, as proximity_edges returns; net itself
+    when the mask marks none.
 
-
-def add_proximity_edges(net, positions):
-    """Grow a distance-weighted network by its proximity rule.
-
-    Any vertex pair strictly closer than the policy threshold becomes an
-    edge (proximity_edges); existing edges are kept regardless of
-    distance. Networks with other policies are returned unchanged.
-
-    Returns:
-        (network, added): the possibly augmented network and whether any
-        new edge appeared.
+    net's edges are checked already and the mask's pairs are in range,
+    so the grown network is not rebuilt edge by edge: it takes net's
+    edges plus the pairs of the mask's upper triangle, and net's
+    adjacency or'ed with the mask. Its policy is checked again.
     """
-    if not isinstance(net.policy, DistanceWeighted):
-        return net, False
-    q = _check_positions(net, positions)
-    new = proximity_edges(pairwise_distances(q), adjacency(net),
-                          net.policy.threshold)
-    if not new.any():
-        return net, False
-    return with_edges(net, new), True
+    if not mask.any():
+        return net
+    i, j = np.nonzero(np.triu(mask))
+    grown = copy.copy(net)
+    object.__setattr__(grown, "edges", net.edges.union(
+        zip((i + 1).tolist(), (j + 1).tolist())))
+    grown._set_adjacency(adjacency(net) | mask)
+    grown._check_policy()
+    return grown
 
 
 def weighted_laplacian_at(net, positions, t=0.0):
@@ -239,32 +234,24 @@ def weighted_laplacian_at(net, positions, t=0.0):
     if not isinstance(net.policy, DistanceWeighted):
         return _fixed_laplacian(net, t)
     dist = pairwise_distances(q)
-    adj = adjacency(net)
-    new = proximity_edges(dist, adj, net.policy.threshold)
-    w = np.where(adj | new, dist, 0.0)
-    return _laplacian_of(w, with_edges(net, new), t)
+    grown = with_edges(
+        net, proximity_edges(dist, adjacency(net), net.policy.threshold))
+    return _laplacian_of(np.where(adjacency(grown), dist, 0.0), grown, t)
 
 
 def is_connected(net):
-    """Breadth-first reachability of every vertex from vertex 1."""
-    if net.n == 1:
-        return True
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u in net.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == net.n
+    """Whether every vertex is reachable from vertex 1, found by
+    breadth-first sweeps over the rows of the adjacency matrix."""
+    adj = adjacency(net)
+    seen = np.zeros(net.n, dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def is_complete(net):
     """Whether every vertex pair is an edge."""
     return len(net.edges) == net.n * (net.n - 1) // 2
-
-
-def fully_connected_vertices(net):
-    """Vertices adjacent to every other vertex, as a set of 1-based ids."""
-    return {i for i in range(1, net.n + 1) if net.degree(i) == net.n - 1}

@@ -1,5 +1,6 @@
 """Unit checks for the agreement-protocol integrator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadswarm import consensus
 from quadswarm.consensus import (closed_form_state, consensus_point,
-                                 convergence_rate, integrate_protocol,
-                                 lyapunov, straightness_residual)
+                                 integrate_protocol, lyapunov,
+                                 start_spectrum, starting_laplacian,
+                                 straightness_residual)
 from quadswarm.errors import DisconnectedError, DivergenceError, DomainError
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                laplacian, weighted_laplacian_at)
-from quadswarm.numerics import sym_eigen
+from quadswarm.numerics import rk4_step, sym_eigen
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
 TREE = Network(4, {(1, 3), (1, 4), (2, 3)})
@@ -119,7 +122,7 @@ class TestIntegrate:
         assert np.max(np.abs(sums - sums[0])) <= 1e-9
 
     def test_disagreement_decays_at_the_spectral_rate(self):
-        lam2 = convergence_rate(laplacian(HUB))
+        lam2 = start_spectrum(HUB, Q0).lambda2
         traj = integrate_protocol(HUB, Q0, 3.0, dt=1e-3, stop_tol=0.0)
         alpha = consensus_point(Q0)
         r0 = np.linalg.norm(Q0 - alpha)
@@ -162,7 +165,7 @@ class TestIntegrate:
         # adds edges, lambda_max grows past 2.785 / dt, and the state
         # overflows; the check at the recorded samples stops the run.
         net, q0 = ring24()
-        lam_max = sym_eigen(weighted_laplacian_at(net, q0).matrix)[0][-1]
+        lam_max = start_spectrum(net, q0).lambda_max
         dt = 0.9 * 2.785 / lam_max
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError,
@@ -289,6 +292,28 @@ class TestMovingNetwork:
         for got, want in zip(traj.states, ref):
             assert np.array_equal(got, want)
 
+    def test_scheme_is_first_order(self):
+        # L(q) is held fixed across each step, so the distance-weighted
+        # scheme is first order, not RK4's fourth: halving dt halves the
+        # error at t = 0.5 against RK4 re-weighting L at every stage.
+        net = Network(4, itertools.combinations(range(1, 5), 2),
+                      DistanceWeighted(threshold=10.0))
+
+        def rate(t, q):
+            return -(weighted_laplacian_at(net, q).matrix @ q)
+
+        ref = Q0.copy()
+        for k in range(5000):
+            ref = rk4_step(rate, ref, k * 1e-4, 1e-4)
+        errs = []
+        for dt in (2e-3, 1e-3, 5e-4):
+            traj = integrate_protocol(net, Q0, 0.5, dt=dt, stride=10**6,
+                                      stop_tol=0.0)
+            assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
+            errs.append(np.max(np.abs(traj.states[-1] - ref)))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 0.9 <= math.log2(coarse / fine) <= 1.1
+
     def test_initial_spectrum_self_consistent(self):
         lap = weighted_laplacian_at(self.net(), Q0)
         w, _ = sym_eigen(lap.matrix)
@@ -312,12 +337,31 @@ class TestDiagnostics:
         assert lyapunov(q, qs) == pytest.approx(0.5 * 4.0, abs=0.0)
 
     def test_convergence_rate_of_hub_graph(self):
-        assert convergence_rate(laplacian(HUB)) == pytest.approx(1.0,
-                                                                 abs=1e-10)
+        assert start_spectrum(HUB, Q0).lambda2 == pytest.approx(1.0,
+                                                                abs=1e-10)
 
     def test_convergence_rate_rejects_disconnected(self):
+        # start_spectrum reports the split graph and its missing gap;
+        # the run's start guard raises.
+        net, q = Network(3, {(1, 2)}), np.zeros((3, 1))
+        spec = start_spectrum(net, q)
+        assert not spec.connected
+        assert spec.lambda2 == pytest.approx(0.0, abs=1e-12)
+        assert isinstance(spec.problem(1e-3), DisconnectedError)
         with pytest.raises(DisconnectedError):
-            convergence_rate(laplacian(Network(3, {(1, 2)})))
+            starting_laplacian(net, q, 1e-3)
+
+    def test_start_guard_eigendecomposes_once(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return sym_eigen(a)
+
+        monkeypatch.setattr(consensus, "sym_eigen", counted)
+        net = Network(4, TREE.edges, DistanceWeighted(threshold=10.0))
+        integrate_protocol(net, Q0, 0.01, dt=1e-3)
+        assert len(calls) == 1
 
     def test_straightness_of_hub_agent(self):
         traj = integrate_protocol(HUB, Q0, 20.0, dt=1e-3, stop_tol=1e-6)

@@ -13,16 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswarm import mission
+from quadswarm import consensus, mission
 from quadswarm.cli import main
 from quadswarm.consensus import ConsensusTrajectory, integrate_protocol
-from quadswarm.errors import (DimensionError, DomainError, GimbalLockError,
-                              InfeasibleError, IoError, ParseError,
-                              SwarmError, ValidationError)
-from quadswarm.mission import (compare_trajectories, export_csv, load_config,
-                               run_mission, _max_cross_track)
+from quadswarm.errors import (DomainError, GimbalLockError, InfeasibleError,
+                              IoError, ParseError, SwarmError,
+                              ValidationError)
+from quadswarm.mission import (export_csv, load_config, run_mission,
+                               _max_cross_track)
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
+from quadswarm.numerics import sym_eigen
 from quadswarm.planner import hover_schedule
 from quadswarm.quad import default_params, hover_state, simulate
 
@@ -145,7 +146,7 @@ class TestLoadConfig:
                             "edges = 1-2\nweights = static\nweight_1_2 = 4.5")
         cfg = load_config(write_cfg(tmp_path, text))
         assert isinstance(cfg.network.policy, StaticWeights)
-        assert cfg.network.policy.weight(2, 1) == 4.5
+        assert cfg.network.policy.weights == {(1, 2): 4.5}
 
     def test_stray_weight_keys_rejected(self, tmp_path):
         text = BASE.replace("edges = 1-2", "edges = 1-2\nweight_1_2 = 4.5")
@@ -157,7 +158,7 @@ class TestLoadConfig:
                             "edges = 1-2\nweights = initial-distance")
         cfg = load_config(write_cfg(tmp_path, text))
         assert isinstance(cfg.network.policy, StaticWeights)
-        assert cfg.network.policy.weight(1, 2) == pytest.approx(
+        assert cfg.network.policy.weights[(1, 2)] == pytest.approx(
             math.sqrt(3.0), abs=1e-12)
 
     def test_distance_weights(self, tmp_path):
@@ -412,15 +413,6 @@ class TestCrossTrack:
         assert _max_cross_track(pts, a, a) == pytest.approx(3.0, abs=1e-12)
 
 
-class TestCompare:
-    def test_count_mismatch(self):
-        net = Network(2, {(1, 2)})
-        q0 = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        particle = integrate_protocol(net, q0, 0.05, dt=1e-2, stop_tol=0.0)
-        with pytest.raises(DimensionError):
-            compare_trajectories(particle, [])
-
-
 class TestRunMission:
     def test_particle_mission_artifacts(self, tmp_path):
         cfg = load_config(scenario_path("scenario_2_4_1"))
@@ -673,6 +665,20 @@ class TestCli:
                                                                abs=1e-4)
         assert "RK4 limit 2.785" in out[1]
         assert "largest stable dt 0.07396" in out[1]
+
+    def test_validate_eigendecomposes_once(self, capsys, monkeypatch):
+        # The FAIL/OK verdict and the printed spectrum come from one
+        # decomposition of L(0).
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return sym_eigen(a)
+
+        for mod in (consensus, mission):
+            monkeypatch.setattr(mod, "sym_eigen", counted)
+        assert main(["validate", str(scenario_path("scenario_2_5_2"))]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name, t_stop", [
         # ln(spread0 / 1e-4) / lambda2 with spread0 and lambda2 of L(0)

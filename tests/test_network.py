@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from quadswarm.errors import DimensionError, DomainError, PolicyError
 from quadswarm.network import (DistanceWeighted, Laplacian, Network,
-                               StaticWeights, Unweighted,
-                               add_proximity_edges, fully_connected_vertices,
-                               is_complete, is_connected, laplacian,
-                               pairwise_distances, proximity_edges,
-                               weighted_laplacian_at)
+                               StaticWeights, adjacency, is_complete,
+                               is_connected, laplacian, pairwise_distances,
+                               proximity_edges, weighted_laplacian_at,
+                               with_edges)
 from quadswarm.numerics import sym_eigen
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
@@ -29,6 +28,23 @@ def random_graph(seed, n):
             if rng.random() < 0.3:
                 edges.add((i, j))
     return Network(n, edges)
+
+
+def edge_list_facts(n, edges):
+    """Degrees, connectivity, completeness and ordered adjacent pairs of
+    the graph on vertices 1..n, from its list of (i, j) pairs alone."""
+    degree = {v: sum(v in e for e in edges) for v in range(1, n + 1)}
+    reached, todo = {1}, [1]
+    while todo:
+        v = todo.pop()
+        for i, j in edges:
+            u = j if i == v else i if j == v else None
+            if u is not None and u not in reached:
+                reached.add(u)
+                todo.append(u)
+    complete = len({frozenset(e) for e in edges}) == n * (n - 1) // 2
+    pairs = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
+    return degree, len(reached) == n, complete, pairs
 
 
 class TestNetwork:
@@ -53,8 +69,9 @@ class TestNetwork:
     def test_degree_and_neighbors(self):
         assert HUB.degree(2) == 3
         assert HUB.degree(1) == 1
-        assert HUB.neighbors(2) == {1, 3, 4}
-        assert HUB.neighbors(1) == {2}
+        adj = adjacency(HUB)
+        assert set(np.flatnonzero(adj[1]) + 1) == {1, 3, 4}
+        assert set(np.flatnonzero(adj[0]) + 1) == {2}
 
     def test_static_weights_validation(self):
         good = StaticWeights({(1, 2): 2.0})
@@ -66,9 +83,46 @@ class TestNetwork:
         with pytest.raises(DomainError):
             Network(2, {(1, 2)}, StaticWeights({(1, 2): 0.0}))
 
+    def test_growing_static_weights_is_refused(self):
+        net = Network(3, {(1, 2)}, StaticWeights({(1, 2): 2.0}))
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 2] = mask[2, 1] = True
+        with pytest.raises(DomainError,
+                           match=r"no weight given for edge \(2, 3\)"):
+            with_edges(net, mask)
+
     def test_static_weight_lookup_is_symmetric(self):
-        pol = StaticWeights({(1, 2): 2.5})
-        assert pol.weight(1, 2) == pol.weight(2, 1) == 2.5
+        net = Network(2, {(2, 1)}, StaticWeights({(1, 2): 2.5}))
+        m = laplacian(net).matrix
+        assert m[0, 1] == m[1, 0] == -2.5
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           n=st.integers(min_value=1, max_value=8),
+           drop=st.sets(st.integers(min_value=0, max_value=27)))
+    def test_one_graph_form_agrees_with_the_edge_list(self, seed, n, drop):
+        # Dropping edges of a connected random graph also gives
+        # disconnected ones; growing it back by with_edges must give the
+        # graph the constructor builds.
+        full = random_graph(seed, n)
+        edges = [e for k, e in enumerate(sorted(full.edges))
+                 if k not in drop]
+        net = Network(n, edges)
+        grown = with_edges(net, adjacency(full) & ~adjacency(net))
+        assert grown == full
+        assert np.array_equal(adjacency(grown), adjacency(full))
+        assert not adjacency(grown).flags.writeable
+        degree, connected, complete, pairs = edge_list_facts(n, edges)
+        assert {v: net.degree(v) for v in range(1, n + 1)} == degree
+        assert is_connected(net) == connected
+        assert is_complete(net) == complete
+        adj = adjacency(net)
+        assert {(i + 1, j + 1) for i, j in zip(*np.nonzero(adj))} == pairs
+        with pytest.raises(ValueError):
+            adj[0, 0] = True
+        twin = Network(n, [(j, i) for i, j in reversed(edges)])
+        assert twin == net and hash(twin) == hash(net)
+        assert "adj" not in repr(net)
 
     def test_distance_policy_threshold_validation(self):
         with pytest.raises(DomainError):
@@ -187,29 +241,24 @@ class TestDistanceWeighting:
     def test_add_proximity_edges(self):
         net = Network(3, set(), DistanceWeighted(threshold=2.0))
         q = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
-        grown, added = add_proximity_edges(net, q)
-        assert added
+        grown = weighted_laplacian_at(net, q).source
         assert grown.edges == frozenset({(1, 2)})
-        again, added2 = add_proximity_edges(grown, q)
-        assert not added2
-        assert again is grown
+        assert weighted_laplacian_at(grown, q).source is grown
 
     def test_add_proximity_edges_noop_for_other_policies(self):
-        same, added = add_proximity_edges(HUB, np.zeros((4, 3)))
-        assert same is HUB and not added
+        assert weighted_laplacian_at(HUB, np.zeros((4, 3))).source is HUB
 
     def test_threshold_is_strict(self):
         net = Network(2, set(), DistanceWeighted(threshold=1.0))
         q = np.array([[0.0, 0.0], [1.0, 0.0]])
-        _, added = add_proximity_edges(net, q)
-        assert not added
+        assert weighted_laplacian_at(net, q).source is net
 
     def test_position_shape_checked(self):
         net = Network(3, set(), DistanceWeighted())
         with pytest.raises(DimensionError):
             weighted_laplacian_at(net, np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            add_proximity_edges(net, np.zeros(3))
+            weighted_laplacian_at(net, np.zeros(3))
 
     def test_static_policy_ignores_positions(self):
         net = Network(2, {(1, 2)}, StaticWeights({(1, 2): 7.0}))
@@ -227,12 +276,6 @@ class TestConnectivity:
         assert not is_connected(Network(4, {(1, 2), (3, 4)}))
         assert not is_connected(Network(2))
 
-    def test_fully_connected_vertices(self):
-        assert fully_connected_vertices(HUB) == {2}
-        assert fully_connected_vertices(TREE) == set()
-        k3 = Network(3, {(1, 2), (1, 3), (2, 3)})
-        assert fully_connected_vertices(k3) == {1, 2, 3}
-
     def test_is_complete(self):
         assert is_complete(Network(1))
         assert is_complete(Network(3, {(1, 2), (1, 3), (2, 3)}))
@@ -242,6 +285,7 @@ class TestConnectivity:
         ring = Network(4, {(1, 2), (2, 3), (3, 4), (1, 4)},
                        DistanceWeighted(threshold=10.0))
         assert not is_complete(ring)
-        grown, added = add_proximity_edges(
-            ring, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-        assert added and is_complete(grown)
+        grown = weighted_laplacian_at(
+            ring, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                            [0.0, 1.0]])).source
+        assert is_complete(grown)
