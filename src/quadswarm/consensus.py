@@ -226,7 +226,7 @@ class StartSpectrum:
 def start_spectrum(net, q):
     """StartSpectrum of net at the (n, r) positions q; raises nothing
     about the graph or its spectrum. One eigendecomposition."""
-    lap = weighted_laplacian_at(net, q, 0.0)
+    lap = weighted_laplacian_at(net, q)
     return StartSpectrum(laplacian=lap, connected=is_connected(lap.source),
                          eigenvalues=sym_eigen(lap.matrix)[0])
 
@@ -325,8 +325,7 @@ def _moving_step(net, q, dt, coef, log):
             if grown is not cur:
                 cur = grown
                 complete = is_complete(cur)
-                log.append((k * dt, Laplacian(matrix=mbuf.copy(), source=cur,
-                                              time=k * dt)))
+                log.append((k * dt, Laplacian(matrix=mbuf.copy(), source=cur)))
         mdot(q, p0)
         mdot(p0, p1)
         mdot(p1, p2)

@@ -284,7 +284,8 @@ def load_config(path):
 
     edges = _parse_edges(cp.get("network", "edges", fallback=""))
     weights = cp.get("network", "weights", fallback="none")
-    threshold = _one_float(cp, "network", "threshold", 10.0)
+    threshold = _one_float(cp, "network", "threshold",
+                           DistanceWeighted.threshold)
     static_map = {}
     for key in cp.options("network"):
         if key.startswith("weight_"):
@@ -329,13 +330,11 @@ def load_config(path):
             if len(vals) != 3:
                 raise ParseError(
                     f"key '{key}': expected 'kind, amount, duration'")
-            kind = vals[0].strip()
-            if kind not in ("hover", "yaw", "vertical", "bodyX", "bodyY"):
-                raise ValidationError(f"'{key}': unknown maneuver {kind!r}")
             amount, duration = _floats(",".join(vals[1:]), key)
-            if not duration > 0.0:
-                raise ValidationError(f"'{key}': duration must be positive")
-            legs.append(ManeuverSpec(kind, amount, duration))
+            try:
+                legs.append(ManeuverSpec(vals[0].strip(), amount, duration))
+            except DomainError as e:
+                raise ValidationError(f"'{key}': {e}") from e
         maneuvers = tuple(legs)
 
     T = _one_float(cp, "mission", "T")
@@ -503,7 +502,8 @@ def run_mission(config, out_dir=None):
     Output goes to <root>/<config.out> where root is the out_dir
     argument, else $SWARM_OUT_DIR, else the working directory. On
     failure, whatever artifacts were already produced stay on disk next
-    to a FAILED marker holding the error text, and the error re-raises.
+    to a FAILED marker holding the error text, and the error re-raises;
+    a flight worker that dies (ChildProcessError) fails the run alike.
 
     Returns:
         ComparisonReport.
@@ -511,7 +511,7 @@ def run_mission(config, out_dir=None):
     dest = _resolve_out(config, out_dir)
     try:
         return _run_mission(config, dest)
-    except SwarmError as e:
+    except (SwarmError, ChildProcessError) as e:
         try:
             (dest / "FAILED").write_text(
                 f"{type(e).__name__}: {e}\n", encoding="utf-8")

@@ -107,11 +107,10 @@ class Network:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """A graph Laplacian snapshot: the matrix, its network, and a time tag."""
+    """A graph Laplacian snapshot: the matrix and its network."""
 
     matrix: np.ndarray
     source: Network
-    time: float = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -134,17 +133,17 @@ def adjacency(net):
     return net._adj
 
 
-def _laplacian_of(a, net, t):
+def _laplacian_of(a, net):
     """Snapshot of the Laplacian of the symmetric edge-weight matrix a."""
-    return Laplacian(matrix=np.diag(a.sum(axis=1)) - a, source=net, time=t)
+    return Laplacian(matrix=np.diag(a.sum(axis=1)) - a, source=net)
 
 
-def _fixed_laplacian(net, t):
+def _fixed_laplacian(net):
     a = adjacency(net).astype(float)
     if isinstance(net.policy, StaticWeights):
         for (i, j), w in net.policy.weights.items():
             a[i - 1, j - 1] = a[j - 1, i - 1] = w
-    return _laplacian_of(a, net, t)
+    return _laplacian_of(a, net)
 
 
 def laplacian(net):
@@ -158,7 +157,7 @@ def laplacian(net):
         raise PolicyError(
             "distance-weighted Laplacian needs positions; "
             "use weighted_laplacian_at")
-    return _fixed_laplacian(net, 0.0)
+    return _fixed_laplacian(net)
 
 
 def _check_positions(net, positions):
@@ -217,7 +216,7 @@ def with_edges(net, mask):
     return grown
 
 
-def weighted_laplacian_at(net, positions, t=0.0):
+def weighted_laplacian_at(net, positions):
     """Laplacian evaluated at the given agent positions.
 
     Unweighted and StaticWeights networks ignore the position values
@@ -228,15 +227,14 @@ def weighted_laplacian_at(net, positions, t=0.0):
 
     Args:
         positions: (n, r) array of agent positions.
-        t: time tag stored on the snapshot.
     """
     q = _check_positions(net, positions)
     if not isinstance(net.policy, DistanceWeighted):
-        return _fixed_laplacian(net, t)
+        return _fixed_laplacian(net)
     dist = pairwise_distances(q)
     grown = with_edges(
         net, proximity_edges(dist, adjacency(net), net.policy.threshold))
-    return _laplacian_of(np.where(adjacency(grown), dist, 0.0), grown, t)
+    return _laplacian_of(np.where(adjacency(grown), dist, 0.0), grown)
 
 
 def is_connected(net):

@@ -36,8 +36,10 @@ from .quad import Controls
 # import together.
 from .quad import simulate
 
-# Rotor speed ceiling used by planning; the integrator itself never clamps.
+# Rotor speed ceiling of every schedule; the integrator itself never clamps.
 OMEGA_MAX = 500.0
+# The bound ControlSchedule.emit checks: OMEGA_MAX up to 1e-9.
+_OMEGA_BOUND = OMEGA_MAX + 1e-9
 
 # Fraction of a translation leg spent in each smoothstep ramp.
 _RAMP_FRACTION = 0.2
@@ -49,12 +51,19 @@ class ManeuverSpec:
 
     kind: 'hover', 'yaw', 'vertical', 'bodyX' or 'bodyY'.
     amount: radians for yaw, meters otherwise (ignored for hover).
-    duration: leg length in seconds.
+    duration: leg length in seconds, positive.
+    Any other kind or duration raises DomainError.
     """
 
     kind: str
     amount: float
     duration: float
+
+    def __post_init__(self):
+        if self.kind not in ("hover", "yaw", "vertical", "bodyX", "bodyY"):
+            raise DomainError(f"unknown maneuver {self.kind!r}")
+        if not self.duration > 0.0:
+            raise DomainError("duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,6 @@ class ControlSchedule:
     """
 
     segments: tuple = ()
-    omega_max: float = OMEGA_MAX
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -109,14 +117,13 @@ class ControlSchedule:
 
     def emit(self, seg, t):
         """Rotor speeds of segment seg at schedule time t, a 4-tuple of
-        floats in [0, omega_max] up to 1e-9, else SaturationError."""
+        floats in [0, OMEGA_MAX] up to 1e-9, else SaturationError."""
         om = seg.law(t - seg.t0)
         # written so that NaN fails the range check too
-        mx = self.omega_max + 1e-9
         for w in om:
-            if not 0.0 <= w <= mx:
+            if not 0.0 <= w <= _OMEGA_BOUND:
                 raise SaturationError(
-                    f"rotor speed {w!r} outside [0, {self.omega_max}] "
+                    f"rotor speed {w!r} outside [0, {OMEGA_MAX}] "
                     f"rad/s at t={t!r}")
         return om
 
@@ -161,15 +168,14 @@ class ControlSchedule:
         return np.array(self.emit(seg, t))
 
     @classmethod
-    def constant(cls, omega, duration, omega_max=OMEGA_MAX):
+    def constant(cls, omega, duration):
         """Hold fixed rotor speeds for the given duration."""
         if not duration > 0.0:
             raise DomainError("duration must be positive")
         om = np.asarray(omega, dtype=float)
         if om.shape != (4,):
             raise DomainError("omega must be a 4-vector")
-        return cls((_held(0.0, float(duration), tuple(om.tolist())),),
-                   omega_max)
+        return cls((_held(0.0, float(duration), tuple(om.tolist())),))
 
 
 def _held(t0, t1, om):
@@ -177,7 +183,7 @@ def _held(t0, t1, om):
     return Segment(t0, t1, lambda tl: om, om)
 
 
-def chain_schedules(parts, omega_max=OMEGA_MAX):
+def chain_schedules(parts):
     """Concatenate schedules back to back into one."""
     segs = []
     offset = 0.0
@@ -185,27 +191,27 @@ def chain_schedules(parts, omega_max=OMEGA_MAX):
         for seg in part.segments:
             segs.append(replace(seg, t0=offset + seg.t0, t1=offset + seg.t1))
         offset += part.total_duration
-    return ControlSchedule(tuple(segs), omega_max)
+    return ControlSchedule(tuple(segs))
 
 
 def hover_controls(p):
     """Rotor speeds that balance gravity exactly at level attitude.
 
-    No ceiling applies here: a schedule checks its speeds against its
-    omega_max in ControlSchedule.emit, as hover_schedule does.
+    No ceiling applies here: a schedule checks its speeds against
+    OMEGA_MAX in ControlSchedule.emit, as hover_schedule does.
     """
     w = math.sqrt(p.m * p.g / (4.0 * p.Kr))
     return Controls(omega=np.array([w, w, w, w]))
 
 
-def hover_schedule(p, duration, omega_max=OMEGA_MAX):
+def hover_schedule(p, duration):
     """Hold a level hover for the given duration.
 
     Raises:
-        SaturationError: the hover speed is above omega_max.
+        SaturationError: the hover speed is above OMEGA_MAX.
     """
     return _feasible(ControlSchedule.constant(
-        hover_controls(p).omega, duration, omega_max))
+        hover_controls(p).omega, duration))
 
 
 @contextmanager
@@ -220,20 +226,20 @@ def _natural_amplitude():
         ) from exc
 
 
-def _feasible(sched, samples=2001):
-    """Return sched once each segment has emitted in range on a dense
-    grid, or once at its start if it is constant, else raise emit's
+def _feasible(sched):
+    """Return sched once each segment has emitted in range on a grid of
+    2001 points, or once at its start if it is constant, else raise emit's
     SaturationError; under _natural_amplitude that is a plan failure."""
     for seg in sched.segments:
         if seg.constant is not None:
             sched.emit(seg, seg.t0)
             continue
-        for t in np.linspace(seg.t0, seg.t1, samples).tolist():
+        for t in np.linspace(seg.t0, seg.t1, 2001).tolist():
             sched.emit(seg, t)
     return sched
 
 
-def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX):
+def yaw_schedule(p, delta_psi, duration):
     """Turn in place through delta_psi radians.
 
     Rotors hold omega1 = omega3 and omega2 = omega4 with the thrust sum
@@ -244,7 +250,7 @@ def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX):
 
     Raises:
         InfeasibleError: required torque drives a rotor outside
-            [0, omega_max].
+            [0, OMEGA_MAX].
     """
     if not duration > 0.0:
         raise DomainError("duration must be positive")
@@ -271,10 +277,10 @@ def yaw_schedule(p, delta_psi, duration, omega_max=OMEGA_MAX):
 
     with _natural_amplitude():
         return _feasible(
-            ControlSchedule((Segment(0.0, duration, law),), omega_max))
+            ControlSchedule((Segment(0.0, duration, law),)))
 
 
-def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX):
+def vertical_schedule(p, dz, duration):
     """Climb (or descend) dz meters, ending level and at rest.
 
     All four rotors stay equal, so no torque is ever produced; thrust
@@ -301,7 +307,7 @@ def vertical_schedule(p, dz, duration, omega_max=OMEGA_MAX):
 
     with _natural_amplitude():
         return _feasible(
-            ControlSchedule((Segment(0.0, duration, law),), omega_max))
+            ControlSchedule((Segment(0.0, duration, law),)))
 
 
 def _smoothstep_ramp(peak, width, rising):
@@ -331,8 +337,7 @@ def _smoothstep_ramp(peak, width, rising):
     return profile
 
 
-def axis_translation_schedule(p, axis, distance, duration,
-                              omega_max=OMEGA_MAX):
+def axis_translation_schedule(p, axis, distance, duration):
     """Translate along body x or body y, from a level hover to a level
     hover.
 
@@ -372,7 +377,7 @@ def axis_translation_schedule(p, axis, distance, duration,
 
     Raises:
         InfeasibleError: the profile needs a tilt of pi/4 or more,
-            rotor speeds would leave [0, omega_max], thrust would have
+            rotor speeds would leave [0, OMEGA_MAX], thrust would have
             to vanish, or there is no gravity to tilt against.
     """
     if axis not in ("bodyX", "bodyY"):
@@ -464,22 +469,18 @@ def axis_translation_schedule(p, axis, distance, duration,
             (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
              _held(ramp, duration - ramp, cruise),
              Segment(duration - ramp, duration,
-                     lambda tl: rotors(*down(tl)))),
-            omega_max))
+                     lambda tl: rotors(*down(tl))))))
 
 
-def schedule_for(p, spec, omega_max=OMEGA_MAX):
+def schedule_for(p, spec):
     """Build the schedule for one ManeuverSpec."""
     if spec.kind == "hover":
-        return hover_schedule(p, spec.duration, omega_max)
+        return hover_schedule(p, spec.duration)
     if spec.kind == "yaw":
-        return yaw_schedule(p, spec.amount, spec.duration, omega_max)
+        return yaw_schedule(p, spec.amount, spec.duration)
     if spec.kind == "vertical":
-        return vertical_schedule(p, spec.amount, spec.duration, omega_max)
-    if spec.kind in ("bodyX", "bodyY"):
-        return axis_translation_schedule(
-            p, spec.kind, spec.amount, spec.duration, omega_max)
-    raise DomainError(f"unknown maneuver kind {spec.kind!r}")
+        return vertical_schedule(p, spec.amount, spec.duration)
+    return axis_translation_schedule(p, spec.kind, spec.amount, spec.duration)
 
 
 def leg_durations(start_b, start_yaw, target):
@@ -517,7 +518,7 @@ def require_level_hover(start):
         raise DomainError("rendezvous legs start from a level hover")
 
 
-def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX):
+def rendezvous_leg(p, start, target):
     """Plan the full flight from a level hover to a target point.
 
     Climbs or descends to the target altitude, yaws toward the target
@@ -535,5 +536,4 @@ def rendezvous_leg(p, start, target, omega_max=OMEGA_MAX):
 
     specs = (leg_durations(start.b, start.angles[2], target)
              or [ManeuverSpec("hover", 0.0, 2.0)])
-    parts = [schedule_for(p, spec, omega_max) for spec in specs]
-    return chain_schedules(parts, omega_max)
+    return chain_schedules([schedule_for(p, spec) for spec in specs])

@@ -243,7 +243,7 @@ class TestMovingNetwork:
         for t, lap in traj.laplacian_log:
             k = int(np.argmin(np.abs(ts - t)))
             assert abs(ts[k] - t) <= 1e-12
-            fresh = weighted_laplacian_at(lap.source, traj.states[k], t)
+            fresh = weighted_laplacian_at(lap.source, traj.states[k])
             assert np.array_equal(fresh.matrix, lap.matrix)
 
     @pytest.mark.parametrize("case", ["tree4", "planar4", "line4",

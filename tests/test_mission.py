@@ -223,7 +223,12 @@ agent1 = 0, 0, 0
 [maneuvers]
 leg1 = teleport, 1.0, 2.0
 """
-        with pytest.raises(ValidationError, match="teleport"):
+        with pytest.raises(ValidationError,
+                           match="^'leg1': unknown maneuver 'teleport'$"):
+            load_config(write_cfg(tmp_path, text))
+        text = text.replace("teleport, 1.0, 2.0", "hover, 0, 0")
+        with pytest.raises(ValidationError,
+                           match="^'leg1': duration must be positive$"):
             load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize("name, old, new, key", [
@@ -619,10 +624,12 @@ class TestParallelFlights:
         monkeypatch.setattr(mission, "simulate", simulate)
         monkeypatch.setattr(mission, "_usable_cpus", lambda: 3)
         cfg = load_config(scenario_path("scenario_4_2_2"))
-        with pytest.raises(ChildProcessError, match="wait status 768"):
+        with pytest.raises(ChildProcessError, match="wait status 768") as err:
             run_mission(cfg, out_dir=tmp_path)
         assert_no_child_left()
         assert not list((tmp_path / cfg.out).glob("quad_agent*"))
+        assert (tmp_path / cfg.out / "FAILED").read_text(encoding="utf-8") \
+            == f"ChildProcessError: {err.value}\n"
 
     def test_interrupt_kills_and_reaps_workers(self, tmp_path, monkeypatch):
         parent = os.getpid()

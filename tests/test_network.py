@@ -205,7 +205,7 @@ class TestDistanceWeighting:
     def test_weighted_laplacian_matches_hand_computation(self):
         net = Network(3, {(1, 2)}, DistanceWeighted(threshold=2.0))
         q = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]])
-        lap = weighted_laplacian_at(net, q, t=1.5)
+        lap = weighted_laplacian_at(net, q)
         # Pair (2,3) sits at distance 1 < threshold and becomes an edge;
         # (1,2) keeps weight 5 from its current distance.
         expect = np.array([
@@ -214,7 +214,6 @@ class TestDistanceWeighting:
             [0.0, -1.0, 1.0],
         ])
         assert np.allclose(lap.matrix, expect, atol=1e-12)
-        assert lap.time == 1.5
         assert lap.source.edges == frozenset({(1, 2), (2, 3)})
 
     def test_pairwise_distances(self):
@@ -262,7 +261,7 @@ class TestDistanceWeighting:
 
     def test_static_policy_ignores_positions(self):
         net = Network(2, {(1, 2)}, StaticWeights({(1, 2): 7.0}))
-        lap = weighted_laplacian_at(net, np.zeros((2, 3)), t=2.0)
+        lap = weighted_laplacian_at(net, np.zeros((2, 3)))
         assert np.array_equal(lap.matrix, [[7.0, -7.0], [-7.0, 7.0]])
 
 

@@ -90,8 +90,7 @@ class TestControlSchedule:
             ControlSchedule((Segment(0.0, 0.0, law),))
 
     def test_emission_bounds_enforced(self):
-        high = ControlSchedule.constant(np.full(4, 200.0), 1.0,
-                                        omega_max=150.0)
+        high = ControlSchedule.constant(np.full(4, 600.0), 1.0)
         with pytest.raises(SaturationError):
             high.omega_at(0.5)
         negative = ControlSchedule(
@@ -105,6 +104,29 @@ class TestControlSchedule:
             nan = ControlSchedule((Segment(0.0, 1.0, lambda tl: om),))
             with pytest.raises(SaturationError):
                 nan.omega_at(0.5)
+
+    def test_ceiling_allows_rounding_only(self):
+        at = ControlSchedule.constant((OMEGA_MAX + 1e-9,) * 4, 1.0)
+        assert np.array_equal(at.omega_at(0.5), [OMEGA_MAX + 1e-9] * 4)
+        over = ControlSchedule.constant((OMEGA_MAX + 1e-6,) * 4, 1.0)
+        with pytest.raises(SaturationError,
+                           match=r"outside \[0, 500\.0\] rad/s at t=0\.5$"):
+            over.omega_at(0.5)
+
+    def test_chained_route_holds_the_ceiling(self):
+        # a chain of schedule_for legs emits under OMEGA_MAX, whatever
+        # part it is built from, in flight as in planning
+        hover = schedule_for(P, ManeuverSpec("hover", 0.0, 1.0))
+        over = ControlSchedule.constant((OMEGA_MAX + 1e-6,) * 4, 1.0)
+        route = chain_schedules([hover, over])
+        assert np.array_equal(route.omega_at(0.5), [HOVER_W] * 4)
+        with pytest.raises(SaturationError, match=r"at t=1\.0$"):
+            route.omega_at(1.0)
+        with pytest.raises(SaturationError, match=r"outside \[0, 500\.0\]"):
+            simulate(hover_state(), route, P, 2.0)
+        with pytest.raises(InfeasibleError,
+                           match=r"outside \[0, 500\.0\] rad/s at t=0\.194$"):
+            schedule_for(P, ManeuverSpec("vertical", 60.0, 2.0))
 
     def test_breakpoints_are_interior_junctions(self):
         parts = [hover_schedule(P, 1.0), hover_schedule(P, 2.0),
@@ -227,9 +249,10 @@ class TestHover:
                                                             abs=1e-12)
 
     def test_hover_saturation(self):
-        # the schedule's emit holds the ceiling, at planning time
-        with pytest.raises(SaturationError):
-            hover_schedule(P, 1.0, omega_max=100.0)
+        # the schedule's emit holds the ceiling, at planning time: a
+        # 4 kg vehicle hovers at 573.35 rad/s, above OMEGA_MAX
+        with pytest.raises(SaturationError, match=r"rotor speed 573\.35"):
+            hover_schedule(replace(P, m=4.0), 1.0)
 
     def test_hover_schedule_holds_position(self):
         traj = simulate(hover_state(), hover_schedule(P, 0.5), P, 0.5)

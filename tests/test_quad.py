@@ -336,12 +336,13 @@ class TestSimulate:
         assert "t=" in str(err.value)
 
     def test_overflowing_rotor_speeds_diverge(self):
-        # Squared speeds overflow to inf, the torques to inf - inf =
+        # Thrusts Kr omega^2 overflow to inf, the torques to inf - inf =
         # NaN, and NaN pitch passes the gimbal check: the run stops at
         # its first recorded sample instead of integrating NaN.
-        sched = ControlSchedule.constant((1e200,) * 4, 1.0, omega_max=1e200)
+        sched = ControlSchedule.constant((500.0,) * 4, 1.0)
         with pytest.raises(DivergenceError, match=r"t=0\.010000"):
-            simulate(hover_state(), sched, P, 1.0, dt=1e-3, stride=10)
+            simulate(hover_state(), sched, replace(P, Kr=1e305), 1.0,
+                     dt=1e-3, stride=10)
 
     def test_input_validation(self):
         sched = hover_schedule(P, 1.0)
