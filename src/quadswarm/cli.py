@@ -6,7 +6,8 @@
 
 Exit codes: 0 on success, 2 for config parse or validation problems,
 1 for any other failure. validate also exits 2, after a FAIL: line,
-for a config whose run could not start its protocol. The output root
+for a config whose run could not start its protocol or plan its
+scripted [maneuvers]. The output root
 defaults to $SWARM_OUT_DIR (falling back to the working directory);
 --out overrides it.
 """
@@ -23,6 +24,7 @@ from .consensus import consensus_point, start_spectrum
 from .errors import ParseError, SwarmError, ValidationError
 from .mission import integrates_protocol, load_config, run_mission
 from .network import DistanceWeighted
+from .planner import plan
 
 
 def _build_parser():
@@ -80,6 +82,11 @@ def _cmd_validate(args):
     spec = start_spectrum(net, config.agents[:, :3])
     # the checks integrate_protocol makes on L(0), for a run that has one
     problem = spec.problem(config.dt) if integrates_protocol(config) else None
+    if config.maneuvers:
+        try:
+            plan(config.params, config.maneuvers)
+        except SwarmError as e:
+            problem = e
     if problem is None:
         print(f"OK: mode={config.mode} agents={net.n} "
               f"edges={len(net.edges)} policy={type(net.policy).__name__}")

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pickle
+import re
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -24,17 +25,31 @@ from .errors import (DivergenceError, DomainError, IoError, ParseError,
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
                       is_complete, pairwise_distances)
 from .numerics import sym_eigen
-from .planner import (ManeuverSpec, chain_schedules, rendezvous_leg,
-                      require_level_hover, schedule_for)
+from .planner import (ManeuverSpec, plan, rendezvous_route,
+                      require_level_hover)
+# Unused by mission: perfbench/spans.py wraps these two bindings, and the
+# next benchmark change removes that wrapper and these imports together.
+from .planner import rendezvous_leg, schedule_for
 from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
                    simulate)
 
 _MODES = ("particle", "quad", "compare")
 
-_MISSION_KEYS = {"mode", "T", "dt", "stride", "stop_tol", "out"}
-_NETWORK_KEYS = {"n", "edges", "weights", "threshold"}
-_PARAM_KEYS = {"m", "J", "Jr_bar", "d", "Kr", "Kd", "CD", "Ctau", "g"}
-_SECTIONS = {"mission", "network", "agents", "params", "maneuvers"}
+# Each section's named keys, and the pattern of its numbered keys,
+# whose numbers are >= 1 and written as str(int) writes them, so that
+# every key has one spelling.
+_KEYS = {
+    "mission": {"mode", "T", "dt", "stride", "stop_tol", "out"},
+    "network": {"n", "edges", "weights", "threshold"},
+    "agents": set(),
+    "params": {"m", "J", "Jr_bar", "d", "Kr", "Kd", "CD", "Ctau", "g"},
+    "maneuvers": set(),
+}
+_NUMBERED = {
+    "network": re.compile("weight_([1-9][0-9]*)_([1-9][0-9]*)"),
+    "agents": re.compile("agent([1-9][0-9]*)"),
+    "maneuvers": re.compile("leg([1-9][0-9]*)"),
+}
 
 
 @dataclass(frozen=True)
@@ -190,6 +205,13 @@ def _one_int(cp, section, key, default=None):
             f"key '{key}' in [{section}]: not an integer: {raw!r}") from None
 
 
+def _numbers(section, key):
+    """The numbers of a numbered key of section, e.g. (1, 2) for
+    weight_1_2 in [network], or None for any other key."""
+    m = section in _NUMBERED and _NUMBERED[section].fullmatch(key)
+    return tuple(int(x) for x in m.groups()) if m else None
+
+
 def _parse_edges(text):
     edges = []
     text = text.strip()
@@ -234,26 +256,11 @@ def load_config(path):
         raise ParseError(str(e)) from None
 
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ParseError(f"unknown section [{section}]")
-    for section, allowed in (("mission", _MISSION_KEYS),
-                             ("params", _PARAM_KEYS)):
-        if cp.has_section(section):
-            for key in cp.options(section):
-                if key not in allowed:
-                    raise ParseError(f"unknown key '{key}' in [{section}]")
-    if cp.has_section("network"):
-        for key in cp.options("network"):
-            if key not in _NETWORK_KEYS and not key.startswith("weight_"):
-                raise ParseError(f"unknown key '{key}' in [network]")
-    if cp.has_section("agents"):
-        for key in cp.options("agents"):
-            if not key.startswith("agent"):
-                raise ParseError(f"unknown key '{key}' in [agents]")
-    if cp.has_section("maneuvers"):
-        for key in cp.options("maneuvers"):
-            if not key.startswith("leg"):
-                raise ParseError(f"unknown key '{key}' in [maneuvers]")
+        for key in cp.options(section):
+            if key not in _KEYS[section] and not _numbers(section, key):
+                raise ParseError(f"unknown key '{key}' in [{section}]")
 
     for required in ("mission", "network", "agents"):
         if not cp.has_section(required):
@@ -277,8 +284,7 @@ def load_config(path):
                 f"'{key}' needs 3 or 6 numbers, got {len(vals)}")
         agents.append(vals)
     for key in cp.options("agents"):
-        idx = key[len("agent"):]
-        if not idx.isdigit() or not 1 <= int(idx) <= n:
+        if _numbers("agents", key)[0] > n:
             raise ParseError(f"unknown key '{key}' in [agents]")
     agents = np.array(agents)
 
@@ -288,14 +294,13 @@ def load_config(path):
                            DistanceWeighted.threshold)
     static_map = {}
     for key in cp.options("network"):
-        if key.startswith("weight_"):
-            parts = key.split("_")
-            if len(parts) != 3 or not (parts[1].isdigit()
-                                       and parts[2].isdigit()):
-                raise ParseError(f"unknown key '{key}' in [network]")
-            i, j = int(parts[1]), int(parts[2])
-            static_map[(min(i, j), max(i, j))] = _one_float(
-                cp, "network", key)
+        ij = _numbers("network", key)
+        if ij:
+            edge = (min(ij), max(ij))
+            if edge in static_map:
+                raise ParseError(f"key '{key}' in [network] repeats the "
+                                 f"weight of edge {edge[0]}-{edge[1]}")
+            static_map[edge] = _one_float(cp, "network", key)
 
     if weights == "none":
         policy = Unweighted()
@@ -325,7 +330,7 @@ def load_config(path):
     if cp.has_section("maneuvers") and cp.options("maneuvers"):
         legs = []
         for key in sorted(cp.options("maneuvers"),
-                          key=lambda k: (len(k), k)):
+                          key=lambda k: _numbers("maneuvers", k)):
             vals = cp.get("maneuvers", key).split(",")
             if len(vals) != 3:
                 raise ParseError(
@@ -527,11 +532,9 @@ def _run_mission(config, dest):
     alpha = None
     particle = None
     if config.maneuvers:
-        scripted = chain_schedules([schedule_for(config.params, spec)
-                                    for spec in config.maneuvers])
+        routes = [config.maneuvers]
     else:
         alpha = consensus_point(positions)
-        complete = is_complete(net)
         if integrates_protocol(config):
             particle = integrate_protocol(
                 net, positions, config.T, config.dt, config.stride,
@@ -540,52 +543,44 @@ def _run_mission(config, dest):
             export_csv(particle, dest / "particle.csv")
         # Complete graphs rendezvous exactly at the agreement point;
         # other connected graphs get each drone's own protocol endpoint
-        # as its flight target.
-        targets = [alpha] * n if complete else list(particle.states[-1])
+        # as its flight target. Particle mode flies no drone, so its
+        # starts need not be level hovers and it gets no route.
+        if config.mode != "particle":
+            targets = [alpha] * n if is_complete(net) else particle.states[-1]
+            routes = [rendezvous_route(_quad_start(config, i), targets[i])
+                      for i in range(n)]
 
     # the protocol run reported on; a quad run reports none
     reported = None if config.mode == "quad" else particle
     if config.mode == "particle":
         agents = [_agent_report(i, alpha, particle, None) for i in range(n)]
     else:
-        agents = _fly_agents(config, [
-            scripted if config.maneuvers else _planned(config, i, targets[i])
-            for i in range(n)], alpha, reported, dest)
+        agents = _fly_agents(config, routes, alpha, reported, dest)
 
     report = _report(config.mode, alpha, reported, agents)
     _write_report(report, dest)
     return report
 
 
-def _planned(config, i, target):
-    """Agent i's rendezvous leg, or the error planning it raised."""
-    try:
-        return rendezvous_leg(config.params, _quad_start(config, i), target)
-    except Exception as e:
-        return e
+def _fly_agents(config, routes, alpha, particle, dest):
+    """Plan and fly agent i along routes[i], a tuple of ManeuverSpec,
+    write its CSV and return the AgentReports in agent order, as a
+    serial loop over the agents would.
 
-
-def _fly_agents(config, scheds, alpha, particle, dest):
-    """Fly agent i through scheds[i], write its CSV and return the
-    AgentReports in agent order, as a serial loop over the agents would.
-
-    The flights are independent, so the agents before the first one
-    whose planning failed (scheds[i] is then the error) are spread over
-    W = min(usable CPUs, agents) lanes by flight time. Lane 0 flies in
-    this process, every other lane in a forked child. The CSVs are
-    written in agent order up to the first agent that failed, in
-    planning or in flight, and that agent's error is raised, so the
-    artifacts and the error are those of the serial loop. W = 1 forks
-    nothing.
+    The flights are independent, so they are spread over W = min(usable
+    CPUs, agents) lanes by flight time, the sum of the route's leg
+    durations. Lane 0 plans and flies in this process, every other lane
+    in a forked child. The CSVs are written in agent order up to the
+    first agent that failed, in planning or in flight, and that agent's
+    error is raised, so the artifacts and the error are those of the
+    serial loop. W = 1 forks nothing.
     """
-    planned = next((i for i, s in enumerate(scheds)
-                    if isinstance(s, Exception)), len(scheds))
-    width = min(_usable_cpus(), planned) if hasattr(os, "fork") else 1
-    lanes = _lpt_lanes([s.total_duration for s in scheds[:planned]],
-                       max(width, 1))
+    width = min(_usable_cpus(), len(routes)) if hasattr(os, "fork") else 1
+    lanes = _lpt_lanes(
+        [sum(spec.duration for spec in route) for route in routes], width)
 
     def fly(lane):
-        return _fly_lane(config, lane, scheds, alpha, particle)
+        return _fly_lane(config, lane, routes, alpha, particle)
 
     flown = {}
     workers = []    # (pid, pipe) of every child not yet reaped
@@ -612,8 +607,8 @@ def _fly_agents(config, scheds, alpha, particle, dest):
             os.waitpid(pid, 0)
 
     agents = []
-    for i in range(len(scheds)):
-        out = flown.get(i, scheds[i])
+    for i in range(len(routes)):
+        out = flown[i]
         if isinstance(out, Exception):
             raise out
         text, agent = out
@@ -635,16 +630,17 @@ def _lpt_lanes(durations, width):
     return [sorted(lane) for lane in lanes]
 
 
-def _fly_lane(config, lane, scheds, alpha, particle):
-    """Fly the agents of one lane in index order; returns {agent:
-    (CSV text, AgentReport)}, ending at the lane's first failed agent,
-    which maps to its error: no later agent of the lane can matter."""
+def _fly_lane(config, lane, routes, alpha, particle):
+    """Plan and fly the agents of one lane in index order; returns
+    {agent: (CSV text, AgentReport)}, ending at the lane's first agent
+    that failed, in planning or in flight, which maps to its error: no
+    later agent of the lane can matter."""
     flown = {}
     for i in lane:
         try:
-            run = simulate(_quad_start(config, i), scheds[i], config.params,
-                           scheds[i].total_duration, config.dt,
-                           config.stride)
+            sched = plan(config.params, routes[i])
+            run = simulate(_quad_start(config, i), sched, config.params,
+                           sched.total_duration, config.dt, config.stride)
             flown[i] = ("".join(_csv_lines(run)),
                         _agent_report(i, alpha, particle, run))
         except Exception as e:

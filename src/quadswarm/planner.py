@@ -483,30 +483,10 @@ def schedule_for(p, spec):
     return axis_translation_schedule(p, spec.kind, spec.amount, spec.duration)
 
 
-def leg_durations(start_b, start_yaw, target):
-    """Durations and amounts of the legs from one hover to a target point.
-
-    Returns a list of ManeuverSpec: an optional vertical leg, an
-    optional yaw leg toward the target bearing, and an optional bodyX
-    run. Durations scale with the motion (never below 2 s per leg).
-    """
-    dz = target[2] - start_b[2]
-    dxy = math.hypot(target[0] - start_b[0], target[1] - start_b[1])
-    specs = []
-    if abs(dz) > 1e-9:
-        specs.append(ManeuverSpec("vertical", dz, max(2.0, 0.8 * abs(dz))))
-    if dxy > 1e-9:
-        bearing = math.atan2(target[1] - start_b[1], target[0] - start_b[0])
-        dpsi = math.remainder(bearing - start_yaw, 2.0 * math.pi)
-        if abs(dpsi) > 1e-9:
-            specs.append(ManeuverSpec(
-                "yaw", dpsi, max(2.0, 8.0 * abs(dpsi) / math.pi)))
-        # Short hops need gentle ramps too: the tilt the inversion asks
-        # for scales like dxy / T^2, so the duration floor must grow
-        # with sqrt(dxy) until the linear cruise rule takes over.
-        specs.append(ManeuverSpec(
-            "bodyX", dxy, max(2.0, 0.8 * dxy, 2.2 * math.sqrt(dxy))))
-    return specs
+def plan(p, route):
+    """The schedule that flies a route, a sequence of ManeuverSpec, leg
+    after leg."""
+    return chain_schedules([schedule_for(p, spec) for spec in route])
 
 
 def require_level_hover(start):
@@ -518,12 +498,15 @@ def require_level_hover(start):
         raise DomainError("rendezvous legs start from a level hover")
 
 
-def rendezvous_leg(p, start, target):
-    """Plan the full flight from a level hover to a target point.
+def rendezvous_route(start, target):
+    """The legs from a level hover to a target point, a tuple of
+    ManeuverSpec.
 
     Climbs or descends to the target altitude, yaws toward the target
-    bearing, then translates along body x. A vehicle already at the
-    target holds a 2 s hover, leg_durations' shortest leg.
+    bearing, then translates along body x; each leg is left out when
+    its motion is within 1e-9. Durations scale with the motion (never
+    below 2 s per leg), so a vehicle already at the target holds one
+    2 s hover.
 
     Args:
         start: QuadState at level hover (require_level_hover).
@@ -533,7 +516,27 @@ def rendezvous_leg(p, start, target):
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise DomainError(f"target must be a 3-vector, got {target.shape}")
+    b = start.b
+    dz = target[2] - b[2]
+    dxy = math.hypot(target[0] - b[0], target[1] - b[1])
+    route = []
+    if abs(dz) > 1e-9:
+        route.append(ManeuverSpec("vertical", dz, max(2.0, 0.8 * abs(dz))))
+    if dxy > 1e-9:
+        bearing = math.atan2(target[1] - b[1], target[0] - b[0])
+        dpsi = math.remainder(bearing - start.angles[2], 2.0 * math.pi)
+        if abs(dpsi) > 1e-9:
+            route.append(ManeuverSpec(
+                "yaw", dpsi, max(2.0, 8.0 * abs(dpsi) / math.pi)))
+        # Short hops need gentle ramps too: the tilt the inversion asks
+        # for scales like dxy / T^2, so the duration floor must grow
+        # with sqrt(dxy) until the linear cruise rule takes over.
+        route.append(ManeuverSpec(
+            "bodyX", dxy, max(2.0, 0.8 * dxy, 2.2 * math.sqrt(dxy))))
+    return tuple(route) or (ManeuverSpec("hover", 0.0, 2.0),)
 
-    specs = (leg_durations(start.b, start.angles[2], target)
-             or [ManeuverSpec("hover", 0.0, 2.0)])
-    return chain_schedules([schedule_for(p, spec) for spec in specs])
+
+def rendezvous_leg(p, start, target):
+    """Plan the full flight from a level hover to a target point: the
+    schedule of rendezvous_route(start, target)."""
+    return plan(p, rendezvous_route(start, target))

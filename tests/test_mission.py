@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from quadswarm import consensus, mission
 from quadswarm.cli import main
-from quadswarm.consensus import ConsensusTrajectory, integrate_protocol
+from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
+                                 integrate_protocol)
 from quadswarm.errors import (DomainError, GimbalLockError, InfeasibleError,
                               IoError, ParseError, SwarmError,
                               ValidationError)
@@ -24,7 +25,7 @@ from quadswarm.mission import (export_csv, load_config, run_mission,
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
 from quadswarm.numerics import sym_eigen
-from quadswarm.planner import hover_schedule
+from quadswarm.planner import hover_schedule, rendezvous_route
 from quadswarm.quad import default_params, hover_state, simulate
 
 from conftest import scenario_path
@@ -151,6 +152,38 @@ class TestLoadConfig:
     def test_stray_weight_keys_rejected(self, tmp_path):
         text = BASE.replace("edges = 1-2", "edges = 1-2\nweight_1_2 = 4.5")
         with pytest.raises(ValidationError, match="static"):
+            load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("text, after, section, key", [
+        (BASE, "agent2 = 1, 1, 1", "agents", "agent02"),
+        (BASE, "agent2 = 1, 1, 1", "agents", "agent0"),
+        (BASE, "agent2 = 1, 1, 1", "agents", "agent\u00b2"),
+        (BASE, "weight_1_2 = 2", "network", "weight_01_02"),
+        (BASE, "weight_1_2 = 2", "network", "weight_1_0"),
+        (SCRIPTED_CLIMB, "leg1 = vertical, 1.0, 2.0", "maneuvers", "leg01"),
+        (SCRIPTED_CLIMB, "leg1 = vertical, 1.0, 2.0", "maneuvers", "legacy"),
+    ], ids=["agent02", "agent0", "agent-superscript", "weight_01_02",
+            "weight_1_0", "leg01", "legacy"])
+    def test_numbered_keys_have_one_spelling(self, tmp_path, text, after,
+                                             section, key):
+        """agent<k>, leg<k> and weight_<i>_<j> load only with each
+        number >= 1 and written as str(int) writes it; any other
+        spelling is an unknown key, not a silent twin of the real one."""
+        text = text.replace(
+            "edges = 1-2", "edges = 1-2\nweights = static\nweight_1_2 = 2")
+        assert after in text
+        path = write_cfg(tmp_path, text.replace(
+            after, f"{after}\n{key} = " + after.split(" = ")[1]))
+        with pytest.raises(ParseError,
+                           match=f"^unknown key '{key}' in \\[{section}\\]$"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 2
+
+    def test_an_edge_weight_is_given_once(self, tmp_path):
+        text = BASE.replace("edges = 1-2", "edges = 1-2\nweights = static\n"
+                            "weight_1_2 = 2\nweight_2_1 = 7")
+        with pytest.raises(ParseError, match="^key 'weight_2_1' in "
+                           r"\[network\] repeats the weight of edge 1-2$"):
             load_config(write_cfg(tmp_path, text))
 
     def test_initial_distance_weights(self, tmp_path):
@@ -595,23 +628,52 @@ class TestParallelFlights:
 
     def test_planning_failure_keeps_earlier_agents(self, tmp_path,
                                                    monkeypatch):
-        real = mission.rendezvous_leg
-
-        def rendezvous_leg(params, start, target):
-            if agent_of(start) == 2:
-                raise InfeasibleError("agent 2")
-            return real(params, start, target)
-
-        monkeypatch.setattr(mission, "rendezvous_leg", rendezvous_leg)
-        monkeypatch.setattr(mission, "_usable_cpus", lambda: 3)
+        # agent 2 is planned in a worker lane from 2 lanes on, and in
+        # this process on one
         cfg = load_config(scenario_path("scenario_4_2_2"))
-        with pytest.raises(InfeasibleError):
-            run_mission(cfg, out_dir=tmp_path)
-        assert_no_child_left()
-        dest = tmp_path / cfg.out
-        assert sorted(p.name for p in dest.iterdir()) \
-            == ["FAILED", "particle.csv", "quad_agent1.csv"]
-        assert (dest / "FAILED").read_text() == "InfeasibleError: agent 2\n"
+        routes = self._routes(cfg)
+        real = mission.plan
+
+        def plan(params, route):
+            if route == routes[1]:
+                raise InfeasibleError("agent 2")
+            return real(params, route)
+
+        monkeypatch.setattr(mission, "plan", plan)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+            with pytest.raises(InfeasibleError, match="^agent 2$"):
+                run_mission(cfg, out_dir=tmp_path / f"w{cpus}")
+            assert_no_child_left()
+            dest = tmp_path / f"w{cpus}" / cfg.out
+            assert sorted(p.name for p in dest.iterdir()) \
+                == ["FAILED", "particle.csv", "quad_agent1.csv"]
+            assert (dest / "FAILED").read_text() \
+                == "InfeasibleError: agent 2\n"
+
+    def test_each_lane_plans_its_own_agents(self, tmp_path, monkeypatch):
+        # two lanes: agent 3, the longest flight, is lane 0's, so this
+        # process plans it alone and a worker plans agents 1 and 2
+        parent, real = os.getpid(), mission.plan
+        planned = []
+
+        def plan(params, route):
+            if os.getpid() == parent:
+                planned.append(route)
+            return real(params, route)
+
+        monkeypatch.setattr(mission, "plan", plan)
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        self._run(cfg, tmp_path, 2, monkeypatch)
+        assert not (tmp_path / cfg.out / "FAILED").exists()
+        assert planned == [self._routes(cfg)[2]]
+
+    @staticmethod
+    def _routes(cfg):
+        """The rendezvous routes of a complete-graph config's agents."""
+        alpha = consensus_point(cfg.agents[:, :3])
+        return [rendezvous_route(hover_state(b=row[:3], yaw=row[5]), alpha)
+                for row in cfg.agents]
 
     def test_dead_worker_fails_the_run(self, tmp_path, monkeypatch):
         parent, real = os.getpid(), mission.simulate
@@ -963,6 +1025,21 @@ agent3 = -2, 0, 5
         assert (dest / "FAILED").read_text() == (
             "GimbalLockError: gimbal lock near t=2.000000: pitch "
             "-1.840401756544152 within 1e-06 of +-pi/2\n")
+
+    def test_validate_plans_scripted_legs(self, tmp_path, capsys):
+        """A scripted leg the rotor ceiling refuses fails validate, as
+        it fails the run at planning time; the bundled legs plan."""
+        assert main(["validate", str(scenario_path("scenario_4_2_1"))]) == 0
+        assert capsys.readouterr().out.startswith("OK:")
+        text = scenario_path("scenario_4_2_1").read_text(encoding="utf-8")
+        assert "leg1 = vertical, 10, 12" in text
+        path = write_cfg(tmp_path, text.replace(
+            "leg1 = vertical, 10, 12", "leg1 = vertical, 60, 2"))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "FAIL: InfeasibleError: maneuver is infeasible at its natural "
+            "amplitude: rotor speed 500.13763866247854 outside [0, 500.0] "
+            "rad/s at t=0.194\n")
 
     def test_list_scenarios(self, capsys):
         rc = main(["list-scenarios"])

@@ -13,8 +13,9 @@ from quadswarm.errors import (DomainError, InfeasibleError, SaturationError,
 from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                                Segment, axis_translation_schedule,
                                chain_schedules, hover_controls,
-                               hover_schedule, leg_durations, rendezvous_leg,
-                               schedule_for, vertical_schedule, yaw_schedule,
+                               hover_schedule, plan, rendezvous_leg,
+                               rendezvous_route, schedule_for,
+                               vertical_schedule, yaw_schedule,
                                _smoothstep_ramp)
 from quadswarm.mission import load_config
 from quadswarm.quad import (Controls, QuadState, default_params, hover_state,
@@ -452,32 +453,50 @@ class TestDispatch:
         with pytest.raises(DomainError):
             schedule_for(P, ManeuverSpec("barrelroll", 1.0, 2.0))
 
-    def test_leg_durations_vertical_only(self):
-        specs = leg_durations((0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 3.0))
-        assert [s.kind for s in specs] == ["vertical"]
-        assert specs[0].amount == 3.0
+    def test_rendezvous_route_vertical_only(self):
+        route = rendezvous_route(hover_state(), (0.0, 0.0, 3.0))
+        assert [s.kind for s in route] == ["vertical"]
+        assert route[0].amount == 3.0
 
-    def test_leg_durations_full_route(self):
-        specs = leg_durations((0.0, 0.0, 1.0), 0.0, (-4.0, 0.0, 2.0))
-        assert [s.kind for s in specs] == ["vertical", "yaw", "bodyX"]
-        assert specs[0].amount == pytest.approx(1.0)
-        assert abs(specs[1].amount) == pytest.approx(math.pi)
-        assert specs[2].amount == pytest.approx(4.0)
+    def test_rendezvous_route_full_route(self):
+        route = rendezvous_route(hover_state(b=(0.0, 0.0, 1.0)),
+                                 (-4.0, 0.0, 2.0))
+        assert [s.kind for s in route] == ["vertical", "yaw", "bodyX"]
+        assert route[0].amount == pytest.approx(1.0)
+        assert abs(route[1].amount) == pytest.approx(math.pi)
+        assert route[2].amount == pytest.approx(4.0)
 
-    def test_leg_durations_wraps_heading(self):
+    def test_rendezvous_route_wraps_heading(self):
         # Bearing pi/2 from heading 7pi/4 is a quarter turn left, not a
         # three-quarter turn right.
-        specs = leg_durations((0.0, 0.0, 0.0), 7.0 * math.pi / 4.0,
-                              (0.0, 5.0, 0.0))
-        yaw = [s for s in specs if s.kind == "yaw"][0]
+        route = rendezvous_route(hover_state(yaw=7.0 * math.pi / 4.0),
+                                 (0.0, 5.0, 0.0))
+        yaw = [s for s in route if s.kind == "yaw"][0]
         assert yaw.amount == pytest.approx(3.0 * math.pi / 4.0)
 
-    def test_leg_durations_identity(self):
-        assert leg_durations((1.0, 2.0, 3.0), 0.4, (1.0, 2.0, 3.0)) == []
+    def test_rendezvous_route_identity(self):
+        start = hover_state(b=(1.0, 2.0, 3.0), yaw=0.4)
+        assert rendezvous_route(start, (1.0, 2.0, 3.0)) \
+            == (ManeuverSpec("hover", 0.0, 2.0),)
 
     def test_minimum_leg_duration(self):
-        specs = leg_durations((0.0, 0.0, 0.0), 0.0, (0.1, 0.0, 0.05))
-        assert all(s.duration >= 2.0 for s in specs)
+        route = rendezvous_route(hover_state(), (0.1, 0.0, 0.05))
+        assert all(s.duration >= 2.0 for s in route)
+
+    def test_route_durations_sum_to_the_planned_flight_time(self):
+        """The lanes' flight time, the sum of a route's leg durations,
+        is bit-equal to the planned schedule's total_duration, for
+        scenario_4_2_1's legs and scenario_4_2_2's three routes."""
+        scripted = load_config(scenario_path("scenario_4_2_1"))
+        config = load_config(scenario_path("scenario_4_2_2"))
+        alpha = consensus_point(config.agents[:, :3])
+        routes = [(scripted.params, scripted.maneuvers)] + [
+            (config.params,
+             rendezvous_route(hover_state(b=row[:3], yaw=row[5]), alpha))
+            for row in config.agents]
+        for params, route in routes:
+            assert sum(spec.duration for spec in route) \
+                == plan(params, route).total_duration
 
 
 class TestRendezvousLeg:
@@ -493,7 +512,7 @@ class TestRendezvousLeg:
 
     def test_already_there(self):
         """A vehicle at its target holds one 2 s hover, the shortest
-        leg leg_durations plans, so the route still has a flight, and
+        leg rendezvous_route plans, so the route still has a flight, and
         that flight holds the position exactly."""
         start = hover_state(b=(1.0, 2.0, 3.0), yaw=0.4)
         sched = rendezvous_leg(P, start, (1.0, 2.0, 3.0))
