@@ -6,24 +6,22 @@
 
 Exit codes: 0 on success, 2 for config parse or validation problems,
 1 for any other failure. validate also exits 2, after a FAIL: line,
-for a config whose run could not start its protocol or plan its
-scripted [maneuvers]. The output root
+for a config whose run could not start its protocol or plan a route
+it can know before the protocol runs: the scripted [maneuvers], or a
+rendezvous on a complete graph. The output root
 defaults to $SWARM_OUT_DIR (falling back to the working directory);
 --out overrides it.
 """
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from importlib import resources
 
-import numpy as np
-
-from .consensus import consensus_point, start_spectrum
+from .consensus import start_spectrum
 from .errors import ParseError, SwarmError, ValidationError
-from .mission import integrates_protocol, load_config, run_mission
-from .network import DistanceWeighted
+from .mission import (MODES, flight_routes, integrates_protocol, load_config,
+                      run_mission)
 from .planner import plan
 
 
@@ -37,7 +35,7 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="run a mission config")
     p_run.add_argument("config", help="path to a mission .cfg file")
-    p_run.add_argument("--mode", choices=("particle", "quad", "compare"),
+    p_run.add_argument("--mode", choices=MODES,
                        help="override the mission mode")
     p_run.add_argument("--dt", type=float, help="override the step size")
     p_run.add_argument("--out", help="output root directory "
@@ -82,9 +80,12 @@ def _cmd_validate(args):
     spec = start_spectrum(net, config.agents[:, :3])
     # the checks integrate_protocol makes on L(0), for a run that has one
     problem = spec.problem(config.dt) if integrates_protocol(config) else None
-    if config.maneuvers:
+    # then the routes the run plans that need no protocol run, in agent
+    # order, so the first failure is the run's lowest failing agent
+    if problem is None:
         try:
-            plan(config.params, config.maneuvers)
+            for route in flight_routes(config) or ():
+                plan(config.params, route)
         except SwarmError as e:
             problem = e
     if problem is None:
@@ -98,32 +99,14 @@ def _cmd_validate(args):
               f"dt*lambda_max={config.dt * spec.lambda_max:.6g} "
               f"(RK4 limit {spec.rk4_limit}, largest stable dt "
               f"{spec.dt_max:.6g})")
-        print(_predicted_stop(config, spec.lambda2))
+        t_stop = spec.predicted_stop(config.stop_tol)
+        if isinstance(t_stop, str):
+            print(f"predicted stop: none; {t_stop}")
+        else:
+            print(f"predicted stop: t={t_stop:.4g} s "
+                  f"(ln(spread0/stop_tol)/lambda2, spread0={spec.spread:.6g} "
+                  f"stop_tol={config.stop_tol:.6g}, horizon T={config.T:.6g})")
     return 0 if problem is None else 2
-
-
-def _predicted_stop(config, lam2):
-    """Line naming when the protocol's early stop should fire.
-
-    For a fixed Laplacian the offsets from the centroid decay like
-    exp(-lambda2 t), so the spread max |q0 - centroid| that the early
-    stop measures falls below stop_tol after ln(spread0 / stop_tol) /
-    lambda2. Distance weights change L with the positions every step,
-    and lambda2 of L(0) then bounds nothing.
-    """
-    if isinstance(config.network.policy, DistanceWeighted):
-        return ("predicted stop: none; distance weights change L(t) every "
-                "step, so lambda2 of L(0) does not set the decay rate")
-    if not lam2 > 1e-9:
-        return "predicted stop: none; L(0) has no spectral gap"
-    q0 = config.agents[:, :3]
-    spread0 = float(np.max(np.abs(q0 - consensus_point(q0))))
-    t_stop = 0.0
-    if spread0 > config.stop_tol:
-        t_stop = math.log(spread0 / config.stop_tol) / lam2
-    return (f"predicted stop: t={t_stop:.4g} s "
-            f"(ln(spread0/stop_tol)/lambda2, spread0={spread0:.6g} "
-            f"stop_tol={config.stop_tol:.6g}, horizon T={config.T:.6g})")
 
 
 def _cmd_list_scenarios():

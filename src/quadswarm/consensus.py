@@ -133,7 +133,11 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
             "no step would run")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride!r}")
-    lap = starting_laplacian(net, q, dt)
+    spec = start_spectrum(net, q)
+    problem = spec.problem(dt)
+    if problem is not None:
+        raise problem
+    lap = spec.laplacian
 
     alpha = consensus_point(q)
     # For a matrix frozen across the step, the classical RK4 update on
@@ -178,8 +182,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
 @dataclass(frozen=True)
 class StartSpectrum:
     """L(0) of a network at its agents' starting positions, the
-    connectivity of the graph it is built on, and its ascending
-    eigenvalues.
+    connectivity of the graph it is built on, its ascending
+    eigenvalues, and the spread max |q0 - centroid| the early stop uses.
 
     For distance weights that graph is the network grown by the
     proximity rule at the positions (laplacian.source).
@@ -188,6 +192,7 @@ class StartSpectrum:
     laplacian: Laplacian
     connected: bool
     eigenvalues: np.ndarray
+    spread: float
     rk4_limit: ClassVar[float] = _RK4_REAL_LIMIT
 
     @property
@@ -222,27 +227,31 @@ class StartSpectrum:
                 f"{self.dt_max:.6g}")
         return None
 
+    def predicted_stop(self, stop_tol):
+        """Seconds until the early stop at stop_tol should fire, or the
+        reason there is no prediction, a str; needs n >= 2. For a fixed
+        Laplacian the offsets from the centroid decay like
+        exp(-lambda2 t), so the spread falls below stop_tol after
+        ln(spread / stop_tol) / lambda2; distance weights change L with
+        the positions every step, so lambda2 of L(0) bounds nothing."""
+        if isinstance(self.laplacian.source.policy, DistanceWeighted):
+            return ("distance weights change L(t) every step, so lambda2 "
+                    "of L(0) does not set the decay rate")
+        lam2 = self.lambda2
+        if not lam2 > 1e-9:
+            return "L(0) has no spectral gap"
+        if self.spread > stop_tol:
+            return math.log(self.spread / stop_tol) / lam2
+        return 0.0
+
 
 def start_spectrum(net, q):
     """StartSpectrum of net at the (n, r) positions q; raises nothing
     about the graph or its spectrum. One eigendecomposition."""
     lap = weighted_laplacian_at(net, q)
     return StartSpectrum(laplacian=lap, connected=is_connected(lap.source),
-                         eigenvalues=sym_eigen(lap.matrix)[0])
-
-
-def starting_laplacian(net, q, dt):
-    """L(0) of net at the (n, r) positions q, once the protocol can
-    start from it at step dt.
-
-    Raises:
-        DisconnectedError, DivergenceError: StartSpectrum.problem(dt).
-    """
-    spec = start_spectrum(net, q)
-    problem = spec.problem(dt)
-    if problem is not None:
-        raise problem
-    return spec.laplacian
+                         eigenvalues=sym_eigen(lap.matrix)[0],
+                         spread=float(np.max(np.abs(q - consensus_point(q)))))
 
 
 def _static_step(m, q, coef):
@@ -337,11 +346,10 @@ def _moving_step(net, q, dt, coef, log):
 
 
 def straightness_residual(traj, agent):
-    """Largest distance from an agent's path to its ideal straight line.
-
-    The reference line runs from the agent's initial state to the
-    consensus point of the whole group. Agents adjacent to everyone ride
-    this line exactly; others bow away from it.
+    """Largest distance from an agent's path to its ideal straight
+    segment, from the agent's initial state to the consensus point of
+    the whole group (max_cross_track). Agents adjacent to everyone ride
+    this segment exactly; others bow away from it.
 
     Args:
         traj: ConsensusTrajectory.
@@ -351,14 +359,18 @@ def straightness_residual(traj, agent):
     if not (1 <= agent <= n):
         raise DomainError(f"agent {agent} outside 1..{n}")
     path = traj.states[:, agent - 1, :]
-    p0 = path[0]
-    alpha = consensus_point(traj.states[0])
-    d = alpha - p0
-    span = np.linalg.norm(d)
-    offsets = path - p0
-    if span < 1e-12:
-        return float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0))
-    u = d / span
-    along = offsets @ u
-    perp = offsets - along[:, None] * u
-    return float(np.max(np.linalg.norm(perp, axis=1), initial=0.0))
+    return max_cross_track(path, path[0], consensus_point(traj.states[0]))
+
+
+def max_cross_track(points, a, b):
+    """Largest distance from any of the (k, r) points to the segment
+    a -> b, or to a itself when the segment is shorter than 1e-12."""
+    d = b - a
+    span = float(np.dot(d, d))
+    offs = points - a
+    if span < 1e-24:
+        return float(np.max(np.linalg.norm(offs, axis=1), initial=0.0))
+    s = np.clip(offs @ d / span, 0.0, 1.0)
+    closest = a + s[:, None] * d
+    return float(np.max(np.linalg.norm(points - closest, axis=1),
+                        initial=0.0))

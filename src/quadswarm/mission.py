@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .consensus import ConsensusTrajectory, consensus_point, integrate_protocol
+from .consensus import (ConsensusTrajectory, consensus_point,
+                        integrate_protocol, max_cross_track)
 from .errors import (DivergenceError, DomainError, IoError, ParseError,
                      SwarmError, ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
@@ -33,7 +34,7 @@ from .planner import rendezvous_leg, schedule_for
 from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
                    simulate)
 
-_MODES = ("particle", "quad", "compare")
+MODES = ("particle", "quad", "compare")
 
 # Each section's named keys, and the pattern of its numbered keys,
 # whose numbers are >= 1 and written as str(int) writes them, so that
@@ -80,9 +81,9 @@ class MissionConfig:
     maneuvers: tuple = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ValidationError(
-                f"mode must be one of {', '.join(_MODES)}, got {self.mode!r}")
+                f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.maneuvers is not None:
             if self.mode != "quad":
                 raise ValidationError("[maneuvers] requires mode = quad")
@@ -418,19 +419,6 @@ def _write_lines(path, lines):
         raise IoError(f"cannot write {path}: {e}") from e
 
 
-def _max_cross_track(points, a, b):
-    """Largest distance from any point to the segment a -> b."""
-    d = b - a
-    span = float(np.dot(d, d))
-    offs = points - a
-    if span < 1e-24:
-        return float(np.max(np.linalg.norm(offs, axis=1), initial=0.0))
-    s = np.clip(offs @ d / span, 0.0, 1.0)
-    closest = a + s[:, None] * d
-    return float(np.max(np.linalg.norm(points - closest, axis=1),
-                        initial=0.0))
-
-
 def _spectrum_log(laplacian_log):
     out = []
     for t, lap in laplacian_log:
@@ -453,7 +441,7 @@ def _agent_report(i, alpha, particle, run):
         fields["flight_time"] = float(run.times[-1])
         if alpha is not None:
             fields["quad_final_error"] = float(np.linalg.norm(end - alpha))
-            fields["max_cross_track"] = _max_cross_track(
+            fields["max_cross_track"] = max_cross_track(
                 run.states[:, :3], run.states[0][:3], alpha)
     return AgentReport(agent=i + 1,
                        final_position=tuple(float(x) for x in end),
@@ -525,37 +513,48 @@ def run_mission(config, out_dir=None):
         raise
 
 
-def _run_mission(config, dest):
-    net = config.network
-    n = net.n
-    positions = config.agents[:, :3]
-    alpha = None
-    particle = None
+def flight_routes(config, particle=None):
+    """The routes config flies, a tuple of ManeuverSpec per drone in
+    agent order: the [maneuvers] legs, else one rendezvous_route per
+    agent, and none in particle mode, whose starts need not be level.
+    A complete graph flies to the agreement point, any other graph each
+    drone to its endpoint of the protocol run particle; without that run
+    the routes are None."""
     if config.maneuvers:
-        routes = [config.maneuvers]
+        return [config.maneuvers]
+    if config.mode == "particle":
+        return []
+    n = config.network.n
+    if is_complete(config.network):
+        targets = [consensus_point(config.agents[:, :3])] * n
+    elif particle is None:
+        return None
     else:
+        targets = particle.states[-1]
+    return [rendezvous_route(_quad_start(config, i), targets[i])
+            for i in range(n)]
+
+
+def _run_mission(config, dest):
+    positions = config.agents[:, :3]
+    alpha = particle = None
+    if not config.maneuvers:
         alpha = consensus_point(positions)
         if integrates_protocol(config):
             particle = integrate_protocol(
-                net, positions, config.T, config.dt, config.stride,
-                config.stop_tol)
+                config.network, positions, config.T, config.dt,
+                config.stride, config.stop_tol)
         if config.mode != "quad":
             export_csv(particle, dest / "particle.csv")
-        # Complete graphs rendezvous exactly at the agreement point;
-        # other connected graphs get each drone's own protocol endpoint
-        # as its flight target. Particle mode flies no drone, so its
-        # starts need not be level hovers and it gets no route.
-        if config.mode != "particle":
-            targets = [alpha] * n if is_complete(net) else particle.states[-1]
-            routes = [rendezvous_route(_quad_start(config, i), targets[i])
-                      for i in range(n)]
 
     # the protocol run reported on; a quad run reports none
     reported = None if config.mode == "quad" else particle
     if config.mode == "particle":
-        agents = [_agent_report(i, alpha, particle, None) for i in range(n)]
+        agents = [_agent_report(i, alpha, particle, None)
+                  for i in range(config.network.n)]
     else:
-        agents = _fly_agents(config, routes, alpha, reported, dest)
+        agents = _fly_agents(config, flight_routes(config, particle), alpha,
+                             reported, dest)
 
     report = _report(config.mode, alpha, reported, agents)
     _write_report(report, dest)

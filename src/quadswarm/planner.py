@@ -475,7 +475,8 @@ def axis_translation_schedule(p, axis, distance, duration):
 def schedule_for(p, spec):
     """Build the schedule for one ManeuverSpec."""
     if spec.kind == "hover":
-        return hover_schedule(p, spec.duration)
+        with _natural_amplitude():
+            return hover_schedule(p, spec.duration)
     if spec.kind == "yaw":
         return yaw_schedule(p, spec.amount, spec.duration)
     if spec.kind == "vertical":

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from quadswarm import consensus
 from quadswarm.consensus import (closed_form_state, consensus_point,
                                  integrate_protocol, lyapunov,
-                                 start_spectrum, starting_laplacian,
-                                 straightness_residual)
+                                 start_spectrum, straightness_residual)
 from quadswarm.errors import DisconnectedError, DivergenceError, DomainError
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                laplacian, weighted_laplacian_at)
@@ -342,14 +341,14 @@ class TestDiagnostics:
 
     def test_convergence_rate_rejects_disconnected(self):
         # start_spectrum reports the split graph and its missing gap;
-        # the run's start guard raises.
+        # the protocol's start guard raises.
         net, q = Network(3, {(1, 2)}), np.zeros((3, 1))
         spec = start_spectrum(net, q)
         assert not spec.connected
         assert spec.lambda2 == pytest.approx(0.0, abs=1e-12)
         assert isinstance(spec.problem(1e-3), DisconnectedError)
         with pytest.raises(DisconnectedError):
-            starting_laplacian(net, q, 1e-3)
+            integrate_protocol(net, q, 1.0, dt=1e-3)
 
     def test_start_guard_eigendecomposes_once(self, monkeypatch):
         calls = []

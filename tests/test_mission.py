@@ -13,15 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswarm import consensus, mission
+from quadswarm import cli, consensus, mission
 from quadswarm.cli import main
 from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
-                                 integrate_protocol)
+                                 integrate_protocol, max_cross_track)
 from quadswarm.errors import (DomainError, GimbalLockError, InfeasibleError,
                               IoError, ParseError, SwarmError,
                               ValidationError)
-from quadswarm.mission import (export_csv, load_config, run_mission,
-                               _max_cross_track)
+from quadswarm.mission import export_csv, load_config, run_mission
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
 from quadswarm.numerics import sym_eigen
@@ -433,22 +432,22 @@ class TestCrossTrack:
     def test_points_on_segment(self):
         a, b = np.zeros(3), np.array([10.0, 0.0, 0.0])
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-        assert _max_cross_track(pts, a, b) == 0.0
+        assert max_cross_track(pts, a, b) == 0.0
 
     def test_offset_point(self):
         a, b = np.zeros(3), np.array([10.0, 0.0, 0.0])
         pts = np.array([[5.0, 2.0, 0.0]])
-        assert _max_cross_track(pts, a, b) == pytest.approx(2.0, abs=1e-12)
+        assert max_cross_track(pts, a, b) == pytest.approx(2.0, abs=1e-12)
 
     def test_beyond_endpoints_measures_to_endpoint(self):
         a, b = np.zeros(3), np.array([10.0, 0.0, 0.0])
         pts = np.array([[13.0, 4.0, 0.0]])
-        assert _max_cross_track(pts, a, b) == pytest.approx(5.0, abs=1e-12)
+        assert max_cross_track(pts, a, b) == pytest.approx(5.0, abs=1e-12)
 
     def test_degenerate_segment(self):
         a = np.array([1.0, 1.0, 1.0])
         pts = np.array([[1.0, 1.0, 4.0]])
-        assert _max_cross_track(pts, a, a) == pytest.approx(3.0, abs=1e-12)
+        assert max_cross_track(pts, a, a) == pytest.approx(3.0, abs=1e-12)
 
 
 class TestRunMission:
@@ -544,6 +543,23 @@ leg1 = bodyX, 5000, 4
         if case == "rendezvous":
             bound = math.sqrt(3) * cfg.stop_tol + 1e-6
             assert all(a.quad_final_error <= bound for a in report.agents)
+
+    def test_flight_routes_need_the_protocol_off_a_complete_graph(
+            self, tmp_path):
+        """The route rule run and validate share: the scripted legs,
+        none in particle mode, and on a graph that is not complete None
+        until the protocol run that gives the targets is passed in."""
+        scripted = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
+        assert mission.flight_routes(scripted) == [scripted.maneuvers]
+        particle = load_config(write_cfg(tmp_path, BASE, "particle.cfg"))
+        assert mission.flight_routes(particle) == []
+        config = load_config(write_cfg(tmp_path, PATH_3, "path.cfg"))
+        assert mission.flight_routes(config) is None
+        traj = integrate_protocol(config.network, config.agents[:, :3],
+                                  config.T, config.dt)
+        assert mission.flight_routes(config, traj) == [
+            rendezvous_route(hover_state(traj.states[0][i]),
+                             traj.states[-1][i]) for i in range(3)]
 
 
 def digests(root):
@@ -1040,6 +1056,62 @@ agent3 = -2, 0, 5
             "FAIL: InfeasibleError: maneuver is infeasible at its natural "
             "amplitude: rotor speed 500.13763866247854 outside [0, 500.0] "
             "rad/s at t=0.194\n")
+
+    def test_validate_plans_rendezvous_routes(self, tmp_path, capsys):
+        """On a complete graph the targets need no protocol run, so
+        validate plans every drone's route in agent order, as the run
+        does: at m = 3.0 agent 1's route passes the rotor ceiling, and
+        validate fails with the error the run leaves in FAILED."""
+        assert main(["validate", str(scenario_path("scenario_4_2_2"))]) == 0
+        assert capsys.readouterr().out.startswith("OK:")
+        text = scenario_path("scenario_4_2_2").read_text(encoding="utf-8")
+        path = write_cfg(tmp_path, text.replace(
+            "[agents]", "[params]\nm = 3.0\n\n[agents]"))
+        assert main(["validate", str(path)]) == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        failed = (tmp_path / "scenario_4_2_2" / "FAILED").read_text(
+            encoding="utf-8")
+        assert failed == (
+            "InfeasibleError: maneuver is infeasible at its natural "
+            "amplitude: rotor speed 500.00783654525253 outside [0, 500.0] "
+            "rad/s at t=0.19743142037042358\n")
+        assert first == "FAIL: " + failed.rstrip("\n")
+
+    @pytest.mark.parametrize("horizon, flight", [
+        ("", "[maneuvers]\nleg1 = hover, 0, 4\n"),
+        ("", "[maneuvers]\nleg1 = vertical, 1, 4\n"),
+        # a rendezvous of one drone: a 2 s hover where it stands
+        ("T = 10\n", ""),
+    ], ids=["hover-leg", "vertical-leg", "rendezvous-hover"])
+    def test_hover_fails_at_the_ceiling_like_every_leg(
+            self, tmp_path, capsys, horizon, flight):
+        """At m = 3.05 the hover speed is past the rotor ceiling: a
+        hover, scripted or flown to the meeting point, fails validate
+        and run with the InfeasibleError of every other leg kind."""
+        error = ("InfeasibleError: maneuver is infeasible at its natural "
+                 "amplitude: rotor speed 500.65719827607035 outside "
+                 "[0, 500.0] rad/s at t=0.0")
+        path = write_cfg(tmp_path, SCRIPTED_CLIMB.split("[maneuvers]")[0]
+                         .replace("[mission]\n", "[mission]\n" + horizon)
+                         + "[params]\nm = 3.05\n" + flight)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"FAIL: {error}\n"
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "climb" / "FAILED").read_text(
+            encoding="utf-8") == error + "\n"
+
+    def test_validate_plans_no_route_that_needs_the_protocol(
+            self, tmp_path, capsys, monkeypatch):
+        """On a graph that is not complete each drone flies to its
+        endpoint of the protocol run, which validate does not make, so
+        it plans no route."""
+        planned = []
+        monkeypatch.setattr(cli, "plan",
+                            lambda p, route: planned.append(route))
+        assert main(["validate", str(write_cfg(tmp_path, PATH_3))]) == 0
+        assert capsys.readouterr().out.startswith("OK:")
+        assert planned == []
 
     def test_list_scenarios(self, capsys):
         rc = main(["list-scenarios"])
