@@ -59,15 +59,15 @@ def closed_form_state(lap, q0, t):
         lap: Laplacian snapshot (or a plain symmetric matrix whose rows
             sum to zero).
         q0: (n, r) initial state.
-        t: elapsed time, t >= 0.
+        t: elapsed time, finite and >= 0.
     """
     m = lap.matrix if isinstance(lap, Laplacian) else np.asarray(lap, float)
     q0 = np.asarray(q0, dtype=float)
     if q0.ndim != 2 or q0.shape[0] != m.shape[0]:
         raise DomainError(
             f"state shape {q0.shape} does not match Laplacian {m.shape}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {t!r}")
     w, u = sym_eigen(m)
     decay = np.exp(-w * t)
     alpha = consensus_point(q0)

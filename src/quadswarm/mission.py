@@ -59,7 +59,7 @@ class MissionConfig:
 
     agents is an (n, 6) array: position then (roll, pitch, yaw); files
     may give 3 values per agent, in which case the angles are zero.
-    T may be None only for scripted-maneuver missions, which integrate
+    T is None exactly for scripted-maneuver missions, which integrate
     for exactly the schedule's duration.
 
     The cross-field checks run on construction, so a config changed
@@ -89,6 +89,10 @@ class MissionConfig:
                 raise ValidationError("[maneuvers] requires mode = quad")
             if self.network.n != 1:
                 raise ValidationError("[maneuvers] requires a single agent")
+            if self.T is not None:
+                raise ValidationError(
+                    "T is not valid with [maneuvers]: a scripted flight "
+                    "runs for its legs' total duration")
         if self.T is None and self.maneuvers is None:
             raise ValidationError("missing T in [mission]")
         if self.T is not None and not self.T > 0.0:
@@ -321,6 +325,9 @@ def load_config(path):
     if static_map and weights != "static":
         raise ValidationError(
             "weight_i_j keys are only valid with weights = static")
+    if cp.has_option("network", "threshold") and weights != "distance":
+        raise ValidationError(
+            "threshold is only valid with weights = distance")
 
     try:
         network = Network(n, edges, policy)

@@ -511,12 +511,14 @@ def rendezvous_route(start, target):
 
     Args:
         start: QuadState at level hover (require_level_hover).
-        target: inertial (3,) point.
+        target: finite inertial (3,) point.
     """
     require_level_hover(start)
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise DomainError(f"target must be a 3-vector, got {target.shape}")
+    if not np.isfinite(target).all():
+        raise DomainError(f"target holds a non-finite number: {target}")
     b = start.b
     dz = target[2] - b[2]
     dxy = math.hypot(target[0] - b[0], target[1] - b[1])

@@ -305,7 +305,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             not finite (NaN pitch passes the gimbal check).
         ScheduleGapError: if the schedule does not cover [0, duration].
     """
-    if duration < 0.0:
+    if not duration >= 0.0:
         raise DomainError(f"duration must be nonnegative, got {duration!r}")
     if not dt > 0.0:
         raise DomainError(f"step size must be positive, got {dt!r}")

@@ -67,6 +67,9 @@ class TestClosedForm:
             closed_form_state(laplacian(HUB), Q0[:3], 1.0)
         with pytest.raises(DomainError):
             closed_form_state(laplacian(HUB), Q0, -1.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                closed_form_state(laplacian(HUB), Q0, t)
 
 
 class TestIntegrate:

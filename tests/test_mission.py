@@ -153,6 +153,20 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="static"):
             load_config(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("weights", [
+        "none", "static\nweight_1_2 = 4.5", "initial-distance"],
+        ids=["none", "static", "initial-distance"])
+    def test_stray_threshold_rejected(self, tmp_path, weights):
+        """Only the distance policy reads threshold, so no other
+        policy loads one, even a value distance would refuse."""
+        text = BASE.replace(
+            "edges = 1-2", f"edges = 1-2\nweights = {weights}\nthreshold = -3")
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ValidationError, match="^threshold is only valid "
+                           "with weights = distance$"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 2
+
     @pytest.mark.parametrize("text, after, section, key", [
         (BASE, "agent2 = 1, 1, 1", "agents", "agent02"),
         (BASE, "agent2 = 1, 1, 1", "agents", "agent0"),
@@ -225,6 +239,16 @@ class TestLoadConfig:
             + "[maneuvers]\nleg1 = yaw, 1.0, 2.0\n"
         with pytest.raises(ValidationError, match="single"):
             load_config(write_cfg(tmp_path, text))
+
+    def test_maneuvers_refuse_T(self, tmp_path):
+        """A scripted flight runs for its legs' total duration, so a
+        horizon T would be read by nothing."""
+        path = write_cfg(tmp_path, SCRIPTED_CLIMB.replace(
+            "mode = quad", "mode = quad\nT = 1"))
+        with pytest.raises(ValidationError, match="^T is not valid with "
+                           r"\[maneuvers\]"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 2
 
     def test_maneuvers_parse_in_leg_order(self, tmp_path):
         text = """\

@@ -507,8 +507,13 @@ class TestRendezvousLeg:
             rendezvous_leg(P, moving, (1.0, 0.0, 0.0))
 
     def test_target_shape_checked(self):
+        """A target that is not a finite 3-vector is refused, not
+        flown as a hover in place (NaN) or an endless leg (inf)."""
         with pytest.raises(DomainError):
             rendezvous_leg(P, hover_state(), (1.0, 0.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                rendezvous_route(hover_state(), (bad, 0.0, 0.0))
 
     def test_already_there(self):
         """A vehicle at its target holds one 2 s hover, the shortest

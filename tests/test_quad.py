@@ -348,6 +348,8 @@ class TestSimulate:
         sched = hover_schedule(P, 1.0)
         with pytest.raises(DomainError):
             simulate(hover_state(), sched, P, -1.0)
+        with pytest.raises(DomainError, match="duration"):
+            simulate(hover_state(), sched, P, math.nan)
         with pytest.raises(DomainError):
             simulate(hover_state(), sched, P, 1.0, dt=0.0)
         with pytest.raises(DomainError):
