@@ -81,7 +81,8 @@ def lyapunov(q, qstar):
     return 0.5 * float(np.sum((q - qstar) ** 2))
 
 
-def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
+def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
+                       sink=None):
     """Integrate q_dot = -L q with fixed-step RK4.
 
     The Laplacian is evaluated at the start of each step and held
@@ -97,11 +98,17 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     Args:
         net: communication graph; must be connected at t=0.
         q0: (n, r) initial state matrix.
-        duration: time horizon, at least half a step: the run takes
-            round(duration / dt) >= 1 steps.
-        dt: step size, > 0.
+        duration: finite time horizon, at least half a step: the run
+            takes round(duration / dt) >= 1 steps.
+        dt: step size, > 0 and finite.
         stride: record every stride-th step (plus t=0 and the end).
         stop_tol: early-stop threshold on max |q - consensus|.
+        sink: None, or a callable that gets sink(t, state) for each
+            sample as it is recorded, in order: exactly the samples of
+            the returned trajectory, t=0 first and none after an early
+            stop. state is the recorded (n, r) float64 array, C-ordered,
+            which the trajectory keeps, so it must not be changed; a
+            sink that raises ends the run with its error.
 
     Returns:
         ConsensusTrajectory.
@@ -122,10 +129,12 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
         raise DomainError(f"state shape {q.shape} has no coordinates")
     if not np.isfinite(q).all():
         raise DomainError("initial state holds a non-finite number")
-    if not duration > 0.0:
-        raise DomainError(f"duration must be positive, got {duration!r}")
-    if not dt > 0.0:
-        raise DomainError(f"step size must be positive, got {dt!r}")
+    if not 0.0 < duration < math.inf:
+        raise DomainError(
+            f"duration must be positive and finite, got {duration!r}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(
+            f"step size must be positive and finite, got {dt!r}")
     steps = int(round(duration / dt))
     if steps < 1:
         raise DomainError(
@@ -158,12 +167,16 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     subtract, absolute, peak = np.subtract, np.absolute, np.maximum.reduce
     times = [0.0]
     states = [q.copy()]
+    if sink is not None:
+        sink(0.0, states[0])
     last = steps - 1
     for k in range(steps):
         advance(k)
         if (k + 1) % stride == 0 or k == last:
             times.append((k + 1) * dt)
             states.append(q.copy())
+            if sink is not None:
+                sink(times[-1], states[-1])
             spread = peak(absolute(subtract(q, alpha, off), off), None)
             if spread < stop_tol:
                 break

@@ -8,12 +8,15 @@ marker file next to whatever partial outputs were flushed.
 """
 
 import configparser
+import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import pickle
 import re
+import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -394,27 +397,35 @@ def _csv_lines(traj):
     unknown payload before a line is made."""
     if isinstance(traj, ConsensusTrajectory):
         k, n, r = traj.states.shape
-        if r == 3:
-            cols = [f"{axis}{i + 1}" for i in range(n) for axis in "xyz"]
-        else:
-            cols = [f"q{i + 1}c{j + 1}" for i in range(n) for j in range(r)]
-        header = "t," + ",".join(cols)
+        header = _particle_header(n, r)
         rows = traj.states.reshape(k, n * r)
-        times = traj.times
     elif isinstance(traj, QuadTrajectory):
         header = ("t,b1,b2,b3,phi,theta,psi,"
                   "v1,v2,v3,O1,O2,O3,w1,w2,w3,w4,thrust")
         rows = np.hstack([traj.states, traj.omegas,
                           traj.thrust[:, None]])
-        times = traj.times
     else:
         raise DomainError(f"cannot export {type(traj).__name__}")
+    return _table_lines(header, ((t, *row.tolist())
+                                 for t, row in zip(traj.times, rows)))
+
+
+def _particle_header(n, r):
+    """The CSV header of a protocol run of n agents in r coordinates."""
+    if r == 3:
+        cols = [f"{axis}{i + 1}" for i in range(n) for axis in "xyz"]
+    else:
+        cols = [f"q{i + 1}c{j + 1}" for i in range(n) for j in range(r)]
+    return "t," + ",".join(cols)
+
+
+def _table_lines(header, rows):
+    """Iterator over the header line and one line per row, a tuple of
+    as many floats as the header has columns."""
     # '%.17g' % x renders a float exactly as format(x, '.17g') does,
     # including -0, inf, nan and subnormals, in one call per row
-    line = ",".join(["%.17g"] * (1 + rows.shape[1])) + "\n"
-    return itertools.chain(
-        (header + "\n",),
-        (line % (t, *row.tolist()) for t, row in zip(times, rows)))
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return itertools.chain((header + "\n",), (line % row for row in rows))
 
 
 def _write_lines(path, lines):
@@ -543,16 +554,13 @@ def flight_routes(config, particle=None):
 
 
 def _run_mission(config, dest):
-    positions = config.agents[:, :3]
     alpha = particle = None
     if not config.maneuvers:
-        alpha = consensus_point(positions)
-        if integrates_protocol(config):
-            particle = integrate_protocol(
-                config.network, positions, config.T, config.dt,
-                config.stride, config.stop_tol)
+        alpha = consensus_point(config.agents[:, :3])
         if config.mode != "quad":
-            export_csv(particle, dest / "particle.csv")
+            particle = _protocol_to_csv(config, dest / "particle.csv")
+        elif integrates_protocol(config):
+            particle = _protocol(config)
 
     # the protocol run reported on; a quad run reports none
     reported = None if config.mode == "quad" else particle
@@ -566,6 +574,90 @@ def _run_mission(config, dest):
     report = _report(config.mode, alpha, reported, agents)
     _write_report(report, dest)
     return report
+
+
+def _protocol(config, sink=None):
+    return integrate_protocol(config.network, config.agents[:, :3],
+                              config.T, config.dt, config.stride,
+                              config.stop_tol, sink=sink)
+
+
+def _protocol_to_csv(config, path):
+    """Run config's protocol and write its samples to path as
+    export_csv writes the run; returns the run.
+
+    With more than one usable CPU and os.fork, a forked writer formats
+    the samples while the protocol integrates: each sample's raw
+    float64 bytes, t and then the state, go through a pipe as the
+    protocol records them, and the writer's lines go to a temporary
+    sibling of path. It is renamed to path once the protocol has
+    returned and the writer has been reaped. Otherwise the lines are
+    formatted here after the protocol. Either way a protocol that
+    raises leaves no file, and a writer that dies raises
+    ChildProcessError.
+    """
+    if _usable_cpus() < 2 or not hasattr(os, "fork"):
+        particle = _protocol(config)
+        export_csv(particle, path)
+        return particle
+    header = _particle_header(*config.agents[:, :3].shape)
+    part = path.with_name(path.name + ".part")
+    workers = []    # the writer's (pid, pipe) until it is reaped
+    rfd, wfd = os.pipe()
+    pipe = open(wfd, "wb")
+    try:
+        with open(rfd, "rb") as samples:
+            workers.append(_fork(_write_samples,
+                                 (samples, pipe, header, part)))
+        stamp = struct.Struct("d").pack
+
+        # tobytes, not the array itself: numpy keeps the buffer format
+        # it exports with the array, about 1 MB over 2_5_2's samples
+        def sink(t, q):
+            pipe.write(stamp(t))
+            pipe.write(q.tobytes())
+
+        try:
+            particle = _protocol(config, sink)
+            pipe.close()    # the end of the samples
+        except BrokenPipeError:
+            # the writer ends before the samples do only by dying
+            _join(workers, "particle writer")
+            raise
+        error = _join(workers, "particle writer")
+        if error is not None:
+            raise error
+        try:
+            os.replace(part, path)
+        except OSError as e:
+            raise IoError(f"cannot write {path}: {e}") from e
+        return particle
+    finally:
+        _kill(workers)
+        # after a failure, the buffered samples meet a closed pipe
+        with contextlib.suppress(OSError):
+            pipe.close()
+        with contextlib.suppress(FileNotFoundError):
+            part.unlink()
+
+
+def _write_samples(args):
+    """The forked particle writer: read the samples from the pipe until
+    it ends, each as raw float64 t and then the state, and write them
+    under header to path. Returns None, or the IoError of a failed
+    write once the pipe has ended, so that the run raises it after the
+    protocol, where the in-process export would."""
+    samples, pipe, header, path = args
+    pipe.close()    # this child's copy of the write end
+    row = struct.Struct(f"{header.count(',') + 1}d")
+    rows = map(row.unpack,
+               iter(functools.partial(samples.read, row.size), b""))
+    try:
+        _write_lines(path, _table_lines(header, rows))
+    except IoError as e:
+        samples.read()
+        return e
+    return None
 
 
 def _fly_agents(config, routes, alpha, particle, dest):
@@ -595,22 +687,9 @@ def _fly_agents(config, routes, alpha, particle, dest):
             workers.append(_fork(fly, lane))
         flown.update(fly(lanes[0]))
         while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
-            if status != 0:
-                raise ChildProcessError(
-                    f"flight worker {pid} ended with wait status {status}")
-            flown.update(pickle.loads(data))
+            flown.update(_join(workers, "flight worker"))
     finally:
-        if workers:
-            import signal
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _kill(workers)
 
     agents = []
     for i in range(len(routes)):
@@ -685,6 +764,32 @@ def _fork(fn, arg):
             os._exit(code)
     os.close(wfd)
     return pid, open(rfd, "rb")
+
+
+def _join(workers, what):
+    """Reap workers[0], a (pid, pipe) of _fork, drop it from workers and
+    return its result; a child that ended with a nonzero status raises
+    ChildProcessError, which names it what."""
+    pid, pipe = workers[0]
+    with pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del workers[0]
+    if status != 0:
+        raise ChildProcessError(
+            f"{what} {pid} ended with wait status {status}")
+    return pickle.loads(data)
+
+
+def _kill(workers):
+    """Kill and reap every (pid, pipe) of _fork left in workers: the
+    cleanup of a run that stops before it has joined them."""
+    if workers:
+        import signal
+    for pid, pipe in workers:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _write_report(report, dest):

@@ -292,7 +292,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             shorter schedule raises ScheduleGapError.
         p: QuadParams.
         duration: time horizon, >= 0.
-        dt: step size, > 0.
+        dt: step size, > 0 and finite.
         stride: sampling stride in steps.
 
     Returns:
@@ -307,8 +307,9 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     """
     if not duration >= 0.0:
         raise DomainError(f"duration must be nonnegative, got {duration!r}")
-    if not dt > 0.0:
-        raise DomainError(f"step size must be positive, got {dt!r}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(
+            f"step size must be positive and finite, got {dt!r}")
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride!r}")
     total = schedule.total_duration

@@ -13,9 +13,12 @@ from quadswarm.consensus import (closed_form_state, consensus_point,
                                  integrate_protocol, lyapunov,
                                  start_spectrum, straightness_residual)
 from quadswarm.errors import DisconnectedError, DivergenceError, DomainError
+from quadswarm.mission import load_config
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                laplacian, weighted_laplacian_at)
 from quadswarm.numerics import rk4_step, sym_eigen
+
+from conftest import scenario_path
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
 TREE = Network(4, {(1, 3), (1, 4), (2, 3)})
@@ -145,6 +148,31 @@ class TestIntegrate:
             integrate_protocol(HUB, Q0, 1.0, dt=-1e-3)
         with pytest.raises(DomainError):
             integrate_protocol(HUB, Q0, 1.0, stride=0)
+
+    def test_rejects_non_finite_horizon(self):
+        with pytest.raises(DomainError, match="duration must be positive "
+                                              "and finite, got inf"):
+            integrate_protocol(HUB, Q0, math.inf)
+
+    def test_rejects_non_finite_step(self):
+        with pytest.raises(DomainError, match="step size must be positive "
+                                              "and finite, got inf"):
+            integrate_protocol(HUB, Q0, 1.0, dt=math.inf)
+
+    @pytest.mark.parametrize("duration, stop_tol", [(50.0, 1e-4),
+                                                    (0.032, 0.0)],
+                             ids=["early stop", "horizon off stride"])
+    def test_sink_gets_the_recorded_samples(self, duration, stop_tol):
+        got = []
+        traj = integrate_protocol(HUB, Q0, duration, stop_tol=stop_tol,
+                                  sink=lambda t, q: got.append((t, q)))
+        if stop_tol:
+            assert traj.times[-1] < 20.0
+        else:
+            # steps 10, 20 and 30, then the last, step 32
+            assert len(traj.times) == 5
+        assert [t for t, _ in got] == traj.times.tolist()
+        assert np.array_equal([q for _, q in got], traj.states)
 
     def test_rejects_state_without_coordinates(self):
         # An (n, 0) state has no spread to check at the recorded samples.
@@ -376,3 +404,62 @@ class TestDiagnostics:
             straightness_residual(traj, 0)
         with pytest.raises(DomainError):
             straightness_residual(traj, 5)
+
+
+def relabeled(net, perm):
+    """net with its agent perm[k] renamed k + 1 (1-based labels)."""
+    new = {old: k + 1 for k, old in enumerate(perm)}
+    policy = net.policy
+    if isinstance(policy, StaticWeights):
+        policy = StaticWeights({tuple(sorted((new[i], new[j]))): w
+                                for (i, j), w in policy.weights.items()})
+    return Network(net.n, {(new[i], new[j]) for i, j in net.edges}, policy)
+
+
+class TestSymmetry:
+    """q' = -L q commutes with relabeling the agents (L -> P L P^T) and
+    with translating all of them (L 1 = 0). So a relabeled or translated
+    bundled run must record as many samples and topology changes as the
+    run itself, and states that differ by rounding alone: BLAS sums in
+    another order, and a shifted state rounds at its larger magnitude.
+    The runs stop at 20 s at the latest.
+
+    The largest differences measured over the three scenarios were
+    7.9e-13 for the relabeling (2_4_1) and 1.9e-11 for the translation
+    (2_4_1); each tolerance below is about 13 and 10 times that.
+    """
+
+    PERM = (3, 1, 4, 2)     # the new agent k + 1 is the old agent PERM[k]
+    SHIFT = np.array([100.0, -50.0, 7.0])
+    RELABEL_TOL = 1e-11
+    TRANSLATE_TOL = 2e-10
+    SCENARIOS = ["scenario_2_4_1", "scenario_2_5_1", "scenario_2_5_2"]
+
+    @staticmethod
+    def run(name, relabel=False, shift=0.0):
+        cfg = load_config(scenario_path(name))
+        net, q0 = cfg.network, cfg.agents[:, :3] + shift
+        if relabel:
+            net = relabeled(net, TestSymmetry.PERM)
+            q0 = q0[[old - 1 for old in TestSymmetry.PERM]]
+        return integrate_protocol(net, q0, min(cfg.T, 20.0), cfg.dt,
+                                  cfg.stride, cfg.stop_tol)
+
+    @staticmethod
+    def assert_same_events(a, b):
+        assert len(a.times) == len(b.times)
+        assert len(a.laplacian_log) == len(b.laplacian_log)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_relabeling(self, name):
+        base, moved = self.run(name), self.run(name, relabel=True)
+        self.assert_same_events(base, moved)
+        undone = base.states[:, [old - 1 for old in self.PERM]]
+        assert np.max(np.abs(moved.states - undone)) <= self.RELABEL_TOL
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_translation(self, name):
+        base, moved = self.run(name), self.run(name, shift=self.SHIFT)
+        self.assert_same_events(base, moved)
+        assert np.max(np.abs(moved.states - self.SHIFT - base.states)) \
+            <= self.TRANSLATE_TOL

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from quadswarm import cli, consensus, mission
 from quadswarm.cli import main
 from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
-                                 integrate_protocol, max_cross_track)
-from quadswarm.errors import (DomainError, GimbalLockError, InfeasibleError,
-                              IoError, ParseError, SwarmError,
-                              ValidationError)
+                                 integrate_protocol, max_cross_track,
+                                 start_spectrum)
+from quadswarm.errors import (DivergenceError, DomainError, GimbalLockError,
+                              InfeasibleError, IoError, ParseError,
+                              SwarmError, ValidationError)
 from quadswarm.mission import export_csv, load_config, run_mission
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
@@ -749,6 +750,99 @@ class TestParallelFlights:
             run_mission(cfg, out_dir=tmp_path)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+
+class TestParticleWriter:
+    """With more than one usable CPU, a forked writer formats
+    particle.csv while the protocol integrates; on one CPU the run
+    formats it after the protocol. Either way the file is export_csv's
+    of the protocol run, and a run that fails leaves none, nor the
+    writer's temporary file or process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case", ["2_4_1", "2_5_2 T=3", "2_4_1 r=2"])
+    def test_writes_the_bytes_of_export_csv(self, tmp_path, case, cpus,
+                                            monkeypatch):
+        cfg = load_config(scenario_path("scenario_" + case.split()[0]))
+        if case.endswith("T=3"):
+            cfg = replace(cfg, T=3.0)
+        elif case.endswith("r=2"):
+            cfg = replace(cfg, agents=cfg.agents[:, :2])
+        traj = integrate_protocol(cfg.network, cfg.agents[:, :3], cfg.T,
+                                  cfg.dt, cfg.stride, cfg.stop_tol)
+        # 2_4_1 stops early, 2_5_2 runs to its horizon
+        assert (traj.times[-1] < cfg.T) == case.startswith("2_4_1")
+        export_csv(traj, tmp_path / "expect.csv")
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        run_mission(cfg, out_dir=tmp_path / "run")
+        assert_no_child_left()
+        dest = tmp_path / "run" / cfg.out
+        assert sorted(p.name for p in dest.iterdir()) \
+            == ["particle.csv", "report.json"]
+        got = (dest / "particle.csv").read_bytes()
+        assert got == (tmp_path / "expect.csv").read_bytes()
+        if case.endswith("r=2"):
+            assert got.startswith(b"t,q1c1,q1c2,q2c1,q2c2,")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_diverging_protocol_leaves_no_csv(self, tmp_path, cpus,
+                                              monkeypatch):
+        # a 24-agent ring whose dt passes the check on L(0) but not the
+        # graph the proximity rule grows: the state overflows, and the
+        # check at the recorded samples stops the run at t = 0.166
+        n = 24
+        q0 = np.random.default_rng(5).uniform(0.0, 40.0, size=(n, 3))
+        net = Network(n, {(i, i % n + 1) for i in range(1, n + 1)},
+                              DistanceWeighted(10.0))
+        dt = 0.9 * 2.785 / start_spectrum(net, q0).lambda_max
+        cfg = replace(load_config(scenario_path("scenario_2_5_2")),
+                      network=net, agents=np.hstack([q0, np.zeros((n, 3))]),
+                      T=3.0, dt=dt)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"t=0\.166016$"):
+                run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        dest = tmp_path / cfg.out
+        assert [p.name for p in dest.iterdir()] == ["FAILED"]
+        assert (dest / "FAILED").read_text(encoding="utf-8").startswith(
+            "DivergenceError: protocol state is non-finite")
+
+    @pytest.mark.parametrize("kill_at", [1.0, 20.0])
+    def test_killed_writer_fails_the_run(self, tmp_path, kill_at,
+                                         monkeypatch):
+        # killed at t = 1 s, the writer leaves the samples to come with
+        # no reader; killed at the last sample, it misses the end
+        import signal
+        real_fork, real_protocol = mission._fork, mission.integrate_protocol
+        writers = []
+
+        def fork(fn, arg):
+            pid, pipe = real_fork(fn, arg)
+            writers.append(pid)
+            return pid, pipe
+
+        def protocol(*args, sink, **kwargs):
+            def kill_then_sink(t, q):
+                if writers and t >= kill_at:
+                    os.kill(writers.pop(), signal.SIGKILL)
+                sink(t, q)
+
+            return real_protocol(*args, sink=kill_then_sink, **kwargs)
+
+        monkeypatch.setattr(mission, "_fork", fork)
+        monkeypatch.setattr(mission, "integrate_protocol", protocol)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: 2)
+        cfg = replace(load_config(scenario_path("scenario_2_5_2")), T=20.0)
+        with pytest.raises(ChildProcessError, match="^particle writer "
+                           "[0-9]+ ended with wait status 9$") as err:
+            run_mission(cfg, out_dir=tmp_path)
+        assert not writers
+        assert_no_child_left()
+        dest = tmp_path / cfg.out
+        assert [p.name for p in dest.iterdir()] == ["FAILED"]
+        assert (dest / "FAILED").read_text(encoding="utf-8") \
+            == f"ChildProcessError: {err.value}\n"
 
 
 class TestCli:

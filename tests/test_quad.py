@@ -355,6 +355,13 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(hover_state(), sched, P, 1.0, stride=0)
 
+    def test_rejects_non_finite_step(self):
+        # an infinite step would fly each window as one remainder step
+        with pytest.raises(DomainError, match="step size must be positive "
+                                              "and finite, got inf"):
+            simulate(hover_state(), hover_schedule(P, 1.0), P, 1.0,
+                     dt=math.inf)
+
     def test_breakpoint_windows_hit_junctions_exactly(self):
         # A schedule with a jump at an off-grid time: window snapping
         # must land a step boundary exactly on it, and stages on either
