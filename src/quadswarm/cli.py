@@ -5,10 +5,10 @@
     quadswarm list-scenarios
 
 Exit codes: 0 on success, 2 for config parse or validation problems,
-1 for any other failure. validate also exits 2, after a FAIL: line,
-for a config whose run could not start its protocol or plan a route
-it can know before the protocol runs: the scripted [maneuvers], or a
-rendezvous on a complete graph. The output root
+1 for any other failure. validate runs what the run does before its
+first flight step (mission.prepare, the protocol included, writing
+nothing) and plans every route; where that fails, it prints a FAIL:
+line holding the run's error and exits 2. The output root
 defaults to $SWARM_OUT_DIR (falling back to the working directory);
 --out overrides it.
 """
@@ -20,8 +20,7 @@ from importlib import resources
 
 from .consensus import start_spectrum
 from .errors import ParseError, SwarmError, ValidationError
-from .mission import (MODES, flight_routes, integrates_protocol, load_config,
-                      run_mission)
+from .mission import MODES, load_config, prepare, run_mission
 from .planner import plan
 
 
@@ -77,23 +76,23 @@ def _cmd_run(args):
 def _cmd_validate(args):
     config = load_config(args.config)
     net = config.network
-    spec = start_spectrum(net, config.agents[:, :3])
-    # the checks integrate_protocol makes on L(0), for a run that has one
-    problem = spec.problem(config.dt) if integrates_protocol(config) else None
-    # then the routes the run plans that need no protocol run, in agent
+    problem = particle = None
+    # the run up to its first flight step, then its plans in agent
     # order, so the first failure is the run's lowest failing agent
-    if problem is None:
-        try:
-            for route in flight_routes(config) or ():
-                plan(config.params, route)
-        except SwarmError as e:
-            problem = e
+    try:
+        _, particle, routes = prepare(config)
+        for route in routes:
+            plan(config.params, route)
+    except SwarmError as e:
+        problem = e
     if problem is None:
         print(f"OK: mode={config.mode} agents={net.n} "
               f"edges={len(net.edges)} policy={type(net.policy).__name__}")
     else:
         print(f"FAIL: {type(problem).__name__}: {problem}")
     if net.n >= 2:
+        spec = particle.start if particle is not None else start_spectrum(
+            net, config.agents[:, :3])
         print(f"spectrum of L(0): lambda2={spec.lambda2:.6g} "
               f"lambda_max={spec.lambda_max:.6g} "
               f"dt*lambda_max={config.dt * spec.lambda_max:.6g} "

@@ -32,11 +32,14 @@ class ConsensusTrajectory:
         states: (K, n, r) agent states at those times.
         laplacian_log: list of (time, Laplacian) snapshots, one at t=0
             plus one whenever the proximity rule added edges.
+        start: the StartSpectrum of L(0) the run was checked against
+            before its first step; its laplacian is the t=0 snapshot.
     """
 
     times: np.ndarray
     states: np.ndarray
     laplacian_log: list
+    start: "StartSpectrum"
 
 
 def consensus_point(q0):
@@ -170,25 +173,28 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
     if sink is not None:
         sink(0.0, states[0])
     last = steps - 1
-    for k in range(steps):
-        advance(k)
-        if (k + 1) % stride == 0 or k == last:
-            times.append((k + 1) * dt)
-            states.append(q.copy())
-            if sink is not None:
-                sink(times[-1], states[-1])
-            spread = peak(absolute(subtract(q, alpha, off), off), None)
-            if spread < stop_tol:
-                break
-            # np.maximum propagates NaN, so this costs no extra pass
-            if not math.isfinite(spread):
-                raise DivergenceError(
-                    f"protocol state is non-finite at t={times[-1]:.6f}")
+    # an overflow shows once, as the check's DivergenceError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            advance(k)
+            if (k + 1) % stride == 0 or k == last:
+                times.append((k + 1) * dt)
+                states.append(q.copy())
+                if sink is not None:
+                    sink(times[-1], states[-1])
+                spread = peak(absolute(subtract(q, alpha, off), off), None)
+                if spread < stop_tol:
+                    break
+                # np.maximum propagates NaN, so this costs no extra pass
+                if not math.isfinite(spread):
+                    raise DivergenceError(
+                        f"protocol state is non-finite at t={times[-1]:.6f}")
 
     return ConsensusTrajectory(
         times=np.array(times),
         states=np.array(states),
         laplacian_log=log,
+        start=spec,
     )
 
 

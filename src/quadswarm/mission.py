@@ -437,12 +437,12 @@ def _write_lines(path, lines):
         raise IoError(f"cannot write {path}: {e}") from e
 
 
-def _spectrum_log(laplacian_log):
-    out = []
-    for t, lap in laplacian_log:
-        w, _ = sym_eigen(lap.matrix)
-        out.append((float(t), tuple(float(x) for x in w)))
-    return tuple(out)
+def _spectrum_log(particle):
+    """(time, ascending eigenvalues) of each Laplacian particle logged;
+    the t=0 entry is the start spectrum the protocol checked."""
+    log = [(0.0, particle.start.eigenvalues)] + [
+        (t, sym_eigen(lap.matrix)[0]) for t, lap in particle.laplacian_log[1:]]
+    return tuple((float(t), tuple(float(x) for x in w)) for t, w in log)
 
 
 def _agent_report(i, alpha, particle, run):
@@ -477,8 +477,7 @@ def _report(mode, alpha, particle, agents):
         rendezvous_point=tuple(float(x) for x in alpha)
         if alpha is not None else None,
         agents=tuple(agents),
-        eigenvalues=_spectrum_log(particle.laplacian_log)
-        if particle is not None else (),
+        eigenvalues=_spectrum_log(particle) if particle is not None else (),
     )
 
 
@@ -497,14 +496,6 @@ def _quad_start(config, i):
     return QuadState(
         b=config.agents[i, :3], angles=config.agents[i, 3:6],
         v=np.zeros(3), Omega=np.zeros(3))
-
-
-def integrates_protocol(config):
-    """Whether running config integrates the agreement protocol: a
-    rendezvous (no [maneuvers]) outside quad mode, or on a graph that
-    is not complete. A complete graph flies straight to the centroid."""
-    return not config.maneuvers and (
-        config.mode != "quad" or not is_complete(config.network))
 
 
 def run_mission(config, out_dir=None):
@@ -531,45 +522,44 @@ def run_mission(config, out_dir=None):
         raise
 
 
-def flight_routes(config, particle=None):
-    """The routes config flies, a tuple of ManeuverSpec per drone in
-    agent order: the [maneuvers] legs, else one rendezvous_route per
-    agent, and none in particle mode, whose starts need not be level.
-    A complete graph flies to the agreement point, any other graph each
-    drone to its endpoint of the protocol run particle; without that run
-    the routes are None."""
+def prepare(config, dest=None):
+    """Everything a run of config does before its first flight step;
+    returns (alpha, particle, routes).
+
+    alpha is the agreement point of the starts and particle the protocol
+    run, each None where the run has none: a scripted flight has
+    neither, and a quad rendezvous on a complete graph runs no protocol.
+    routes holds each drone's tuple of ManeuverSpec in agent order: the
+    [maneuvers] legs, else one rendezvous_route per agent, to alpha on a
+    complete graph, else to its protocol endpoint, and none in particle
+    mode, whose starts need not be level. Only given the output
+    directory dest does a particle or compare run write particle.csv.
+    """
     if config.maneuvers:
-        return [config.maneuvers]
+        return None, None, [config.maneuvers]
+    alpha = consensus_point(config.agents[:, :3])
+    complete = is_complete(config.network)
+    particle = None
+    if config.mode != "quad" and dest is not None:
+        particle = _protocol_to_csv(config, dest / "particle.csv")
+    elif config.mode != "quad" or not complete:
+        particle = _protocol(config)
     if config.mode == "particle":
-        return []
-    n = config.network.n
-    if is_complete(config.network):
-        targets = [consensus_point(config.agents[:, :3])] * n
-    elif particle is None:
-        return None
-    else:
-        targets = particle.states[-1]
-    return [rendezvous_route(_quad_start(config, i), targets[i])
-            for i in range(n)]
+        return alpha, particle, []
+    targets = [alpha] * config.network.n if complete else particle.states[-1]
+    return alpha, particle, [rendezvous_route(_quad_start(config, i), target)
+                             for i, target in enumerate(targets)]
 
 
 def _run_mission(config, dest):
-    alpha = particle = None
-    if not config.maneuvers:
-        alpha = consensus_point(config.agents[:, :3])
-        if config.mode != "quad":
-            particle = _protocol_to_csv(config, dest / "particle.csv")
-        elif integrates_protocol(config):
-            particle = _protocol(config)
-
+    alpha, particle, routes = prepare(config, dest)
     # the protocol run reported on; a quad run reports none
     reported = None if config.mode == "quad" else particle
     if config.mode == "particle":
         agents = [_agent_report(i, alpha, particle, None)
                   for i in range(config.network.n)]
     else:
-        agents = _fly_agents(config, flight_routes(config, particle), alpha,
-                             reported, dest)
+        agents = _fly_agents(config, routes, alpha, reported, dest)
 
     report = _report(config.mode, alpha, reported, agents)
     _write_report(report, dest)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswarm import cli, consensus, mission
+from quadswarm import consensus, mission
 from quadswarm.cli import main
 from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
                                  integrate_protocol, max_cross_track,
@@ -21,7 +21,7 @@ from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
 from quadswarm.errors import (DivergenceError, DomainError, GimbalLockError,
                               InfeasibleError, IoError, ParseError,
                               SwarmError, ValidationError)
-from quadswarm.mission import export_csv, load_config, run_mission
+from quadswarm.mission import MODES, export_csv, load_config, run_mission
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
 from quadswarm.numerics import sym_eigen
@@ -66,6 +66,43 @@ agent1 = 0, 0, 0
 agent2 = 1, 0.5, 0.3
 agent3 = 1.2, 1.4, 0.8
 """
+# scenario_4_2_2's level starts on the path 1-2, 2-3 at m = 3.0: agent
+# 1's route to its protocol endpoint passes the rotor ceiling
+PATH_M3 = """\
+[mission]
+mode = quad
+T = 50
+[network]
+n = 3
+edges = 1-2, 2-3
+[params]
+m = 3.0
+[agents]
+agent1 = 0, 0, 0
+agent2 = 0, 9, 0
+agent3 = 15, 9, 0
+"""
+
+
+def ring_text():
+    """A particle file of a 24-agent distance-weighted ring whose dt
+    passes the check on L(0) but not the graph the proximity rule
+    grows: the state overflows, and the check at the recorded samples
+    stops the run at t = 0.166."""
+    n = 24
+    q0 = np.random.default_rng(5).uniform(0.0, 40.0, size=(n, 3))
+    net = Network(n, {(i, i % n + 1) for i in range(1, n + 1)},
+                  DistanceWeighted(10.0))
+    dt = 0.9 * 2.785 / start_spectrum(net, q0).lambda_max
+    edges = ", ".join(f"{i}-{i % n + 1}" for i in range(1, n + 1))
+    agents = "".join(f"agent{i + 1} = {x!r}, {y!r}, {z!r}\n"
+                     for i, (x, y, z) in enumerate(q0.tolist()))
+    return (f"[mission]\nmode = particle\nT = 3.0\ndt = {dt!r}\n"
+            f"[network]\nn = {n}\nedges = {edges}\nweights = distance\n"
+            f"threshold = 10.0\n[agents]\n{agents}")
+
+
+RING_FAILED = "DivergenceError: protocol state is non-finite at t=0.166016\n"
 
 
 def write_cfg(tmp_path, text, name="mission.cfg"):
@@ -433,7 +470,7 @@ class TestExportCsv:
         states = np.array([np.roll(edge, i)[:6] for i in range(k)])
         traj = ConsensusTrajectory(times=times,
                                    states=states.reshape(k, 2, 3),
-                                   laplacian_log=[])
+                                   laplacian_log=[], start=None)
         path = tmp_path / "edge.csv"
         export_csv(traj, path)
         expect = "t,x1,y1,z1,x2,y2,z2\n" + "".join(
@@ -569,22 +606,59 @@ leg1 = bodyX, 5000, 4
             bound = math.sqrt(3) * cfg.stop_tol + 1e-6
             assert all(a.quad_final_error <= bound for a in report.agents)
 
-    def test_flight_routes_need_the_protocol_off_a_complete_graph(
+    def test_prepare_gives_the_run_up_to_its_first_flight_step(
             self, tmp_path):
-        """The route rule run and validate share: the scripted legs,
-        none in particle mode, and on a graph that is not complete None
-        until the protocol run that gives the targets is passed in."""
+        """The prefix run and validate share: the scripted legs; the
+        protocol and no route in particle mode; on a complete graph no
+        protocol in quad mode, every drone flying to alpha; on any
+        other graph each drone flying to its protocol endpoint. Only a
+        given output directory gets particle.csv."""
         scripted = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
-        assert mission.flight_routes(scripted) == [scripted.maneuvers]
-        particle = load_config(write_cfg(tmp_path, BASE, "particle.cfg"))
-        assert mission.flight_routes(particle) == []
-        config = load_config(write_cfg(tmp_path, PATH_3, "path.cfg"))
-        assert mission.flight_routes(config) is None
-        traj = integrate_protocol(config.network, config.agents[:, :3],
-                                  config.T, config.dt)
-        assert mission.flight_routes(config, traj) == [
-            rendezvous_route(hover_state(traj.states[0][i]),
-                             traj.states[-1][i]) for i in range(3)]
+        assert mission.prepare(scripted) == (None, None,
+                                             [scripted.maneuvers])
+        for text, complete in [(BASE, True), (PATH_3, False)]:
+            for mode in MODES:
+                config = replace(load_config(write_cfg(tmp_path, text)),
+                                 mode=mode)
+                q0 = config.agents[:, :3]
+                alpha, particle, routes = mission.prepare(config)
+                assert np.array_equal(alpha, consensus_point(q0))
+                if mode == "quad" and complete:
+                    assert particle is None
+                else:
+                    traj = integrate_protocol(config.network, q0, config.T,
+                                              config.dt)
+                    assert np.array_equal(particle.states, traj.states)
+                targets = [alpha] * len(q0) if complete \
+                    else particle.states[-1]
+                assert routes == ([] if mode == "particle" else [
+                    rendezvous_route(hover_state(q0[i]), targets[i])
+                    for i in range(len(q0))])
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["mission.cfg"]
+        mission.prepare(config, tmp_path)
+        export_csv(particle, tmp_path / "expect.csv")
+        assert (tmp_path / "particle.csv").read_bytes() \
+            == (tmp_path / "expect.csv").read_bytes()
+
+    def test_report_decomposes_the_start_laplacian_once(self, tmp_path,
+                                                        monkeypatch):
+        """The report's t=0 spectrum is the one the protocol checked
+        its step against, not a second decomposition of L(0)."""
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return sym_eigen(a)
+
+        for mod in (consensus, mission):
+            monkeypatch.setattr(mod, "sym_eigen", counted)
+        cfg = load_config(scenario_path("scenario_2_4_1"))
+        report = run_mission(cfg, out_dir=tmp_path)
+        assert len(calls) == 1
+        lap = start_spectrum(cfg.network, cfg.agents[:, :3]).laplacian
+        assert report.eigenvalues == (
+            (0.0, tuple(sym_eigen(lap.matrix)[0].tolist())),)
 
 
 def digests(root):
@@ -787,26 +861,29 @@ class TestParticleWriter:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_diverging_protocol_leaves_no_csv(self, tmp_path, cpus,
                                               monkeypatch):
-        # a 24-agent ring whose dt passes the check on L(0) but not the
-        # graph the proximity rule grows: the state overflows, and the
-        # check at the recorded samples stops the run at t = 0.166
-        n = 24
-        q0 = np.random.default_rng(5).uniform(0.0, 40.0, size=(n, 3))
-        net = Network(n, {(i, i % n + 1) for i in range(1, n + 1)},
-                              DistanceWeighted(10.0))
-        dt = 0.9 * 2.785 / start_spectrum(net, q0).lambda_max
-        cfg = replace(load_config(scenario_path("scenario_2_5_2")),
-                      network=net, agents=np.hstack([q0, np.zeros((n, 3))]),
-                      T=3.0, dt=dt)
+        cfg = load_config(write_cfg(tmp_path, ring_text()))
         monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"t=0\.166016$"):
-                run_mission(cfg, out_dir=tmp_path)
+        with pytest.raises(DivergenceError, match=r"t=0\.166016$"):
+            run_mission(cfg, out_dir=tmp_path)
         assert_no_child_left()
         dest = tmp_path / cfg.out
         assert [p.name for p in dest.iterdir()] == ["FAILED"]
-        assert (dest / "FAILED").read_text(encoding="utf-8").startswith(
-            "DivergenceError: protocol state is non-finite")
+        assert (dest / "FAILED").read_text(encoding="utf-8") == RING_FAILED
+
+    def test_diverging_protocol_fails_with_one_error_line(self, tmp_path,
+                                                          capsys):
+        """With warnings as errors, the overflow on the way to the
+        non-finite state raises no RuntimeWarning: the run exits 1
+        with its FAILED marker and prints only its error."""
+        path = write_cfg(tmp_path, ring_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert (tmp_path / "mission" / "FAILED").read_text(
+            encoding="utf-8") == RING_FAILED
+        assert capsys.readouterr().err \
+            == "error: " + RING_FAILED.split(": ", 1)[1]
 
     @pytest.mark.parametrize("kill_at", [1.0, 20.0])
     def test_killed_writer_fails_the_run(self, tmp_path, kill_at,
@@ -1219,17 +1296,35 @@ agent3 = -2, 0, 5
         assert (tmp_path / "climb" / "FAILED").read_text(
             encoding="utf-8") == error + "\n"
 
-    def test_validate_plans_no_route_that_needs_the_protocol(
-            self, tmp_path, capsys, monkeypatch):
-        """On a graph that is not complete each drone flies to its
-        endpoint of the protocol run, which validate does not make, so
-        it plans no route."""
-        planned = []
-        monkeypatch.setattr(cli, "plan",
-                            lambda p, route: planned.append(route))
-        assert main(["validate", str(write_cfg(tmp_path, PATH_3))]) == 0
-        assert capsys.readouterr().out.startswith("OK:")
-        assert planned == []
+    @pytest.mark.parametrize("text, failed", [
+        (PATH_M3, "InfeasibleError: maneuver is infeasible at its natural "
+                  "amplitude: rotor speed 500.0078172269999 outside "
+                  "[0, 500.0] rad/s at t=0.197432523471049\n"),
+        (ring_text(), RING_FAILED),
+    ], ids=["path-m3", "ring"])
+    def test_validate_fails_as_the_run_fails(self, tmp_path, capsys, text,
+                                             failed):
+        """validate runs the run's own prefix, protocol included, so a
+        route to a protocol endpoint that the rotors cannot fly, or a
+        protocol that diverges after its first step, fails validate
+        with the error the run leaves in FAILED."""
+        path = write_cfg(tmp_path, text)
+        assert main(["validate", str(path)]) == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "mission" / "FAILED").read_text(
+            encoding="utf-8") == failed
+        assert first == "FAIL: " + failed.rstrip("\n")
+
+    @pytest.mark.parametrize("name", ["scenario_2_4_1", "scenario_4_2_2"])
+    def test_validate_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                     name):
+        """validate integrates the protocol of a particle or compare
+        run but creates no output directory and no particle.csv."""
+        monkeypatch.setenv("SWARM_OUT_DIR", str(tmp_path / "out"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", str(scenario_path(name))]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_list_scenarios(self, capsys):
         rc = main(["list-scenarios"])
