@@ -8,8 +8,9 @@
 #   usage (from the repository root): ci/outputs.sh SRC OUT
 #
 # The bundled scenarios are SRC's own. The inputs no scenario ships
-# are written to OUT/cfg from this checkout's scenarios and
-# perfbench/workloads.py, so every SRC reads the same bytes.
+# are written to OUT/cfg from this checkout's scenarios,
+# perfbench/workloads.py and tests/test_mission.py, so every SRC reads
+# the same bytes.
 set -eu
 if [ $# -ne 2 ]; then
   echo "usage: $0 SRC OUT" >&2
@@ -46,16 +47,23 @@ sed 's/^\[agents\]$/[params]\nm = 3.0\n\n[agents]/' \
   "$templates/scenario_4_2_2.cfg" > "$out/cfg/m3-4_2_2.cfg"
 grep -qx 'leg1 = vertical, 60, 2' "$out/cfg/ceiling-4_2_1.cfg"
 grep -qx 'm = 3.0' "$out/cfg/m3-4_2_2.cfg"
+# the same m = 3.0 drones on the path 1-2, 2-3: agent 1's route to its
+# protocol endpoint passes the rotor ceiling
+PYTHONPATH=src:tests python -c "import sys, test_mission; \
+  sys.stdout.write(test_mission.PATH_M3)" > "$out/cfg/path-m3.cfg"
+# a 24-agent distance-weighted ring whose protocol state overflows
+PYTHONPATH=src:tests python -c "import sys, test_mission; \
+  sys.stdout.write(test_mission.ring_text())" > "$out/cfg/ring.cfg"
 
 for cfg in "$bundled"/*.cfg; do
   name=$(basename "$cfg" .cfg)
   call "$name" run "$cfg" --out "$out"
   call "validate-$name" validate "$cfg"
 done
-for name in swarm1 swarm2 dt01-2_5_2 ceiling-4_2_1 m3-4_2_2; do
+for name in swarm1 swarm2 dt01-2_5_2 ceiling-4_2_1 m3-4_2_2 path-m3 ring; do
   call "validate-$name" validate "$out/cfg/$name.cfg"
 done
-for name in swarm1 swarm2; do
+for name in swarm1 swarm2 path-m3 ring; do
   call "$name" run "$out/cfg/$name.cfg" --out "$out/$name"
 done
 # at dt = 0.0037 every window ends off the step grid with a remainder

@@ -3,8 +3,9 @@
 A mission file is INI-style: a [mission] section (mode and integration
 settings), a [network] section, an [agents] section, and optional
 [params] and [maneuvers] sections. Runs write CSV trajectories plus a
-report.json into an output directory; a failed run leaves a FAILED
-marker file next to whatever partial outputs were flushed.
+report.json into an output directory, each whole or not at all
+(_write_lines); a failed run leaves a FAILED marker file next to the
+artifacts it finished.
 """
 
 import configparser
@@ -387,7 +388,10 @@ def export_csv(traj, path):
     Consensus runs get columns t, x1, y1, z1, x2, ... per agent; quad
     runs get t, b1, b2, b3, phi, theta, psi, v1..v3, O1..O3, w1..w4,
     thrust. Floats are rendered with 17 significant digits, so equal
-    runs produce byte-identical files.
+    runs produce byte-identical files. The lines go to path + ".part",
+    which is renamed onto path once the last is written, as every
+    artifact of a run is: path is whole or not written at all, and an
+    OSError raises IoError naming path.
     """
     _write_lines(path, _csv_lines(traj))
 
@@ -429,12 +433,27 @@ def _table_lines(header, rows):
 
 
 def _write_lines(path, lines):
+    """Put an artifact on disk, the one way every artifact gets there:
+    lines go to the temporary sibling _part(path), which is renamed onto
+    path once the last is written. Any failure deletes the sibling, and
+    an OSError raises IoError naming path, so path is whole or absent."""
     path = Path(path)
+    part = _part(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.writelines(lines)
+        try:
+            with open(part, "w", encoding="utf-8", newline="") as f:
+                f.writelines(lines)
+            os.replace(part, path)
+        finally:
+            with contextlib.suppress(OSError):
+                part.unlink()
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
+
+
+def _part(path):
+    """The temporary sibling an artifact at path is written to."""
+    return path.with_name(path.name + ".part")
 
 
 def _spectrum_log(particle):
@@ -579,26 +598,24 @@ def _protocol_to_csv(config, path):
     With more than one usable CPU and os.fork, a forked writer formats
     the samples while the protocol integrates: each sample's raw
     float64 bytes, t and then the state, go through a pipe as the
-    protocol records them, and the writer's lines go to a temporary
-    sibling of path. It is renamed to path once the protocol has
-    returned and the writer has been reaped. Otherwise the lines are
-    formatted here after the protocol. Either way a protocol that
-    raises leaves no file, and a writer that dies raises
-    ChildProcessError.
+    protocol records them, and the writer puts the lines on disk with
+    _write_lines. The samples end, and so path appears, only once the
+    protocol has returned. Otherwise export_csv writes the run here
+    after the protocol. Either way a protocol that raises leaves no
+    file, and a writer that dies raises ChildProcessError.
     """
     if _usable_cpus() < 2 or not hasattr(os, "fork"):
         particle = _protocol(config)
         export_csv(particle, path)
         return particle
     header = _particle_header(*config.agents[:, :3].shape)
-    part = path.with_name(path.name + ".part")
     workers = []    # the writer's (pid, pipe) until it is reaped
     rfd, wfd = os.pipe()
     pipe = open(wfd, "wb")
     try:
         with open(rfd, "rb") as samples:
             workers.append(_fork(_write_samples,
-                                 (samples, pipe, header, part)))
+                                 (samples, pipe, header, path)))
         stamp = struct.Struct("d").pack
 
         # tobytes, not the array itself: numpy keeps the buffer format
@@ -617,26 +634,23 @@ def _protocol_to_csv(config, path):
         error = _join(workers, "particle writer")
         if error is not None:
             raise error
-        try:
-            os.replace(part, path)
-        except OSError as e:
-            raise IoError(f"cannot write {path}: {e}") from e
         return particle
     finally:
         _kill(workers)
         # after a failure, the buffered samples meet a closed pipe
         with contextlib.suppress(OSError):
             pipe.close()
+        # what a killed writer left behind
         with contextlib.suppress(FileNotFoundError):
-            part.unlink()
+            _part(path).unlink()
 
 
 def _write_samples(args):
     """The forked particle writer: read the samples from the pipe until
     it ends, each as raw float64 t and then the state, and write them
-    under header to path. Returns None, or the IoError of a failed
-    write once the pipe has ended, so that the run raises it after the
-    protocol, where the in-process export would."""
+    under header to path with _write_lines. Returns None, or the
+    IoError of a failed write once the pipe has ended, so that the run
+    raises it after the protocol, where the in-process export would."""
     samples, pipe, header, path = args
     pipe.close()    # this child's copy of the write end
     row = struct.Struct(f"{header.count(',') + 1}d")
@@ -790,9 +804,4 @@ def _write_report(report, dest):
     except ValueError as e:
         raise DivergenceError(
             f"report holds a non-finite number: {e}") from e
-    try:
-        with open(dest / "report.json", "w", encoding="utf-8",
-                  newline="") as f:
-            f.write(text + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write report: {e}") from e
+    _write_lines(dest / "report.json", (text + "\n",))

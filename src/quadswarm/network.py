@@ -5,8 +5,11 @@ pairs; a network builds its boolean adjacency matrix once, and every
 graph query below reads it. Three weight policies are supported: plain
 0/1 weights, a fixed symmetric weight map, and distance weights that
 grow edges permanently whenever two agents pass within a threshold of
-each other. That proximity rule is written once, in proximity_edges,
-and every distance weight comes from pairwise_distances.
+each other. That proximity rule is written once, in proximity_edges.
+Every distance weight follows pairwise_distances' formula: the
+snapshots here call it, and the protocol's step loop
+(consensus._moving_step) computes the same distances, in the same
+order, into buffers of its own.
 """
 
 import copy

@@ -1,5 +1,6 @@
 """Unit checks for mission configs, artifacts, and the CLI."""
 
+import errno
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -660,6 +662,33 @@ leg1 = bodyX, 5000, 4
         assert report.eigenvalues == (
             (0.0, tuple(sym_eigen(lap.matrix)[0].tolist())),)
 
+    def test_flights_commute_with_translation(self, tmp_path):
+        """The quad's force law never reads the position b, and a route
+        holds only target - b, so shifting every agent of 4_2_2 by an
+        integer vector gives the same routes and flights whose columns
+        but b1..b3 keep their bytes. The positions round at the shifted
+        magnitude: 1.46e-11 apart at most, a tenth of the tolerance."""
+        shift = np.array([100.0, -50.0, 7.0])
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        moved = replace(cfg, agents=cfg.agents + np.r_[shift, 0.0, 0.0, 0.0])
+        assert mission.prepare(moved)[2] == mission.prepare(cfg)[2]
+        run_mission(cfg, out_dir=tmp_path / "base")
+        run_mission(moved, out_dir=tmp_path / "moved")
+
+        def table(run, i):
+            path = tmp_path / run / cfg.out / f"quad_agent{i}.csv"
+            lines = path.read_text(encoding="utf-8").splitlines()
+            return [line.split(",") for line in lines]
+
+        for i in range(1, cfg.network.n + 1):
+            base, shifted = table("base", i), table("moved", i)
+            assert [row[:1] + row[4:] for row in shifted] \
+                == [row[:1] + row[4:] for row in base]
+            b = np.array([row[1:4] for row in base[1:]], dtype=float)
+            b_moved = np.array([row[1:4] for row in shifted[1:]],
+                               dtype=float)
+            assert np.max(np.abs(b_moved - (b + shift))) <= 1.5e-10
+
 
 def digests(root):
     return {p.relative_to(root).as_posix():
@@ -920,6 +949,66 @@ class TestParticleWriter:
         assert [p.name for p in dest.iterdir()] == ["FAILED"]
         assert (dest / "FAILED").read_text(encoding="utf-8") \
             == f"ChildProcessError: {err.value}\n"
+
+
+class _FullDisk:
+    """A file that takes room more characters and then fails each write
+    with ENOSPC, as a disk that fills up while it is written would."""
+
+    def __init__(self, f, room):
+        self.f, self.room = f, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[:self.room])
+        self.room -= len(text)
+        if self.room < 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+class TestArtifactWrites:
+    """Every artifact reaches disk whole or not at all: an OSError while
+    one is written leaves the artifacts written before it, FAILED with
+    one text naming it, and no part of it, at any CPU count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("scenario, name, before", [
+        ("scenario_2_4_1", "particle.csv", []),
+        ("scenario_4_2_2", "particle.csv", []),
+        ("scenario_4_2_2", "quad_agent2.csv",
+         ["particle.csv", "quad_agent1.csv"]),
+        ("scenario_2_4_1", "report.json", ["particle.csv"]),
+    ])
+    def test_failed_write_leaves_no_part_of_its_artifact(
+            self, tmp_path, cpus, scenario, name, before, monkeypatch):
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if isinstance(file, int) or \
+                    Path(file).name not in (name, name + ".part"):
+                return f
+            return _FullDisk(f, 1000)
+
+        monkeypatch.setattr(mission, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        cfg = load_config(scenario_path(scenario))
+        with pytest.raises(IoError) as err:
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        dest = tmp_path / cfg.out
+        assert str(err.value) == f"cannot write {dest / name}: " \
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert sorted(p.name for p in dest.iterdir()) == ["FAILED"] + before
+        assert (dest / "FAILED").read_text(encoding="utf-8") \
+            == f"IoError: {err.value}\n"
 
 
 class TestCli:
