@@ -3,8 +3,9 @@
 A mission file is INI-style: a [mission] section (mode and integration
 settings), a [network] section, an [agents] section, and optional
 [params] and [maneuvers] sections. Runs write CSV trajectories plus a
-report.json into an output directory, each whole or not at all
-(_write_lines); a failed run leaves a FAILED marker file next to the
+report.json into an output directory, first cleared of what an earlier
+run left there, each whole or not at all (_write_lines); a failed run
+leaves a FAILED marker file, written the same way, next to the
 artifacts it finished.
 """
 
@@ -18,7 +19,7 @@ import os
 import pickle
 import re
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +43,12 @@ MODES = ("particle", "quad", "compare")
 
 # Each section's named keys, and the pattern of its numbered keys,
 # whose numbers are >= 1 and written as str(int) writes them, so that
-# every key has one spelling.
+# every key has one spelling. [params] takes QuadParams' fields.
 _KEYS = {
     "mission": {"mode", "T", "dt", "stride", "stop_tol", "out"},
     "network": {"n", "edges", "weights", "threshold"},
     "agents": set(),
-    "params": {"m", "J", "Jr_bar", "d", "Kr", "Kd", "CD", "Ctau", "g"},
+    "params": {f.name for f in fields(QuadParams)},
     "maneuvers": set(),
 }
 _NUMBERED = {
@@ -188,30 +189,23 @@ def _floats(text, key):
     return vals
 
 
-def _one_float(cp, section, key, default=None):
+def _one(cp, section, key, kind=float, default=None):
+    """The value of key in section as one finite kind (float or int),
+    or default where the key is absent."""
     if not cp.has_option(section, key):
         return default
     raw = cp.get(section, key)
     try:
-        val = float(raw)
+        val = kind(raw)
     except ValueError:
+        what = "a number" if kind is float else "an integer"
         raise ParseError(
-            f"key '{key}' in [{section}]: not a number: {raw!r}") from None
-    if not math.isfinite(val):
+            f"key '{key}' in [{section}]: not {what}: {raw!r}") from None
+    # a comparison, not math.isfinite, which overflows on a huge int
+    if not -math.inf < val < math.inf:
         raise ValidationError(
             f"key '{key}' in [{section}]: non-finite number {raw!r}")
     return val
-
-
-def _one_int(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(
-            f"key '{key}' in [{section}]: not an integer: {raw!r}") from None
 
 
 def _numbers(section, key):
@@ -276,7 +270,7 @@ def load_config(path):
             raise ValidationError(f"missing [{required}] section")
 
     mode = cp.get("mission", "mode", fallback=None)
-    n = _one_int(cp, "network", "n")
+    n = _one(cp, "network", "n", int)
     if n is None or n < 1:
         raise ValidationError(f"network needs n >= 1, got {n!r}")
 
@@ -299,8 +293,8 @@ def load_config(path):
 
     edges = _parse_edges(cp.get("network", "edges", fallback=""))
     weights = cp.get("network", "weights", fallback="none")
-    threshold = _one_float(cp, "network", "threshold",
-                           DistanceWeighted.threshold)
+    threshold = _one(cp, "network", "threshold",
+                     default=DistanceWeighted.threshold)
     static_map = {}
     for key in cp.options("network"):
         ij = _numbers("network", key)
@@ -309,7 +303,7 @@ def load_config(path):
             if edge in static_map:
                 raise ParseError(f"key '{key}' in [network] repeats the "
                                  f"weight of edge {edge[0]}-{edge[1]}")
-            static_map[edge] = _one_float(cp, "network", key)
+            static_map[edge] = _one(cp, "network", key)
 
     if weights == "none":
         policy = Unweighted()
@@ -354,23 +348,18 @@ def load_config(path):
                 raise ValidationError(f"'{key}': {e}") from e
         maneuvers = tuple(legs)
 
-    T = _one_float(cp, "mission", "T")
-    dt = _one_float(cp, "mission", "dt", 1e-3)
-    stride = _one_int(cp, "mission", "stride", 10)
-    stop_tol = _one_float(cp, "mission", "stop_tol", 1e-4)
+    T = _one(cp, "mission", "T")
+    dt = _one(cp, "mission", "dt", default=1e-3)
+    stride = _one(cp, "mission", "stride", int, 10)
+    stop_tol = _one(cp, "mission", "stop_tol", default=1e-4)
     out = cp.get("mission", "out", fallback=path.stem)
 
     params = default_params()
     if cp.has_section("params"):
-        kw = {}
-        for key in cp.options("params"):
-            if key in ("J", "CD", "Ctau"):
-                vals = _floats(cp.get("params", key), key)
-                if len(vals) != 3:
-                    raise ValidationError(f"'{key}' needs 3 numbers")
-                kw[key] = np.array(vals)
-            else:
-                kw[key] = _one_float(cp, "params", key)
+        # a vector field's length is QuadParams' to check
+        kw = {key: _floats(cp.get("params", key), key)
+              if isinstance(getattr(params, key), np.ndarray)
+              else _one(cp, "params", key) for key in cp.options("params")}
         try:
             params = replace(params, **kw)
         except DomainError as e:
@@ -469,20 +458,20 @@ def _agent_report(i, alpha, particle, run):
     report on), run (the agent's flight) and alpha (the rendezvous
     point) are None when the run has none; the fields they measure
     then stay None."""
-    fields = {}
+    measured = {}
     if particle is not None:
-        fields["particle_final_error"] = float(
+        measured["particle_final_error"] = float(
             np.linalg.norm(particle.states[-1][i] - alpha))
     end = particle.states[-1][i] if run is None else run.states[-1][:3]
     if run is not None:
-        fields["flight_time"] = float(run.times[-1])
+        measured["flight_time"] = float(run.times[-1])
         if alpha is not None:
-            fields["quad_final_error"] = float(np.linalg.norm(end - alpha))
-            fields["max_cross_track"] = max_cross_track(
+            measured["quad_final_error"] = float(np.linalg.norm(end - alpha))
+            measured["max_cross_track"] = max_cross_track(
                 run.states[:, :3], run.states[0][:3], alpha)
     return AgentReport(agent=i + 1,
                        final_position=tuple(float(x) for x in end),
-                       **fields)
+                       **measured)
 
 
 def _report(mode, alpha, particle, agents):
@@ -521,24 +510,38 @@ def run_mission(config, out_dir=None):
     """Execute a mission and write its artifacts.
 
     Output goes to <root>/<config.out> where root is the out_dir
-    argument, else $SWARM_OUT_DIR, else the working directory. On
-    failure, whatever artifacts were already produced stay on disk next
-    to a FAILED marker holding the error text, and the error re-raises;
-    a flight worker that dies (ChildProcessError) fails the run alike.
+    argument, else $SWARM_OUT_DIR, else the working directory. The run
+    first removes the artifacts an earlier run left there. On failure,
+    whatever artifacts were already produced stay on disk next to a
+    FAILED marker holding the error text, and the error re-raises; a
+    flight worker that dies (ChildProcessError) fails the run alike.
+    FAILED is written as every artifact is, whole or not at all, and
+    only where it can be: a failure to write it never hides the error.
 
     Returns:
         ComparisonReport.
     """
     dest = _resolve_out(config, out_dir)
     try:
+        _clear(dest)
         return _run_mission(config, dest)
     except (SwarmError, ChildProcessError) as e:
-        try:
-            (dest / "FAILED").write_text(
-                f"{type(e).__name__}: {e}\n", encoding="utf-8")
-        except OSError:
-            pass
+        with contextlib.suppress(IoError):
+            _write_lines(dest / "FAILED", (f"{type(e).__name__}: {e}\n",))
         raise
+
+
+def _clear(dest):
+    """Remove what a run may have left in dest: FAILED, report.json,
+    particle.csv and every quad_agent<k>.csv; raises IoError where a
+    removal fails."""
+    try:
+        for path in dest.iterdir():
+            if path.name in ("FAILED", "report.json", "particle.csv") or \
+                    re.fullmatch("quad_agent[1-9][0-9]*[.]csv", path.name):
+                path.unlink()
+    except OSError as e:
+        raise IoError(f"cannot clear output directory {dest}: {e}") from e
 
 
 def prepare(config, dest=None):
@@ -595,7 +598,7 @@ def _protocol_to_csv(config, path):
     """Run config's protocol and write its samples to path as
     export_csv writes the run; returns the run.
 
-    With more than one usable CPU and os.fork, a forked writer formats
+    With more than one usable CPU, a forked writer formats
     the samples while the protocol integrates: each sample's raw
     float64 bytes, t and then the state, go through a pipe as the
     protocol records them, and the writer puts the lines on disk with
@@ -604,7 +607,7 @@ def _protocol_to_csv(config, path):
     after the protocol. Either way a protocol that raises leaves no
     file, and a writer that dies raises ChildProcessError.
     """
-    if _usable_cpus() < 2 or not hasattr(os, "fork"):
+    if _usable_cpus() < 2:
         particle = _protocol(config)
         export_csv(particle, path)
         return particle
@@ -677,7 +680,7 @@ def _fly_agents(config, routes, alpha, particle, dest):
     error is raised, so the artifacts and the error are those of the
     serial loop. W = 1 forks nothing.
     """
-    width = min(_usable_cpus(), len(routes)) if hasattr(os, "fork") else 1
+    width = min(_usable_cpus(), len(routes))
     lanes = _lpt_lanes(
         [sum(spec.duration for spec in route) for route in routes], width)
 
@@ -739,8 +742,11 @@ def _fly_lane(config, lane, routes, alpha, particle):
 
 
 def _usable_cpus():
-    """CPUs this process may run on: its affinity mask where the
-    platform has one, so `taskset` narrows it, else the CPU count."""
+    """CPUs this process may spread its work over: 1 where the platform
+    has no os.fork, else its affinity mask where the platform has one,
+    so `taskset` narrows it, else the CPU count."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -7,7 +7,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +268,26 @@ class TestLoadConfig:
         text = BASE + "[params]\nm = -1\n"
         with pytest.raises(ValidationError, match="params"):
             load_config(write_cfg(tmp_path, text))
+
+    def test_params_keys_are_quad_params_fields(self, tmp_path):
+        """Every QuadParams field is a [params] key; written at its
+        default, each leaves the vehicle as default_params() has it."""
+        default = default_params()
+        lines = [f"{f.name} = " + ", ".join(
+            repr(x) for x in np.atleast_1d(getattr(default, f.name)).tolist())
+            for f in fields(default)]
+        cfg = load_config(write_cfg(
+            tmp_path, BASE + "[params]\n" + "\n".join(lines) + "\n"))
+        for f in fields(default):
+            assert np.array_equal(getattr(cfg.params, f.name),
+                                  getattr(default, f.name)), f.name
+
+    @pytest.mark.parametrize("key", ["J", "CD", "Ctau"])
+    def test_params_vector_needs_three_numbers(self, tmp_path, key, capsys):
+        path = write_cfg(tmp_path, BASE + f"[params]\n{key} = 1, 2\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad params: {key} must " \
+            "be a 3-vector, got shape (2,)\n"
 
     def test_maneuvers_require_quad_mode(self, tmp_path):
         text = BASE + "[maneuvers]\nleg1 = yaw, 1.0, 2.0\n"
@@ -535,6 +555,39 @@ class TestRunMission:
         a = (tmp_path / "one" / cfg.out / "particle.csv").read_bytes()
         b = (tmp_path / "two" / cfg.out / "particle.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("first, second", [
+        ("dt=0.9", "plain"), ("plain", "dt=0.9"), ("plain", "particle")])
+    def test_rerun_leaves_only_its_own_files(self, tmp_path, first, second):
+        """A run into a used directory first removes what the earlier
+        run left, so it leaves the files of a run into a fresh one."""
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        variant = {"plain": cfg, "dt=0.9": replace(cfg, dt=0.9),
+                   "particle": replace(cfg, mode="particle")}
+
+        def run(which, root):
+            try:
+                run_mission(variant[which], out_dir=root)
+            except SwarmError:
+                pass
+            return digests(root)
+
+        run(first, tmp_path / "used")
+        assert run(second, tmp_path / "used") \
+            == run(second, tmp_path / "fresh")
+
+    def test_stale_artifact_that_cannot_go_fails_the_run(self, tmp_path):
+        cfg = load_config(scenario_path("scenario_2_4_1"))
+        dest = tmp_path / cfg.out
+        (dest / "report.json").mkdir(parents=True)
+        with pytest.raises(IoError, match="report[.]json") as err:
+            run_mission(cfg, out_dir=tmp_path)
+        assert str(err.value).startswith(
+            f"cannot clear output directory {dest}: ")
+        assert sorted(p.name for p in dest.iterdir()) \
+            == ["FAILED", "report.json"]
+        assert (dest / "FAILED").read_text(encoding="utf-8") \
+            == f"IoError: {err.value}\n"
 
     def test_scripted_quad_mission(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
@@ -837,6 +890,25 @@ class TestParallelFlights:
         assert (tmp_path / cfg.out / "FAILED").read_text(encoding="utf-8") \
             == f"ChildProcessError: {err.value}\n"
 
+    @pytest.mark.parametrize("case", ["4_2_2", "2_5_2 T=3"])
+    def test_no_fork_writes_the_two_cpu_bytes(self, tmp_path, case,
+                                              monkeypatch):
+        """Where the platform has no os.fork, the run counts one usable
+        CPU: it forks nothing and writes what two CPUs write."""
+        cfg = load_config(scenario_path("scenario_" + case.split()[0]))
+        if case.endswith("T=3"):
+            cfg = replace(cfg, T=3.0)
+        two = self._run(cfg, tmp_path / "two", 2, monkeypatch)
+        monkeypatch.undo()
+        forked = []
+        monkeypatch.setattr(mission, "_fork",
+                            lambda *args: forked.append(args))
+        monkeypatch.delattr(os, "fork")
+        assert mission._usable_cpus() == 1
+        run_mission(cfg, out_dir=tmp_path / "one")
+        assert not forked
+        assert digests(tmp_path / "one") == two
+
     def test_interrupt_kills_and_reaps_workers(self, tmp_path, monkeypatch):
         parent = os.getpid()
 
@@ -974,6 +1046,19 @@ class _FullDisk:
         for line in lines:
             self.write(line)
 
+    @staticmethod
+    def open_for(name, room):
+        """An open that gives the artifact name, and its temporary
+        sibling, a disk with room characters left."""
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if isinstance(file, int) or \
+                    Path(file).name not in (name, name + ".part"):
+                return f
+            return _FullDisk(f, room)
+
+        return full_disk_open
+
 
 class TestArtifactWrites:
     """Every artifact reaches disk whole or not at all: an OSError while
@@ -990,14 +1075,8 @@ class TestArtifactWrites:
     ])
     def test_failed_write_leaves_no_part_of_its_artifact(
             self, tmp_path, cpus, scenario, name, before, monkeypatch):
-        def full_disk_open(file, mode="r", *args, **kwargs):
-            f = open(file, mode, *args, **kwargs)
-            if isinstance(file, int) or \
-                    Path(file).name not in (name, name + ".part"):
-                return f
-            return _FullDisk(f, 1000)
-
-        monkeypatch.setattr(mission, "open", full_disk_open, raising=False)
+        monkeypatch.setattr(mission, "open", _FullDisk.open_for(name, 1000),
+                            raising=False)
         monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
         cfg = load_config(scenario_path(scenario))
         with pytest.raises(IoError) as err:
@@ -1009,6 +1088,22 @@ class TestArtifactWrites:
         assert sorted(p.name for p in dest.iterdir()) == ["FAILED"] + before
         assert (dest / "FAILED").read_text(encoding="utf-8") \
             == f"IoError: {err.value}\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_marker_write_keeps_the_run_error(self, tmp_path, cpus,
+                                                     monkeypatch):
+        """FAILED is written like every artifact, and only where it can
+        be: a full disk leaves none, nor its temporary sibling, and the
+        run still raises its own error."""
+        monkeypatch.setattr(mission, "open", _FullDisk.open_for("FAILED", 0),
+                            raising=False)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        cfg = replace(load_config(scenario_path("scenario_4_2_2")), dt=0.9)
+        with pytest.raises(GimbalLockError, match="^gimbal lock near t=2"):
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        assert sorted(p.name for p in (tmp_path / cfg.out).iterdir()) \
+            == ["particle.csv", "quad_agent1.csv"]
 
 
 class TestCli:
