@@ -3,17 +3,18 @@
 Point-mass agreement protocols over communication graphs pick the
 meeting point; a full rigid-body quadcopter model with an open-loop
 maneuver planner flies there. Everything is fixed-step and seedless,
-so identical inputs reproduce identical outputs byte for byte.
+so identical inputs reproduce identical outputs byte for byte on one
+numpy build and one BLAS kernel. The quad CSVs never touch BLAS and
+hold on any kernel; particle.csv and report.json pass through BLAS and
+LAPACK, so another kernel can change them.
 """
 
 from .consensus import (ConsensusTrajectory, closed_form_state,
                         consensus_point, integrate_protocol, lyapunov,
                         straightness_residual)
-from .errors import (ConvergenceError, DimensionError, DisconnectedError,
-                     DivergenceError, DomainError, GimbalLockError,
-                     InfeasibleError, IoError, ParseError, PolicyError,
-                     SaturationError, ScheduleGapError, SwarmError,
-                     ValidationError)
+from .errors import (ConvergenceError, DisconnectedError, DivergenceError,
+                     DomainError, GimbalLockError, InfeasibleError, IoError,
+                     ParseError, SaturationError, SwarmError, ValidationError)
 from .mission import (AgentReport, ComparisonReport, MissionConfig,
                       export_csv, load_config, run_mission)
 from .network import (DistanceWeighted, Laplacian, Network, StaticWeights,
@@ -33,12 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentReport", "ComparisonReport", "ConsensusTrajectory",
-    "ControlSchedule", "Controls", "ConvergenceError", "DimensionError",
-    "DisconnectedError", "DistanceWeighted", "DivergenceError",
-    "DomainError", "GIMBAL_EPS", "GimbalLockError", "InfeasibleError",
-    "IoError", "Laplacian", "ManeuverSpec", "MissionConfig", "Network",
-    "OMEGA_MAX", "ParseError", "PolicyError", "QuadParams", "QuadState",
-    "QuadTrajectory", "SaturationError", "ScheduleGapError",
+    "ControlSchedule", "Controls", "ConvergenceError", "DisconnectedError",
+    "DistanceWeighted", "DivergenceError", "DomainError", "GIMBAL_EPS",
+    "GimbalLockError", "InfeasibleError", "IoError", "Laplacian",
+    "ManeuverSpec", "MissionConfig", "Network", "OMEGA_MAX", "ParseError",
+    "QuadParams", "QuadState", "QuadTrajectory", "SaturationError",
     "StaticWeights", "SwarmError", "Unweighted", "ValidationError",
     "affine_fields", "axis_translation_schedule", "chain_schedules",
     "closed_form_state", "consensus_point", "default_params",

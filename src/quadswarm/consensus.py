@@ -102,7 +102,7 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
         net: communication graph; must be connected at t=0.
         q0: (n, r) initial state matrix.
         duration: finite time horizon, at least half a step: the run
-            takes round(duration / dt) >= 1 steps.
+            takes round(duration / dt) >= 1 steps, a finite number.
         dt: step size, > 0 and finite.
         stride: record every stride-th step (plus t=0 and the end).
         stop_tol: early-stop threshold on max |q - consensus|.
@@ -118,7 +118,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
 
     Raises:
         DomainError: a malformed argument, among them a q0 holding a
-            non-finite number.
+            non-finite number and a dt so small that duration / dt is
+            not finite.
         DivergenceError: before the first step when dt times the largest
             eigenvalue of L(0) exceeds 2.785, RK4's real-axis stability
             limit, so the fastest mode would grow instead of decay;
@@ -138,7 +139,9 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
     if not 0.0 < dt < math.inf:
         raise DomainError(
             f"step size must be positive and finite, got {dt!r}")
-    steps = int(round(duration / dt))
+    if not duration / dt < math.inf:
+        raise DomainError(f"duration / dt = {duration} / {dt!r} is not finite")
+    steps = round(duration / dt)
     if steps < 1:
         raise DomainError(
             f"duration {duration!r} is shorter than half a step dt={dt!r}; "
@@ -146,9 +149,7 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride!r}")
     spec = start_spectrum(net, q)
-    problem = spec.problem(dt)
-    if problem is not None:
-        raise problem
+    spec.check(dt)
     lap = spec.laplacian
 
     alpha = consensus_point(q)
@@ -230,21 +231,20 @@ class StartSpectrum:
         lam = self.lambda_max
         return _RK4_REAL_LIMIT / lam if lam > 0.0 else math.inf
 
-    def problem(self, dt):
-        """The error the protocol stops with before its first step of
-        dt, or None: DisconnectedError for a graph that is not
-        connected, else DivergenceError when dt * lambda_max exceeds
-        RK4's real-axis stability limit, 2.785."""
+    def check(self, dt):
+        """Raise the error the protocol stops with before its first
+        step of dt: DisconnectedError for a graph that is not connected,
+        else DivergenceError when dt * lambda_max exceeds RK4's
+        real-axis stability limit, 2.785."""
         if not self.connected:
-            return DisconnectedError("network is not connected at t=0")
+            raise DisconnectedError("network is not connected at t=0")
         lam_max = self.lambda_max
         if dt * lam_max > _RK4_REAL_LIMIT:
-            return DivergenceError(
+            raise DivergenceError(
                 f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
                 f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
                 f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
                 f"{self.dt_max:.6g}")
-        return None
 
     def predicted_stop(self, stop_tol):
         """Seconds until the early stop at stop_tol should fire, or the

@@ -11,7 +11,10 @@ class SwarmError(Exception):
 
 
 class DomainError(SwarmError):
-    """An input lies outside the mathematical domain of an operation."""
+    """An input lies outside the domain of an operation: a value out of
+    range, an array shape that disagrees with the network, a weight
+    policy the operation does not support, or a time or step count a
+    control schedule cannot cover."""
 
 
 class GimbalLockError(DomainError):
@@ -19,15 +22,7 @@ class GimbalLockError(DomainError):
 
 
 class ConvergenceError(SwarmError):
-    """An iterative routine exhausted its iteration budget."""
-
-
-class PolicyError(SwarmError):
-    """A weight policy was used with an operation that does not support it."""
-
-
-class DimensionError(SwarmError):
-    """Array shapes disagree with the network or trajectory they describe."""
+    """LAPACK's symmetric eigensolver (eigh) did not converge."""
 
 
 class DisconnectedError(SwarmError):
@@ -40,10 +35,6 @@ class SaturationError(SwarmError):
 
 class InfeasibleError(SwarmError):
     """No schedule within the rotor limits realizes the requested maneuver."""
-
-
-class ScheduleGapError(SwarmError):
-    """A control schedule was sampled outside the interval it covers."""
 
 
 class ParseError(SwarmError):

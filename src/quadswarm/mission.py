@@ -105,7 +105,12 @@ class MissionConfig:
         if not 0.0 < self.dt < math.inf:
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt}")
-        if self.T is not None and round(self.T / self.dt) < 1:
+        # the protocol's horizon, else the scripted flight's
+        span = self.T or sum(spec.duration for spec in self.maneuvers)
+        if not span / self.dt < math.inf:
+            raise ValidationError(f"dt={self.dt} is too small: {span} s "
+                                  "would take a non-finite number of steps")
+        if self.T is not None and round(span / self.dt) < 1:
             raise ValidationError(
                 f"T={self.T} is shorter than half a step dt={self.dt}; "
                 "the protocol would take no step")
@@ -531,14 +536,18 @@ def run_mission(config, out_dir=None):
         raise
 
 
+# the artifacts a run may leave, and their temporary siblings (_part)
+_ARTIFACT = re.compile(r"(FAILED|report\.json|particle\.csv"
+                       r"|quad_agent[1-9][0-9]*\.csv)(\.part)?")
+
+
 def _clear(dest):
     """Remove what a run may have left in dest: FAILED, report.json,
-    particle.csv and every quad_agent<k>.csv; raises IoError where a
-    removal fails."""
+    particle.csv, every quad_agent<k>.csv, and the .part sibling of
+    each; raises IoError where a removal fails."""
     try:
         for path in dest.iterdir():
-            if path.name in ("FAILED", "report.json", "particle.csv") or \
-                    re.fullmatch("quad_agent[1-9][0-9]*[.]csv", path.name):
+            if _ARTIFACT.fullmatch(path.name):
                 path.unlink()
     except OSError as e:
         raise IoError(f"cannot clear output directory {dest}: {e}") from e

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PolicyError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,14 @@ class Network:
         policy: Unweighted (default), StaticWeights, or DistanceWeighted.
 
     The (n, n) boolean adjacency matrix is built once, on construction,
-    and is read-only; adjacency(net) returns it. Equality, hashing and
-    repr go by n, edges and policy alone.
+    and is read-only; adjacency(net) returns it. Equality and repr go
+    by n, edges and policy alone, hashing by n and edges, since a
+    StaticWeights policy holds a dict: equal networks hash equal.
     """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
-    policy: object = field(default_factory=Unweighted)
+    policy: object = field(default_factory=Unweighted, hash=False)
     _adj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,7 +120,7 @@ class Laplacian:
         m = np.asarray(self.matrix, dtype=float)
         n = self.source.n
         if m.shape != (n, n):
-            raise DimensionError(
+            raise DomainError(
                 f"Laplacian shape {m.shape} does not match n={n}")
         if np.max(np.abs(m - m.T), initial=0.0) != 0.0:
             raise DomainError("Laplacian must be exactly symmetric")
@@ -153,11 +154,11 @@ def laplacian(net):
     """Laplacian of a network whose weights do not depend on positions.
 
     Raises:
-        PolicyError: for a DistanceWeighted network, whose Laplacian only
+        DomainError: for a DistanceWeighted network, whose Laplacian only
             exists relative to agent positions; use weighted_laplacian_at.
     """
     if isinstance(net.policy, DistanceWeighted):
-        raise PolicyError(
+        raise DomainError(
             "distance-weighted Laplacian needs positions; "
             "use weighted_laplacian_at")
     return _fixed_laplacian(net)
@@ -166,7 +167,7 @@ def laplacian(net):
 def _check_positions(net, positions):
     q = np.asarray(positions, dtype=float)
     if q.ndim != 2 or q.shape[0] != net.n:
-        raise DimensionError(
+        raise DomainError(
             f"positions shape {q.shape} does not match n={net.n} agents")
     return q
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DomainError, GimbalLockError, InfeasibleError,
-                     SaturationError, ScheduleGapError)
+                     SaturationError)
 from .quad import Controls
 # Unused by the planner: perfbench/spans.py wraps this planner.simulate
 # binding, and the next benchmark change removes that wrapper and this
@@ -88,7 +88,7 @@ class ControlSchedule:
     probe, simulate's RK4 stages and omega_at all call it; a segment
     with a constant is checked once per window. windows() cuts a flight
     into the integration windows simulate steps through. Sampling
-    outside the covered interval raises ScheduleGapError, as does
+    outside the covered interval raises DomainError, as does
     constructing non-contiguous segments.
     """
 
@@ -102,7 +102,7 @@ class ControlSchedule:
                 raise DomainError(
                     f"segment [{seg.t0}, {seg.t1}] has no extent")
             if abs(seg.t0 - t) > 1e-9:
-                raise ScheduleGapError(
+                raise DomainError(
                     f"segment starts at {seg.t0}, previous ended at {t}")
             t = seg.t1
 
@@ -137,7 +137,8 @@ class ControlSchedule:
         clamped to edge: at an interior junction that is just left of
         it, or the k4 stage of the step ending there would read the
         next segment. The final window ends at duration, inside seg or
-        within 1e-9 past its end.
+        within 1e-9 past its end. A window whose step count span / dt
+        is not finite raises DomainError.
         """
         lo = 0.0
         for seg in self.segments:
@@ -145,6 +146,8 @@ class ControlSchedule:
             hi = duration if final else seg.t1
             edge = min(hi, seg.t1) if final else max(lo, hi - 1e-12)
             span = hi - lo
+            if not span / dt < math.inf:
+                raise DomainError(f"span / dt = {span} / {dt!r} is not finite")
             nfull = int(math.floor(span / dt + 1e-9))
             rem = span - nfull * dt
             if rem <= 1e-9 * max(1.0, span):
@@ -158,10 +161,10 @@ class ControlSchedule:
         """Rotor speeds at time t as a fresh (4,) array; a junction
         reads the segment that starts there."""
         if not self.segments:
-            raise ScheduleGapError("schedule is empty")
+            raise DomainError("schedule is empty")
         total = self.segments[-1].t1
         if t < -1e-9 or t > total + 1e-9:
-            raise ScheduleGapError(
+            raise DomainError(
                 f"t={t!r} outside schedule interval [0, {total}]")
         t = min(max(t, 0.0), total)
         seg = next((s for s in self.segments if t < s.t1), self.segments[-1])

@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DivergenceError, DomainError, GimbalLockError,
-                     ScheduleGapError)
+from .errors import DivergenceError, DomainError, GimbalLockError
 from .numerics import PITCH_LIMIT, gimbal_lock
 
 
@@ -289,7 +288,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     Args:
         s0: initial QuadState.
         schedule: planner.ControlSchedule covering [0, duration]; a
-            shorter schedule raises ScheduleGapError.
+            shorter schedule raises DomainError.
         p: QuadParams.
         duration: time horizon, >= 0.
         dt: step size, > 0 and finite.
@@ -303,7 +302,9 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             +-pi/2 during integration.
         DivergenceError: at the first recorded sample whose state is
             not finite (NaN pitch passes the gimbal check).
-        ScheduleGapError: if the schedule does not cover [0, duration].
+        DomainError: a malformed argument, a schedule that does not
+            cover [0, duration], or a dt so small that a window's step
+            count is not finite.
     """
     if not duration >= 0.0:
         raise DomainError(f"duration must be nonnegative, got {duration!r}")
@@ -314,7 +315,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
         raise DomainError(f"stride must be >= 1, got {stride!r}")
     total = schedule.total_duration
     if total + 1e-9 < duration:
-        raise ScheduleGapError(
+        raise DomainError(
             f"schedule covers [0, {total}], mission needs [0, {duration}]")
 
     pc = _param_tuple(p)

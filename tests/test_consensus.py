@@ -160,6 +160,14 @@ class TestIntegrate:
                                               "and finite, got inf"):
             integrate_protocol(HUB, Q0, 1.0, dt=math.inf)
 
+    @pytest.mark.parametrize("duration, dt", [(1e308, 1e-3),
+                                              (1.0, 5e-324)])
+    def test_rejects_a_step_count_that_overflows(self, duration, dt):
+        # round(inf) would escape as OverflowError
+        with pytest.raises(DomainError, match="duration / dt = .* is not "
+                                              "finite"):
+            integrate_protocol(HUB, Q0, duration, dt=dt)
+
     @pytest.mark.parametrize("duration, stop_tol", [(50.0, 1e-4),
                                                     (0.032, 0.0)],
                              ids=["early stop", "horizon off stride"])
@@ -378,7 +386,9 @@ class TestDiagnostics:
         spec = start_spectrum(net, q)
         assert not spec.connected
         assert spec.lambda2 == pytest.approx(0.0, abs=1e-12)
-        assert isinstance(spec.problem(1e-3), DisconnectedError)
+        with pytest.raises(DisconnectedError,
+                           match="network is not connected at t=0"):
+            spec.check(1e-3)
         with pytest.raises(DisconnectedError):
             integrate_protocol(net, q, 1.0, dt=1e-3)
 

@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import fields, replace
@@ -111,6 +114,16 @@ def write_cfg(tmp_path, text, name="mission.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def run_4_2_2(tmp_path_factory):
+    """scenario_4_2_2 as shipped, run once: its config and the
+    directory holding its artifacts, which tests only read."""
+    cfg = load_config(scenario_path("scenario_4_2_2"))
+    root = tmp_path_factory.mktemp("shipped")
+    run_mission(cfg, out_dir=root)
+    return cfg, root / cfg.out
 
 
 class TestLoadConfig:
@@ -380,9 +393,10 @@ leg1 = teleport, 1.0, 2.0
 
 _BUNDLED = ("scenario_2_4_1", "scenario_2_5_1", "scenario_2_5_2",
             "scenario_4_2_1", "scenario_4_2_2")
-_FUZZ_VALUES = ("", "0", "-1", "1e400", "nan", "abc", "2-2", "1-99", "1,2",
-                "1, 2, 3", "0, 0, 0, 0, 1.6, 0", "1.5", "static",
-                "distance", "initial-distance", "quad", "bodyX, 1, 0")
+_FUZZ_VALUES = ("", "0", "-1", "1e400", "1e308", "5e-324", "nan", "abc",
+                "2-2", "1-99", "1,2", "1, 2, 3", "0, 0, 0, 0, 1.6, 0", "1.5",
+                "static", "distance", "initial-distance", "quad",
+                "bodyX, 1, 0")
 # (section, line): the line goes right after the section's header, and
 # the section is appended when the file has none.
 _FUZZ_INSERTS = (("params", "m = 0"), ("params", "J = 1, 2"),
@@ -589,6 +603,22 @@ class TestRunMission:
         assert (dest / "FAILED").read_text(encoding="utf-8") \
             == f"IoError: {err.value}\n"
 
+    def test_rerun_removes_left_part_files(self, tmp_path, run_4_2_2):
+        """A .part sibling outlives its writer only where every process
+        of a run died mid-write; the next run removes it with the
+        artifacts, also where it writes no such artifact itself (FAILED,
+        a fourth agent), and keeps what no run writes."""
+        cfg, shipped = run_4_2_2
+        dest = tmp_path / cfg.out
+        shutil.copytree(shipped, dest)
+        for name in ("particle.csv.part", "quad_agent2.csv.part",
+                     "FAILED.part", "quad_agent4.csv.part", "notes.part"):
+            (dest / name).write_text("left\n", encoding="utf-8")
+        run_mission(cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in dest.iterdir()) == [
+            "notes.part", "particle.csv", "quad_agent1.csv",
+            "quad_agent2.csv", "quad_agent3.csv", "report.json"]
+
     def test_scripted_quad_mission(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
         report = run_mission(cfg, out_dir=tmp_path)
@@ -715,32 +745,122 @@ leg1 = bodyX, 5000, 4
         assert report.eigenvalues == (
             (0.0, tuple(sym_eigen(lap.matrix)[0].tolist())),)
 
-    def test_flights_commute_with_translation(self, tmp_path):
+    def test_flights_commute_with_translation(self, tmp_path, run_4_2_2):
         """The quad's force law never reads the position b, and a route
         holds only target - b, so shifting every agent of 4_2_2 by an
         integer vector gives the same routes and flights whose columns
         but b1..b3 keep their bytes. The positions round at the shifted
         magnitude: 1.46e-11 apart at most, a tenth of the tolerance."""
         shift = np.array([100.0, -50.0, 7.0])
-        cfg = load_config(scenario_path("scenario_4_2_2"))
+        cfg, shipped = run_4_2_2
         moved = replace(cfg, agents=cfg.agents + np.r_[shift, 0.0, 0.0, 0.0])
         assert mission.prepare(moved)[2] == mission.prepare(cfg)[2]
-        run_mission(cfg, out_dir=tmp_path / "base")
-        run_mission(moved, out_dir=tmp_path / "moved")
+        run_mission(moved, out_dir=tmp_path)
 
-        def table(run, i):
-            path = tmp_path / run / cfg.out / f"quad_agent{i}.csv"
+        def table(dest, i):
+            path = dest / f"quad_agent{i}.csv"
             lines = path.read_text(encoding="utf-8").splitlines()
             return [line.split(",") for line in lines]
 
         for i in range(1, cfg.network.n + 1):
-            base, shifted = table("base", i), table("moved", i)
+            base, shifted = table(shipped, i), table(tmp_path / cfg.out, i)
             assert [row[:1] + row[4:] for row in shifted] \
                 == [row[:1] + row[4:] for row in base]
             b = np.array([row[1:4] for row in base[1:]], dtype=float)
             b_moved = np.array([row[1:4] for row in shifted[1:]],
                                dtype=float)
             assert np.max(np.abs(b_moved - (b + shift))) <= 1.5e-10
+
+
+class TestRunSymmetry:
+    """Where the drones meet does not depend on how they are numbered
+    or how the ground frame is turned about the vertical. On 4_2_2's
+    complete graph each drone flies from its start to the centroid of
+    the starts, (5, 6, 0), which is exact in any summation order."""
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (1, 2, 0)],
+                             ids=["transposition", "3-cycle"])
+    def test_relabeling(self, tmp_path, run_4_2_2, perm):
+        """Agent k + 1 of the relabeled run starts where agent
+        perm[k] + 1 of the shipped one does, and flies its bytes."""
+        cfg, shipped = run_4_2_2
+        label = {old + 1: new + 1 for new, old in enumerate(perm)}
+        net = Network(cfg.network.n,
+                      {(label[i], label[j]) for i, j in cfg.network.edges},
+                      cfg.network.policy)
+        report = run_mission(
+            replace(cfg, agents=cfg.agents[list(perm)], network=net),
+            out_dir=tmp_path)
+        assert report.rendezvous_point == (5.0, 6.0, 0.0)
+        for new, old in enumerate(perm):
+            got = tmp_path / cfg.out / f"quad_agent{new + 1}.csv"
+            assert got.read_bytes() \
+                == (shipped / f"quad_agent{old + 1}.csv").read_bytes()
+
+    def test_rotation_about_z(self, tmp_path, run_4_2_2):
+        """Turning the frame by 90 degrees, (x, y) -> (-y, x) and each
+        yaw + pi/2, turns every flight with it. The velocities and
+        rates are body-frame, so only b and psi move; turned back, the
+        CSVs match within 1e-12 (5.7e-14 measured), as the bearings
+        and yaw legs of the routes round differently."""
+        cfg, shipped = run_4_2_2
+        start = cfg.agents
+        turned = start.copy()
+        turned[:, 0], turned[:, 1] = -start[:, 1], start[:, 0]
+        turned[:, 5] += math.pi / 2
+        report = run_mission(replace(cfg, agents=turned), out_dir=tmp_path)
+        assert report.rendezvous_point == (-6.0, 5.0, 0.0)
+        for i in range(1, cfg.network.n + 1):
+            want, got = (np.loadtxt(dest / f"quad_agent{i}.csv",
+                                    delimiter=",", skiprows=1)
+                         for dest in (shipped, tmp_path / cfg.out))
+            back = got.copy()
+            back[:, 1], back[:, 2] = got[:, 2], -got[:, 1]
+            back[:, 6] -= math.pi / 2
+            assert back.shape == want.shape
+            assert np.max(np.abs(back - want)) <= 1e-12
+
+
+def _numpy_blas():
+    """The name of the BLAS numpy was built against, or "" where numpy
+    does not say."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):
+        return ""
+    return deps.get("blas", {}).get("name", "")
+
+
+class TestBlasKernel:
+    @pytest.mark.skipif("openblas" not in _numpy_blas().lower(),
+                        reason="numpy's BLAS is not OpenBLAS")
+    def test_quad_csvs_do_not_depend_on_the_kernel(self, tmp_path):
+        """The quad CSVs are pure-Python floats and libm, so another
+        OpenBLAS kernel (OPENBLAS_CORETYPE=Prescott) leaves their
+        bytes. particle.csv and report.json pass through BLAS and
+        LAPACK and may change with the kernel; nothing is asserted
+        about them."""
+        src = str(Path(mission.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+
+        def run(name, **kernel):
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_CORETYPE"}
+            subprocess.run(
+                [sys.executable, "-m", "quadswarm.cli", "run",
+                 str(scenario_path("scenario_4_2_2")),
+                 "--out", str(tmp_path / name)],
+                env={**env, "PYTHONPATH": path, **kernel},
+                check=True, capture_output=True)
+            return tmp_path / name / "scenario_4_2_2"
+
+        native, prescott = run("native"), run(
+            "prescott", OPENBLAS_CORETYPE="Prescott")
+        for i in (1, 2, 3):
+            name = f"quad_agent{i}.csv"
+            assert (prescott / name).read_bytes() \
+                == (native / name).read_bytes()
 
 
 def digests(root):
@@ -1306,6 +1426,31 @@ class TestCli:
         rc = main(["run", str(scenario_path("scenario_2_4_1")),
                    "--dt", "200", "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, old, new, args", [
+        ("scenario_2_4_1", "T = 50.0", "T = 1e308", ()),
+        ("scenario_2_4_1", "", "", ("--dt", "1e-320")),
+        ("scenario_4_2_1", "dt = 0.001", "dt = 1e-320", ())],
+        ids=["T=1e308", "--dt 1e-320", "scripted dt=1e-320"])
+    def test_rejects_a_step_count_that_overflows(self, tmp_path, capsys,
+                                                 name, old, new, args):
+        """T / dt, or a scripted flight's summed leg durations / dt,
+        that is not finite is a config error: the step count would
+        escape as OverflowError, after a validate that printed OK: for
+        the scripted flight."""
+        text = scenario_path(name).read_text(encoding="utf-8")
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        if not args:
+            with pytest.raises(ValidationError, match="non-finite number "
+                                                      "of steps"):
+                load_config(path)
+            assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), *args, "--out", str(out)]) == 2
+        assert "would take a non-finite number of steps" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_maneuvers_under_non_quad_mode(self, tmp_path, capsys):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswarm.errors import DimensionError, DomainError, PolicyError
+from quadswarm.errors import DomainError
 from quadswarm.network import (DistanceWeighted, Laplacian, Network,
-                               StaticWeights, adjacency, is_complete,
-                               is_connected, laplacian, pairwise_distances,
-                               proximity_edges, weighted_laplacian_at,
-                               with_edges)
+                               StaticWeights, Unweighted, adjacency,
+                               is_complete, is_connected, laplacian,
+                               pairwise_distances, proximity_edges,
+                               weighted_laplacian_at, with_edges)
 from quadswarm.numerics import sym_eigen
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
@@ -124,6 +124,20 @@ class TestNetwork:
         assert twin == net and hash(twin) == hash(net)
         assert "adj" not in repr(net)
 
+    @pytest.mark.parametrize("policy", [
+        Unweighted, lambda: StaticWeights({(1, 2): 1.0}),
+        lambda: DistanceWeighted(5.0)],
+        ids=["unweighted", "static", "distance"])
+    def test_hashable_under_every_policy(self, policy):
+        # equal networks hash equal, though a StaticWeights holds a dict
+        net, twin = Network(2, [(1, 2)], policy()), Network(2, [(2, 1)],
+                                                              policy())
+        assert twin == net and hash(twin) == hash(net)
+        assert len({net, twin}) == 1
+        # the policy still takes part in equality
+        other = Network(2, [(1, 2)], StaticWeights({(1, 2): 2.0}))
+        assert other != net and len({net, other}) == 2
+
     def test_distance_policy_threshold_validation(self):
         with pytest.raises(DomainError):
             Network(2, set(), DistanceWeighted(threshold=0.0))
@@ -153,11 +167,13 @@ class TestLaplacian:
 
     def test_distance_policy_needs_positions(self):
         net = Network(2, {(1, 2)}, DistanceWeighted())
-        with pytest.raises(PolicyError):
+        with pytest.raises(DomainError, match="distance-weighted Laplacian "
+                           "needs positions; use weighted_laplacian_at"):
             laplacian(net)
 
     def test_snapshot_validation(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match=r"Laplacian shape \(3, 3\) "
+                           "does not match n=4"):
             Laplacian(matrix=np.zeros((3, 3)), source=HUB)
         bad = np.zeros((4, 4))
         bad[0, 1] = 1e-6  # asymmetric
@@ -254,9 +270,11 @@ class TestDistanceWeighting:
 
     def test_position_shape_checked(self):
         net = Network(3, set(), DistanceWeighted())
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match=r"positions shape \(2, 3\) "
+                           "does not match n=3 agents"):
             weighted_laplacian_at(net, np.zeros((2, 3)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match=r"positions shape \(3,\) "
+                           "does not match n=3 agents"):
             weighted_laplacian_at(net, np.zeros(3))
 
     def test_static_policy_ignores_positions(self):

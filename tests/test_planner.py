@@ -8,8 +8,7 @@ import pytest
 
 from quadswarm import planner
 from quadswarm.consensus import consensus_point
-from quadswarm.errors import (DomainError, InfeasibleError, SaturationError,
-                              ScheduleGapError)
+from quadswarm.errors import DomainError, InfeasibleError, SaturationError
 from quadswarm.planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                                Segment, axis_translation_schedule,
                                chain_schedules, hover_controls,
@@ -73,16 +72,19 @@ class TestControlSchedule:
 
     def test_sampling_outside_interval(self):
         sched = hover_schedule(P, 1.0)
-        with pytest.raises(ScheduleGapError):
+        with pytest.raises(DomainError, match=r"t=1\.1 outside schedule "
+                           r"interval \[0, 1\.0\]"):
             sched.omega_at(1.1)
-        with pytest.raises(ScheduleGapError):
+        with pytest.raises(DomainError, match=r"t=-0\.1 outside schedule "
+                           r"interval \[0, 1\.0\]"):
             sched.omega_at(-0.1)
-        with pytest.raises(ScheduleGapError):
+        with pytest.raises(DomainError, match="schedule is empty"):
             ControlSchedule().omega_at(0.0)
 
     def test_gap_between_segments_rejected(self):
         law = lambda tl: np.full(4, 100.0)
-        with pytest.raises(ScheduleGapError):
+        with pytest.raises(DomainError, match="segment starts at 1.5, "
+                           "previous ended at 1.0"):
             ControlSchedule((Segment(0.0, 1.0, law), Segment(1.5, 2.0, law)))
 
     def test_zero_extent_segment_rejected(self):
@@ -216,6 +218,13 @@ class TestControlSchedule:
         assert [w[1:3] for w in sched.windows(0.0105, 1e-3)] == [
             (0.0, 0.0105)]
         assert list(sched.windows(0.0, 1e-3))[0][4:] == (0, 0.0)
+
+    def test_windows_refuse_a_step_count_that_overflows(self):
+        # floor(inf) would escape as OverflowError
+        sched = hover_schedule(P, 1.0)
+        with pytest.raises(DomainError, match=r"span / dt = 1\.0 / 5e-324 "
+                                              "is not finite"):
+            list(sched.windows(1.0, 5e-324))
 
     def test_window_steps_of_the_three_drone_rendezvous(self):
         """scenario_4_2_2 flies 28891 RK4 steps at dt = 1e-3: every

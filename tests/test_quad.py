@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from quadswarm.errors import (DivergenceError, DomainError,
-                              GimbalLockError, SaturationError,
-                              ScheduleGapError)
+                              GimbalLockError, SaturationError)
 from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
                                 rk4_step, rotation_from_euler)
 from quadswarm.planner import (ControlSchedule, Segment,
@@ -319,7 +318,8 @@ class TestSimulate:
         assert len(traj.times) == 1 and traj.times[0] == 0.0
 
     def test_schedule_must_cover_duration(self):
-        with pytest.raises(ScheduleGapError):
+        with pytest.raises(DomainError, match=r"schedule covers \[0, 1\.0\], "
+                           r"mission needs \[0, 2\.0\]"):
             simulate(hover_state(), hover_schedule(P, 1.0), P, 2.0)
 
     def test_thrust_column(self):
@@ -361,6 +361,11 @@ class TestSimulate:
                                               "and finite, got inf"):
             simulate(hover_state(), hover_schedule(P, 1.0), P, 1.0,
                      dt=math.inf)
+
+    def test_rejects_a_step_count_that_overflows(self):
+        with pytest.raises(DomainError, match="is not finite"):
+            simulate(hover_state(), hover_schedule(P, 1.0), P, 1.0,
+                     dt=1e-320)
 
     def test_breakpoint_windows_hit_junctions_exactly(self):
         # A schedule with a jump at an off-grid time: window snapping
