@@ -1,7 +1,7 @@
 """Open-loop maneuver planning.
 
 Every planner here emits a ControlSchedule: piecewise laws, each giving
-its four rotor speeds as a tuple of floats, that steer the vehicle
+the four rotor speeds at an array of times, that steer the vehicle
 between level hovers. Maneuvers are built on invariant manifolds:
 
   * vertical legs keep all four rotors equal (no torque at all),
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DomainError, GimbalLockError, InfeasibleError,
-                     SaturationError)
+                     SaturationError, SwarmError)
 from .quad import Controls
 # Unused by the planner: perfbench/spans.py wraps this planner.simulate
 # binding, and the next benchmark change removes that wrapper and this
@@ -68,10 +68,14 @@ class ManeuverSpec:
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule piece on [t0, t1]; law maps local time to 4 floats.
+    """One schedule piece on [t0, t1].
 
-    constant, when not None, is the 4-tuple that law returns at every
-    time, so a flight through the segment needs to emit it only once.
+    law maps a float64 array of local times, shape (n,), to the rotor
+    speeds there: an (n, 4) array, or anything that broadcasts to it,
+    such as the four speeds of a constant law. It raises when it
+    refuses one of the times, naming the first it refuses. constant,
+    when not None, is the 4-tuple that law returns at every time, so a
+    flight through the segment needs to emit it only once.
     """
 
     t0: float
@@ -80,16 +84,40 @@ class Segment:
     constant: tuple = None
 
 
+def _law_rows(seg, tl):
+    """seg's law at the local times tl, as an (n, 4) array.
+
+    numpy's warnings are off: like Python floats, the laws let an
+    overflow or a NaN through to the range check.
+    """
+    with np.errstate(all="ignore"):
+        om = np.asarray(seg.law(tl), dtype=float)
+    if om.shape == (tl.size, 4):
+        return om
+    return np.broadcast_to(om, (tl.size, 4))
+
+
+def _mapped(f, a):
+    """f of each element of the float64 array a, computed on Python
+    floats: cos, sin, atan and ** then round as Python's math does,
+    whichever SIMD loops numpy dispatches to."""
+    return np.fromiter(map(f, a.tolist()), float, a.size)
+
+
 @dataclass(frozen=True)
 class ControlSchedule:
     """Contiguous rotor-speed segments covering [0, total_duration].
 
-    Every speed leaves through emit, the one range check: the planner's
-    probe, simulate's RK4 stages and omega_at all call it; a segment
-    with a constant is checked once per window. windows() cuts a flight
-    into the integration windows simulate steps through. Sampling
-    outside the covered interval raises DomainError, as does
-    constructing non-contiguous segments.
+    Every speed passes one range check, [0, OMEGA_MAX] up to 1e-9:
+    sample checks a segment on a grid of times in one call of its law,
+    and emit, a one-element call of the same law, checks a single time.
+    The planner's probe samples each segment's grid, and simulate each
+    chunk of a window's RK4 stages; a grid that fails is walked point by
+    point through emit. omega_at emits. A segment with a constant is
+    checked once per window.
+    windows() cuts a flight into the integration windows simulate steps
+    through. Sampling outside the covered interval raises DomainError,
+    as does constructing non-contiguous segments.
     """
 
     segments: tuple = ()
@@ -118,13 +146,32 @@ class ControlSchedule:
     def emit(self, seg, t):
         """Rotor speeds of segment seg at schedule time t, a 4-tuple of
         floats in [0, OMEGA_MAX] up to 1e-9, else SaturationError."""
-        om = seg.law(t - seg.t0)
+        om = tuple(_law_rows(seg, np.array([t - seg.t0]))[0].tolist())
         # written so that NaN fails the range check too
         for w in om:
             if not 0.0 <= w <= _OMEGA_BOUND:
                 raise SaturationError(
                     f"rotor speed {w!r} outside [0, {OMEGA_MAX}] "
                     f"rad/s at t={t!r}")
+        return om
+
+    def sample(self, seg, times):
+        """Rotor speeds of segment seg at the schedule times of the
+        float64 array times, an (n, 4) array, in one call of its law.
+
+        Returns None when the law refuses a time or a speed fails
+        emit's range check: emit at each time, in order, then raises
+        what the first failing time raises.
+        """
+        try:
+            om = _law_rows(seg, times - seg.t0)
+        except (SwarmError, ArithmeticError, ValueError):
+            # a refusal, or math's domain or range error, which the
+            # walk through emit raises again at its time
+            return None
+        # written so that NaN fails the range check too
+        if not ((om >= 0.0) & (om <= _OMEGA_BOUND)).all():
+            return None
         return om
 
     def windows(self, duration, dt):
@@ -230,15 +277,19 @@ def _natural_amplitude():
 
 
 def _feasible(sched):
-    """Return sched once each segment has emitted in range on a grid of
-    2001 points, or once at its start if it is constant, else raise emit's
-    SaturationError; under _natural_amplitude that is a plan failure."""
+    """Return sched once each segment is in range on a grid of 2001
+    points, sampled in one call, or at its start if it is constant. A
+    grid that fails is walked point by point through emit, which raises
+    the law's refusal or SaturationError at the first failing point;
+    under _natural_amplitude that is a plan failure."""
     for seg in sched.segments:
         if seg.constant is not None:
             sched.emit(seg, seg.t0)
             continue
-        for t in np.linspace(seg.t0, seg.t1, 2001).tolist():
-            sched.emit(seg, t)
+        grid = np.linspace(seg.t0, seg.t1, 2001)
+        if sched.sample(seg, grid) is None:
+            for t in grid.tolist():
+                sched.emit(seg, t)
     return sched
 
 
@@ -253,10 +304,13 @@ def yaw_schedule(p, delta_psi, duration):
 
     Raises:
         InfeasibleError: required torque drives a rotor outside
-            [0, OMEGA_MAX].
+            [0, OMEGA_MAX], or the rotors make no reaction torque
+            (Kd = 0).
     """
     if not duration > 0.0:
         raise DomainError("duration must be positive")
+    if p.Kd == 0.0:
+        raise InfeasibleError("yaw by reaction torque needs Kd > 0")
     pair_sq = p.m * p.g / (2.0 * p.Kr)  # omega1^2 + omega2^2 at all times
     J3 = float(p.J[2])
     Ct3 = float(p.Ctau[2])
@@ -265,18 +319,20 @@ def yaw_schedule(p, delta_psi, duration):
 
     def law(tl):
         phase = two_pi * tl / duration
-        rate = 0.5 * amp * (1.0 - math.cos(phase))
-        accel = amp * (math.pi / duration) * math.sin(phase)
+        rate = 0.5 * amp * (1.0 - _mapped(math.cos, phase))
+        accel = amp * (math.pi / duration) * _mapped(math.sin, phase)
         tau = J3 * accel + rate * abs(rate) * Ct3
         diff = tau / (2.0 * p.Kd)  # omega1^2 - omega2^2
         sq1 = 0.5 * (pair_sq + diff)
         sq2 = 0.5 * (pair_sq - diff)
-        if sq1 < 0.0 or sq2 < 0.0:
+        refused = (sq1 < 0.0) | (sq2 < 0.0)
+        if refused.any():
             raise InfeasibleError(
-                f"yaw torque exceeds rotor authority at t={tl:.3f}")
-        w1 = math.sqrt(sq1)
-        w2 = math.sqrt(sq2)
-        return (w1, w2, w1, w2)
+                "yaw torque exceeds rotor authority at "
+                f"t={tl[refused.argmax()]:.3f}")
+        w1 = np.sqrt(sq1)
+        w2 = np.sqrt(sq2)
+        return np.array((w1, w2, w1, w2)).T
 
     with _natural_amplitude():
         return _feasible(
@@ -299,18 +355,25 @@ def vertical_schedule(p, dz, duration):
 
     def law(tl):
         phase = two_pi * tl / duration
-        vdes = 0.5 * peak * (1.0 - math.cos(phase))
-        adens = peak * (math.pi / duration) * math.sin(phase)
+        vdes = 0.5 * peak * (1.0 - _mapped(math.cos, phase))
+        adens = peak * (math.pi / duration) * _mapped(math.sin, phase)
         thrust = p.m * (adens + p.g) + vdes * abs(vdes) * CD3
-        if thrust < 0.0:
-            raise InfeasibleError(
-                f"descent wants negative thrust at t={tl:.3f}")
-        w = math.sqrt(thrust / (4.0 * p.Kr))
-        return (w, w, w, w)
+        refused = thrust < 0.0
+        if refused.any():
+            raise InfeasibleError("descent wants negative thrust at "
+                                  f"t={tl[refused.argmax()]:.3f}")
+        w = np.sqrt(thrust / (4.0 * p.Kr))
+        return np.array((w, w, w, w)).T
 
     with _natural_amplitude():
         return _feasible(
             ControlSchedule((Segment(0.0, duration, law),)))
+
+
+def _cube(x):
+    """x ** 3, by Python's float power, which h ** 3 in the ramps' Newton
+    step always used."""
+    return x ** 3
 
 
 def _smoothstep_ramp(peak, width, rising):
@@ -322,7 +385,8 @@ def _smoothstep_ramp(peak, width, rising):
     and jerk therefore meet the cruise and the hovers continuously; the
     snap jumps by 60 peak / width^3 at both ends of the ramp.
 
-    Returns profile(tl) -> (V, V', V'', V''') on local time [0, width].
+    Returns profile(tl) -> (V, V', V'', V''') on an array of local
+    times in [0, width].
     """
     sign = 1.0 if rising else -1.0  # du/dt = sign / width
     c1 = sign * peak / width
@@ -381,7 +445,8 @@ def axis_translation_schedule(p, axis, distance, duration):
     Raises:
         InfeasibleError: the profile needs a tilt of pi/4 or more,
             rotor speeds would leave [0, OMEGA_MAX], thrust would have
-            to vanish, or there is no gravity to tilt against.
+            to vanish, the balancing pair cannot cancel the gyroscopic
+            torque, or there is no gravity to tilt against.
     """
     if axis not in ("bodyX", "bodyY"):
         raise DomainError(f"axis must be 'bodyX' or 'bodyY', got {axis!r}")
@@ -393,7 +458,6 @@ def axis_translation_schedule(p, axis, distance, duration):
     m, g, Kr = p.m, p.g, p.Kr
     Krd = Kr * p.d
     kg = p.Jr_bar / Krd
-    # Python floats, not numpy scalars: the law runs at every RK4 stage
     inertia, ang_drag, drag = p.J.tolist(), p.Ctau.tolist(), p.CD.tolist()
     CD3 = drag[2]
     tilt_limit = math.pi / 4
@@ -411,16 +475,23 @@ def axis_translation_schedule(p, axis, distance, duration):
         acc = s * v1
         drag = kappa * v * v
         w = (acc + drag) / g
+        # each element takes Newton steps until its own step is below
+        # the tolerance (NaN never is), then keeps its w
+        live = np.arange(w.size)
         for _ in range(20):
-            h = 1.0 / math.sqrt(1.0 + w * w)  # cos(tilt)
-            step = (g * w - acc - drag * h) / (g + drag * w * h ** 3)
-            w -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(w)):
+            wl, dl = w[live], drag[live]
+            h = 1.0 / np.sqrt(1.0 + wl * wl)  # cos(tilt)
+            step = ((g * wl - acc[live] - dl * h)
+                    / (g + dl * wl * _mapped(_cube, h)))
+            wl = wl - step
+            w[live] = wl
+            live = live[~(abs(step) <= 1e-15 * (1.0 + abs(wl)))]
+            if not live.size:
                 break
-        if not abs(math.atan(w)) < tilt_limit:
+        if not (abs(_mapped(math.atan, w)) < tilt_limit).all():
             raise GimbalLockError(
                 f"translation wants tilt beyond {tilt_limit:.3f} rad")
-        h = 1.0 / math.sqrt(1.0 + w * w)
+        h = 1.0 / np.sqrt(1.0 + w * w)
         h2 = h * h
         dh = -w * h2 * h  # d cos(tilt) / dw
         drag1 = 2.0 * kappa * v * v1
@@ -434,14 +505,14 @@ def axis_translation_schedule(p, axis, distance, duration):
         sin = w * h
         vz = s * v * sin  # body z speed
         thrust = m * (s * v1 * sin + g * h) + CD3 * vz * abs(vz)
-        if not thrust > 0.0:
+        if not (thrust > 0.0).all():
             raise InfeasibleError("profile demands nonpositive thrust")
         pair = thrust / (2.0 * Kr)  # sum of each pair's squares
         pdiff = (J * accel + Ct * rate * abs(rate)) / Krd
-        if pair < abs(pdiff):
+        if (pair < abs(pdiff)).any():
             raise InfeasibleError("torque demand exceeds thrust budget")
-        a = math.sqrt(0.5 * (pair - pdiff))
-        b = math.sqrt(0.5 * (pair + pdiff))
+        a = np.sqrt(0.5 * (pair - pdiff))
+        b = np.sqrt(0.5 * (pair + pdiff))
         # The other pair's squared-speed difference must cancel
         # Jr rate sigma, and sigma depends on the pair itself, but
         # only at second order in that difference: two updates from
@@ -450,16 +521,20 @@ def axis_translation_schedule(p, axis, distance, duration):
         # bodyY flips sigma and the torque's sign alike, so one
         # update serves both.
         half = 0.5 * pair
-        lo = hi = math.sqrt(half)
+        lo = hi = np.sqrt(half)
         for _ in range(2):
             half_diff = 0.5 * kg * rate * (lo + hi - a - b)
-            lo = math.sqrt(half + half_diff)
-            hi = math.sqrt(half - half_diff)
+            sq_lo, sq_hi = half + half_diff, half - half_diff
+            if ((sq_lo < 0.0) | (sq_hi < 0.0)).any():
+                raise InfeasibleError(
+                    "balancing pair cannot cancel the gyroscopic torque")
+            lo = np.sqrt(sq_lo)
+            hi = np.sqrt(sq_hi)
         if body_x:
             # pitch torque Krd (w4^2 - w2^2); rotors 1 and 3 balance
-            return (lo, a, hi, b)
+            return np.array((lo, a, hi, b)).T
         # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
-        return (a, lo, b, hi)
+        return np.array((a, lo, b, hi)).T
 
     up = _smoothstep_ramp(peak, ramp, True)
     down = _smoothstep_ramp(peak, ramp, False)
@@ -467,7 +542,9 @@ def axis_translation_schedule(p, axis, distance, duration):
         # the cruise goes first: its tilt guard bounds the drag term by
         # sqrt(2) g over the whole leg, which keeps Newton's equation
         # increasing in w, so its root is unique
-        cruise = rotors(peak, 0.0, 0.0, 0.0)
+        with np.errstate(all="ignore"):
+            cruise = tuple(rotors(np.array([peak]), *np.zeros((3, 1)))[0]
+                           .tolist())
         return _feasible(ControlSchedule(
             (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
              _held(ramp, duration - ramp, cruise),

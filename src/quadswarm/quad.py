@@ -22,6 +22,10 @@ import numpy as np
 from .errors import DivergenceError, DomainError, GimbalLockError
 from .numerics import PITCH_LIMIT, gimbal_lock
 
+# Most RK4 steps of a window that one call of its law samples: a chunk
+# bounds the memory a long window's samples take.
+_CHUNK = 256
+
 
 def _as_vec(x, k, name):
     v = np.asarray(x, dtype=float)
@@ -168,22 +172,43 @@ class QuadTrajectory:
 def _param_tuple(p):
     """Constants of p as Python floats, in the order _deriv unpacks them."""
     return tuple(float(c) for c in (
-        p.m, p.g, p.Kr, p.Kr * p.d, p.Kd, p.Jr_bar, *p.J, *p.CD, *p.Ctau))
+        p.m, p.g, p.Jr_bar, *p.J, *p.CD, *p.Ctau))
 
 
-def _deriv(x, om, pc):
+def _rotor_terms(om, p):
+    """What _deriv reads of the rotor speeds, per row of the (n, 4)
+    array om: an (n, 5) array of the thrust Kr sum(omega_i^2), the
+    gyroscopic sum omega1 - omega2 + omega3 - omega4, and the roll,
+    pitch and yaw torques Kr d (omega3^2 - omega1^2),
+    Kr d (omega4^2 - omega2^2) and Kd (omega1^2 - omega2^2 + omega3^2
+    - omega4^2), each in the operation order of the model written out.
+    Like Python floats, they overflow to inf without a warning.
+    """
+    w1, w2, w3, w4 = om.T
+    Krd = p.Kr * p.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, q2, q3, q4 = (om * om).T
+        return np.array((p.Kr * (q1 + q2 + q3 + q4), w1 - w2 + w3 - w4,
+                         Krd * (q3 - q1), Krd * (q4 - q2),
+                         p.Kd * (q1 - q2 + q3 - q4))).T
+
+
+# the rotor terms of rotors at rest
+_OFF = (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _deriv(x, r, pc):
     """Time derivative of the state as a 12-tuple.
 
-    x is the state as 12 floats, om the four rotor speeds and pc is
+    x is the state as 12 floats, r a row of _rotor_terms and pc is
     _param_tuple(p). Everything here is scalar arithmetic, which runs
     about three times faster on Python floats than on numpy scalars.
     """
-    (m, g, Kr, Krd, Kd, Jr,
-     J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3) = pc
+    m, g, Jr, J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3 = pc
     _, _, _, phi, theta, psi, v1, v2, v3, O1, O2, O3 = x
     if abs(theta) >= PITCH_LIMIT:
         raise gimbal_lock(theta)
-    w1, w2, w3, w4 = om
+    thrust, sigma, roll, pitch, yaw = r
 
     cf, sf = math.cos(phi), math.sin(phi)
     ct, st = math.cos(theta), math.sin(theta)
@@ -192,10 +217,6 @@ def _deriv(x, om, pc):
     # a * b * c is (a * b) * c, so a shared leading product keeps the bits
     cpst, spst, gct = cp * st, sp * st, g * ct
     O2sf, O3cf = O2 * sf, O3 * cf
-    q1, q2, q3, q4 = w1 * w1, w2 * w2, w3 * w3, w4 * w4
-
-    thrust = Kr * (q1 + q2 + q3 + q4)
-    sigma = w1 - w2 + w3 - w4
 
     return (
         v1 * cp * ct + v2 * (cpst * sf - sp * cf) + v3 * (cpst * cf + sp * sf),
@@ -208,11 +229,10 @@ def _deriv(x, om, pc):
         v3 * O1 - v1 * O3 - v2 * abs(v2) * CD2 / m - gct * sf,
         v1 * O2 - v2 * O1 + (thrust - v3 * abs(v3) * CD3) / m - gct * cf,
         ((J2 - J3) * O2 * O3 + Jr * O2 * sigma
-         + Krd * (q3 - q1) - O1 * abs(O1) * Ct1) / J1,
+         + roll - O1 * abs(O1) * Ct1) / J1,
         ((J3 - J1) * O1 * O3 - Jr * O1 * sigma
-         + Krd * (q4 - q2) - O2 * abs(O2) * Ct2) / J2,
-        ((J1 - J2) * O1 * O2 + Kd * (q1 - q2 + q3 - q4)
-         - O3 * abs(O3) * Ct3) / J3,
+         + pitch - O2 * abs(O2) * Ct2) / J2,
+        ((J1 - J2) * O1 * O2 + yaw - O3 * abs(O3) * Ct3) / J3,
     )
 
 
@@ -224,7 +244,8 @@ def state_derivative(s, c, p):
     acceleration. Raises GimbalLockError when pitch is too close to
     +-pi/2 for the Euler-rate map.
     """
-    return np.array(_deriv(s.as_vector(), c.omega, _param_tuple(p)))
+    return np.array(_deriv(s.as_vector(), _rotor_terms(c.omega[None], p)[0],
+                           _param_tuple(p)))
 
 
 def affine_fields(s, p):
@@ -249,14 +270,12 @@ def affine_fields(s, p):
         (drift, fields): drift a 12-vector, fields a list of four
         12-vectors [g1, g2, g3, g4].
     """
-    drift = np.array(
-        _deriv(s.as_vector(), (0.0, 0.0, 0.0, 0.0), _param_tuple(p)))
+    drift = np.array(_deriv(s.as_vector(), _OFF, _param_tuple(p)))
     pc = _param_tuple(
         replace(p, g=0.0, CD=np.zeros(3), Ctau=np.zeros(3), Jr_bar=0.0))
     rest = (0.0,) * 12
-    fields = [np.array(_deriv(rest, e, pc))
-              for e in ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                        (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))]
+    fields = [np.array(_deriv(rest, r, pc))
+              for r in _rotor_terms(np.eye(4), p).tolist()]
     return drift, fields
 
 
@@ -267,8 +286,7 @@ def geodesic_spray(s, p):
     (R v, Theta Omega, v x Omega, J^{-1}((J Omega) x Omega)).
     """
     free = replace(p, g=0.0, CD=np.zeros(3), Ctau=np.zeros(3))
-    return np.array(
-        _deriv(s.as_vector(), (0.0, 0.0, 0.0, 0.0), _param_tuple(free)))
+    return np.array(_deriv(s.as_vector(), _OFF, _param_tuple(free)))
 
 
 def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
@@ -276,14 +294,19 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
 
     The flight steps through schedule.windows(duration, dt): per
     segment, full steps of dt plus one shorter step when its span is
-    not a multiple, so no step straddles a junction. RK4 stages read
-    the window's segment through schedule.emit, once per window for a
-    segment with a constant. The law is pure, so samples are shared:
-    a step's k1 reuses the previous step's k4 sample when it starts at
-    exactly that time. States are recorded at t=0, every stride-th
-    step and each window's end; the rotor speeds of a sample at its
-    step's k4 time, inside the window, are that k4 sample, and all
-    others, junctions included, come from schedule.omega_at.
+    not a multiple, so no step straddles a junction. A window is flown
+    in chunks of at most _CHUNK steps. Each chunk samples its law once,
+    through schedule.sample, at every RK4 stage time and at the times
+    of the states it records inside the window, and turns the stage
+    samples into the rotor terms _deriv reads (_rotor_terms). The law
+    is pure, so a step's k1 reuses the previous step's k4 sample when
+    it starts at exactly that time. A chunk that holds a refused or
+    out-of-range sample is walked point by point through schedule.emit
+    instead, so its error comes at the step a flight that emits every
+    sample raises it. A segment with a constant is emitted once per
+    window. States are recorded at t=0, every stride-th step and each
+    window's end; the rotor speeds of a sample at a junction or at the
+    end of a window come from schedule.omega_at.
 
     Args:
         s0: initial QuadState.
@@ -319,7 +342,6 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             f"schedule covers [0, {total}], mission needs [0, {duration}]")
 
     pc = _param_tuple(p)
-    emit = schedule.emit
 
     # samples go to flat float buffers: per-sample tuples or arrays
     # would cost an object header per sample
@@ -339,36 +361,37 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     count = 0
     for seg, lo, hi, edge, nfull, rem in schedule.windows(duration, dt):
         nsteps = nfull + (rem > 0.0)
-        const = seg.constant
-        if nsteps and const is not None:
+        if nsteps and seg.constant is not None:
             # the one range check of the window, at its first stage
-            w1 = wm = w4 = emit(seg, lo)
-        t4 = None
-        for k in range(nsteps):
-            if k < nfull:
-                t, h = lo + k * dt, dt
-                tn = hi if rem == 0.0 and k == nfull - 1 else lo + (k + 1) * dt
+            held = schedule.emit(seg, lo)
+            terms = _rotor_terms(np.array([held]), p).tolist()[0]
+        for c0 in range(0, nsteps, _CHUNK):
+            k = np.arange(c0, min(c0 + _CHUNK, nsteps))
+            ts, hs, tns = lo + k * dt, np.full(k.size, dt), lo + (k + 1) * dt
+            last = k == nsteps - 1
+            tns[last] = hi
+            if rem > 0.0:
+                ts[last], hs[last] = hi - rem, rem
+            if seg.constant is not None:
+                r1 = rm = r4 = [terms] * k.size
+                rec = [held if tn < edge else None for tn in tns.tolist()]
             else:
-                t, h, tn = hi - rem, rem, hi
-            try:
-                if const is None:
-                    # the law is pure: a k1 at the last k4's time reuses it
-                    w1 = w4 if t == t4 else emit(seg, t if t < edge else edge)
-                    tq = t + 0.5 * h
-                    wm = emit(seg, tq if tq < edge else edge)
-                    t4 = t + h
-                    w4 = emit(seg, t4 if t4 < edge else edge)
-                x = _rk4_step(x, h, w1, wm, w4, pc)
-            except GimbalLockError as e:
-                raise GimbalLockError(
-                    f"gimbal lock near t={t:.6f}: {e}") from e
-            count += 1
-            if abs(x[4]) >= PITCH_LIMIT:
-                raise GimbalLockError(
-                    f"gimbal lock at t={tn:.6f}: pitch {x[4]!r}")
-            if count % stride == 0 and tn > times[-1]:
-                # at a junction omega_at reads the next segment instead
-                record(tn, x, w4 if tn < edge and tn == t + h else None)
+                r1, rm, r4, rec = _chunk_samples(
+                    schedule, seg, p, edge, ts, hs, tns,
+                    (count + 1 + np.arange(k.size)) % stride == 0)
+            for j, (t, h, tn) in enumerate(zip(
+                    ts.tolist(), hs.tolist(), tns.tolist())):
+                try:
+                    x = _rk4_step(x, h, r1[j], rm[j], r4[j], pc)
+                except GimbalLockError as e:
+                    raise GimbalLockError(
+                        f"gimbal lock near t={t:.6f}: {e}") from e
+                count += 1
+                if abs(x[4]) >= PITCH_LIMIT:
+                    raise GimbalLockError(
+                        f"gimbal lock at t={tn:.6f}: pitch {x[4]!r}")
+                if count % stride == 0 and tn > times[-1]:
+                    record(tn, x, rec[j])
         if hi > times[-1]:
             record(hi, x)
 
@@ -381,18 +404,67 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     )
 
 
-def _rk4_step(x, h, w1, wm, w4, pc):
-    """One classical RK4 step of _deriv under the rotor-speed samples
-    at the step's start, midpoint and end.
+def _chunk_samples(schedule, seg, p, edge, t, h, tn, recorded):
+    """The samples of one chunk of a window through seg's law.
+
+    t, h and tn are the steps' start times, sizes and end times, and
+    recorded marks the steps whose end state is recorded. Stages read
+    seg at times clamped to edge. Returns (r1, rm, r4, rec): per step,
+    the rotor terms at its start, midpoint and end, and the rotor
+    speeds to record at its end, or None for a time at or past edge,
+    which schedule.omega_at reads. When a sample is refused or out of
+    range, r1, rm and r4 emit each sample as the step loop reads it,
+    and rec is all None, which is where omega_at reads the same law.
+    """
+    n, tq, t4 = t.size, t + 0.5 * h, t + h
+    # a step's k1 reuses the last k4 when it starts at exactly that time
+    own = np.ones(n, bool)
+    own[1:] = t[1:] != t4[:-1]
+    recorded &= tn < edge
+    stages = np.minimum(np.concatenate((t[own], tq, t4)), edge)
+    om = schedule.sample(seg, np.concatenate((stages, tn[recorded])))
+    if om is None:
+        return (*(_Walk(schedule, seg, p, np.minimum(s, edge))
+                  for s in (t, tq, t4)), [None] * n)
+    n_own = own.sum()
+    terms = _rotor_terms(om[:stages.size], p).tolist()
+    # each step's start: its own sample, or the last step's k4
+    start = np.arange(n_own + n - 1, n_own + 2 * n - 1)
+    start[own] = np.arange(n_own)
+    rec = [None] * n
+    for j, w in zip(np.flatnonzero(recorded).tolist(),
+                    om[stages.size:].tolist()):
+        rec[j] = w
+    return ([terms[i] for i in start.tolist()], terms[n_own:n_own + n],
+            terms[n_own + n:], rec)
+
+
+class _Walk:
+    """Rotor terms at a chunk's stage times, each emitted when the step
+    loop reads it: the point-by-point walk of a chunk that holds a
+    refused or out-of-range sample."""
+
+    def __init__(self, schedule, seg, p, times):
+        self.schedule, self.seg, self.p = schedule, seg, p
+        self.times = times.tolist()
+
+    def __getitem__(self, j):
+        om = self.schedule.emit(self.seg, self.times[j])
+        return _rotor_terms(np.array([om]), self.p).tolist()[0]
+
+
+def _rk4_step(x, h, r1, rm, r4, pc):
+    """One classical RK4 step of _deriv under the rotor terms at the
+    step's start, midpoint and end.
 
     Same operation order as numerics.rk4_step, element by element; the
-    midpoint sample serves both k2 and k3.
+    midpoint terms serve both k2 and k3.
     """
     half = 0.5 * h
-    k1 = _deriv(x, w1, pc)
-    k2 = _deriv(_stage(x, half, k1), wm, pc)
-    k3 = _deriv(_stage(x, half, k2), wm, pc)
-    k4 = _deriv(_stage(x, h, k3), w4, pc)
+    k1 = _deriv(x, r1, pc)
+    k2 = _deriv(_stage(x, half, k1), rm, pc)
+    k3 = _deriv(_stage(x, half, k2), rm, pc)
+    k4 = _deriv(_stage(x, h, k3), r4, pc)
     c = h / 6.0
     return (
         x[0] + c * (((k1[0] + 2.0 * k2[0]) + 2.0 * k3[0]) + k4[0]),

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswarm import consensus, mission
+from quadswarm import consensus, mission, quad
 from quadswarm.cli import main
 from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
                                  integrate_protocol, max_cross_track,
@@ -772,6 +772,22 @@ leg1 = bodyX, 5000, 4
             assert np.max(np.abs(b_moved - (b + shift))) <= 1.5e-10
 
 
+class TestFlightChunks:
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_quad_csvs_do_not_depend_on_the_chunk(self, tmp_path,
+                                                  monkeypatch, run_4_2_2,
+                                                  chunk):
+        """A flight samples its laws a chunk of steps at a time, and
+        chunks of 1 and 7 steps write the bytes of the default chunk."""
+        monkeypatch.setattr(quad, "_CHUNK", chunk)
+        cfg, shipped = run_4_2_2
+        run_mission(cfg, out_dir=tmp_path)
+        for i in range(1, cfg.network.n + 1):
+            name = f"quad_agent{i}.csv"
+            assert (tmp_path / cfg.out / name).read_bytes() \
+                == (shipped / name).read_bytes()
+
+
 class TestRunSymmetry:
     """Where the drones meet does not depend on how they are numbered
     or how the ground frame is turned about the vertical. On 4_2_2's
@@ -831,6 +847,28 @@ def _numpy_blas():
     return deps.get("blas", {}).get("name", "")
 
 
+def _run_4_2_2_with(out, var, value=None):
+    """Run scenario_4_2_2 into out in a new interpreter whose
+    environment variable var is value, or unset for None; return the
+    directory of its artifacts."""
+    src = str(Path(mission.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env = {k: v for k, v in os.environ.items() if k != var}
+    if value is not None:
+        env[var] = value
+    subprocess.run(
+        [sys.executable, "-m", "quadswarm.cli", "run",
+         str(scenario_path("scenario_4_2_2")), "--out", str(out)],
+        env={**env, "PYTHONPATH": path}, check=True, capture_output=True)
+    return out / "scenario_4_2_2"
+
+
+def _same_quad_csvs(a, b):
+    return all((a / f"quad_agent{i}.csv").read_bytes()
+               == (b / f"quad_agent{i}.csv").read_bytes() for i in (1, 2, 3))
+
+
 class TestBlasKernel:
     @pytest.mark.skipif("openblas" not in _numpy_blas().lower(),
                         reason="numpy's BLAS is not OpenBLAS")
@@ -840,27 +878,36 @@ class TestBlasKernel:
         bytes. particle.csv and report.json pass through BLAS and
         LAPACK and may change with the kernel; nothing is asserted
         about them."""
-        src = str(Path(mission.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        var = "OPENBLAS_CORETYPE"
+        assert _same_quad_csvs(
+            _run_4_2_2_with(tmp_path / "prescott", var, "Prescott"),
+            _run_4_2_2_with(tmp_path / "native", var))
 
-        def run(name, **kernel):
-            env = {k: v for k, v in os.environ.items()
-                   if k != "OPENBLAS_CORETYPE"}
-            subprocess.run(
-                [sys.executable, "-m", "quadswarm.cli", "run",
-                 str(scenario_path("scenario_4_2_2")),
-                 "--out", str(tmp_path / name)],
-                env={**env, "PYTHONPATH": path, **kernel},
-                check=True, capture_output=True)
-            return tmp_path / name / "scenario_4_2_2"
 
-        native, prescott = run("native"), run(
-            "prescott", OPENBLAS_CORETYPE="Prescott")
-        for i in (1, 2, 3):
-            name = f"quad_agent{i}.csv"
-            assert (prescott / name).read_bytes() \
-                == (native / name).read_bytes()
+def _simd_targets():
+    """numpy's SIMD dispatch targets on this CPU, or None where numpy
+    does not list them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return None
+    return __cpu_dispatch__
+
+
+class TestSimdDispatch:
+    @pytest.mark.skipif(_simd_targets() is None,
+                        reason="numpy lists no SIMD dispatch targets")
+    def test_quad_csvs_do_not_depend_on_the_simd_dispatch(self, tmp_path,
+                                                           run_4_2_2):
+        """The laws' array arithmetic is +, -, *, / and sqrt, which
+        every SIMD loop rounds alike, and their cos, sin, atan and **
+        run on Python floats, so a run with numpy's dispatch targets
+        disabled (NPY_DISABLE_CPU_FEATURES) flies the bytes of a plain
+        run. Nothing is asserted about particle.csv."""
+        assert _same_quad_csvs(
+            _run_4_2_2_with(tmp_path / "baseline", "NPY_DISABLE_CPU_FEATURES",
+                            " ".join(_simd_targets())),
+            run_4_2_2[1])
 
 
 def digests(root):
@@ -1623,6 +1670,21 @@ agent3 = -2, 0, 5
         assert capsys.readouterr().out == f"FAIL: {error}\n"
         assert main(["run", str(path), "--out", str(tmp_path)]) == 1
         assert (tmp_path / "climb" / "FAILED").read_text(
+            encoding="utf-8") == error + "\n"
+
+    def test_yaw_without_reaction_torque_fails_planning(self, tmp_path,
+                                                        capsys):
+        """At Kd = 0 the rotors have no torque to yaw with: 4_2_2's
+        routes yaw, so validate and run refuse it with an
+        InfeasibleError naming Kd, where the law divided by zero."""
+        error = "InfeasibleError: yaw by reaction torque needs Kd > 0"
+        text = scenario_path("scenario_4_2_2").read_text(encoding="utf-8")
+        path = write_cfg(tmp_path, text.replace(
+            "[agents]", "[params]\nKd = 0\n\n[agents]"))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines()[0] == f"FAIL: {error}"
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert (tmp_path / "scenario_4_2_2" / "FAILED").read_text(
             encoding="utf-8") == error + "\n"
 
     @pytest.mark.parametrize("text, failed", [

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadswarm import planner
 from quadswarm.consensus import consensus_point
@@ -176,10 +178,15 @@ class TestControlSchedule:
         assert Segment(0.0, 1.0, lambda tl: (1.0,) * 4).constant is None
 
     def test_feasibility_checks_a_constant_segment_once(self, monkeypatch):
+        """A constant segment is checked once, at its start, and every
+        other segment on the 2001-point grid from its t0 to its t1, in
+        one call of its law."""
         calls = []
-        real = ControlSchedule.emit
+        emit, sample = ControlSchedule.emit, ControlSchedule.sample
         monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
-                            calls.append(t) or real(self, seg, t))
+                            calls.append(t) or emit(self, seg, t))
+        monkeypatch.setattr(ControlSchedule, "sample", lambda self, seg, ts:
+                            calls.append(ts) or sample(self, seg, ts))
         hover = ControlSchedule.constant(np.full(4, HOVER_W), 2.0)
         assert calls == []  # constant() builds without emitting
         planner._feasible(hover)
@@ -188,9 +195,11 @@ class TestControlSchedule:
         hover_schedule(P, 2.0)  # a hover is checked like every leg
         assert calls == [0.0]
         calls.clear()
-        axis_translation_schedule(P, "bodyX", 1.0, 2.0)
-        assert len(calls) == 2 * 2001 + 1
-        assert calls[2001] == 0.4  # the cruise, at its start
+        sched = axis_translation_schedule(P, "bodyX", 1.0, 2.0)
+        up, cruise, down = calls
+        assert cruise == 0.4  # the cruise, at its start
+        for grid, seg in zip((up, down), sched.segments[::2]):
+            assert np.array_equal(grid, np.linspace(seg.t0, seg.t1, 2001))
 
     def test_out_of_range_constant_segment_names_its_start(self):
         fast = (600.0,) * 4
@@ -294,6 +303,20 @@ class TestYaw:
         with pytest.raises(InfeasibleError):
             yaw_schedule(P, math.pi, 0.05)
 
+    def test_refusal_names_the_first_refused_time(self):
+        # the probe's grid is sampled in one call of the law, and the
+        # refusal still names its first refused point
+        with pytest.raises(InfeasibleError, match=(
+                r"^maneuver is infeasible at its natural amplitude: yaw "
+                r"torque exceeds rotor authority at t=0\.044$")):
+            yaw_schedule(P, 30.0, 2.0)
+
+    def test_needs_reaction_torque(self):
+        # without it the law would divide by zero
+        with pytest.raises(InfeasibleError,
+                           match=r"^yaw by reaction torque needs Kd > 0$"):
+            yaw_schedule(replace(P, Kd=0.0), 0.5, 2.0)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             yaw_schedule(P, 1.0, 0.0)
@@ -385,6 +408,21 @@ class TestTranslation:
         with pytest.raises(InfeasibleError):
             axis_translation_schedule(P, "bodyX", 5000.0, 4.0)
 
+    def test_torque_demand_refusal(self):
+        with pytest.raises(InfeasibleError, match=(
+                r"^maneuver is infeasible at its natural amplitude: torque "
+                r"demand exceeds thrust budget$")):
+            axis_translation_schedule(P, "bodyX", 80.0, 2.0)
+
+    def test_gyroscopic_torque_past_the_balancing_pair(self):
+        # a heavy rotor's gyroscopic torque asks the balancing pair for a
+        # negative squared speed
+        with pytest.raises(InfeasibleError, match=(
+                r"^maneuver is infeasible at its natural amplitude: "
+                r"balancing pair cannot cancel the gyroscopic torque$")):
+            axis_translation_schedule(replace(P, Jr_bar=0.1), "bodyX", 5.0,
+                                      3.0)
+
     def test_needs_gravity(self):
         with pytest.raises(InfeasibleError):
             axis_translation_schedule(replace(P, g=0.0), "bodyX", 1.0, 2.0)
@@ -394,6 +432,120 @@ class TestTranslation:
             axis_translation_schedule(P, "vertical", 1.0, 2.0)
         with pytest.raises(DomainError):
             axis_translation_schedule(P, "bodyX", 1.0, 0.0)
+
+
+def _scalar_law(p, spec, i):
+    """The law of segment i of spec's leg, written on one Python float
+    as the laws were before they took arrays: the reference the array
+    laws must equal bit for bit."""
+    T = spec.duration
+    if spec.kind == "yaw":
+        pair_sq = p.m * p.g / (2.0 * p.Kr)
+        amp = 2.0 * spec.amount / T
+
+        def law(tl):
+            phase = 2.0 * math.pi * tl / T
+            rate = 0.5 * amp * (1.0 - math.cos(phase))
+            accel = amp * (math.pi / T) * math.sin(phase)
+            tau = float(p.J[2]) * accel + rate * abs(rate) * float(p.Ctau[2])
+            diff = tau / (2.0 * p.Kd)
+            w1 = math.sqrt(0.5 * (pair_sq + diff))
+            w2 = math.sqrt(0.5 * (pair_sq - diff))
+            return (w1, w2, w1, w2)
+        return law
+    if spec.kind == "vertical":
+        peak = 2.0 * spec.amount / T
+
+        def law(tl):
+            phase = 2.0 * math.pi * tl / T
+            vdes = 0.5 * peak * (1.0 - math.cos(phase))
+            adens = peak * (math.pi / T) * math.sin(phase)
+            thrust = p.m * (adens + p.g) + vdes * abs(vdes) * float(p.CD[2])
+            w = math.sqrt(thrust / (4.0 * p.Kr))
+            return (w, w, w, w)
+        return law
+
+    m, g, Kr, Krd = p.m, p.g, p.Kr, p.Kr * p.d
+    kg = p.Jr_bar / Krd
+    body_x = spec.kind == "bodyX"
+    k = 1 if body_x else 0
+    s, c = (1.0, p.CD[0] / m) if body_x else (-1.0, p.CD[1] / m)
+    J, Ct, c = float(p.J[k]), float(p.Ctau[k]), float(c)
+    peak = spec.amount / (0.8 * T)
+    kappa = s * math.copysign(c, peak)
+    profile = _smoothstep_ramp(peak, 0.2 * T, i == 0)
+
+    def law(tl):
+        v, v1, v2, v3 = profile(tl)
+        acc, drag = s * v1, kappa * v * v
+        w = (acc + drag) / g
+        for _ in range(20):
+            h = 1.0 / math.sqrt(1.0 + w * w)
+            step = (g * w - acc - drag * h) / (g + drag * w * h ** 3)
+            w -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(w)):
+                break
+        h = 1.0 / math.sqrt(1.0 + w * w)
+        h2 = h * h
+        dh = -w * h2 * h
+        drag1 = 2.0 * kappa * v * v1
+        drag2 = 2.0 * kappa * (v1 * v1 + v * v2)
+        den = g - drag * dh
+        w1 = (s * v2 + drag1 * h) / den
+        w2 = (s * v3 + drag2 * h + 2.0 * drag1 * dh * w1
+              + drag * (2.0 * w * w - 1.0) * h2 * h2 * h * w1 * w1) / den
+        rate = w1 * h2
+        accel = (w2 - 2.0 * w * w1 * w1 * h2) * h2
+        vz = s * v * (w * h)
+        thrust = (m * (s * v1 * (w * h) + g * h)
+                  + float(p.CD[2]) * vz * abs(vz))
+        pair = thrust / (2.0 * Kr)
+        pdiff = (J * accel + Ct * rate * abs(rate)) / Krd
+        a = math.sqrt(0.5 * (pair - pdiff))
+        b = math.sqrt(0.5 * (pair + pdiff))
+        lo = hi = math.sqrt(0.5 * pair)
+        for _ in range(2):
+            half_diff = 0.5 * kg * rate * (lo + hi - a - b)
+            lo = math.sqrt(0.5 * pair + half_diff)
+            hi = math.sqrt(0.5 * pair - half_diff)
+        return (lo, a, hi, b) if body_x else (a, lo, b, hi)
+    return law
+
+
+class TestArrayLaws:
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["yaw", "vertical", "bodyX", "bodyY"]),
+           amount=st.floats(-3.0, 3.0), duration=st.floats(1.5, 2.5),
+           dt=st.sampled_from([1e-3, 3.7e-3, 5e-4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_call_equals_one_element_calls(self, kind, amount,
+                                               duration, dt, seed):
+        """A law called once on the probe's grid and the flight's
+        stage times gives, bit for bit, what the scalar formula gives
+        at each time, and what the law gives one time at a time, as
+        emit calls it. A one-element call costs tens of microseconds,
+        so 300 of the times, drawn at random, are compared that way."""
+        spec = ManeuverSpec(kind, amount, duration)
+        try:
+            sched = schedule_for(P, spec)
+        except InfeasibleError:
+            assume(False)
+        for seg, lo, hi, edge, nfull, rem in sched.windows(duration, dt):
+            if seg.constant is not None:
+                continue
+            t = np.append(lo + np.arange(nfull) * dt, [hi - rem][:rem > 0])
+            h = np.append(np.full(nfull, dt), [rem][:rem > 0])
+            stages = np.minimum(np.concatenate((t, t + 0.5 * h, t + h)),
+                                edge)
+            tl = np.concatenate(
+                (np.linspace(seg.t0, seg.t1, 2001), stages)) - seg.t0
+            whole = seg.law(tl)
+            scalar = _scalar_law(P, spec, sched.segments.index(seg))
+            assert np.array_equal(whole, [scalar(x) for x in tl.tolist()])
+            drawn = np.random.default_rng(seed).choice(tl.size, 300)
+            assert np.array_equal(
+                whole[drawn],
+                np.concatenate([seg.law(tl[i:i + 1]) for i in drawn]))
 
 
 class TestExactInversion:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quadswarm import quad
 from quadswarm.errors import (DivergenceError, DomainError,
                               GimbalLockError, SaturationError)
 from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
@@ -15,7 +16,8 @@ from quadswarm.planner import (ControlSchedule, Segment,
                                hover_controls, hover_schedule, yaw_schedule)
 from quadswarm.quad import (Controls, QuadParams, QuadState, affine_fields,
                             default_params, geodesic_spray, hover_state,
-                            simulate, state_derivative, _deriv, _param_tuple)
+                            simulate, state_derivative, _deriv, _param_tuple,
+                            _rotor_terms)
 
 P = default_params()
 OFF = Controls(np.zeros(4))
@@ -176,9 +178,10 @@ class TestDerivative:
     def test_written_out_formula_bit_for_bit(self):
         """_deriv computes each repeated leading product once. Python
         groups a * b * c as (a * b) * c, so it must still equal the
-        model written out term by term, to the last bit."""
-        (m, g, Kr, Krd, Kd, Jr,
-         J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3) = _param_tuple(P)
+        model written out term by term, to the last bit, fed the rotor
+        terms _rotor_terms computes from the same speeds."""
+        m, g, Jr, J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3 = _param_tuple(P)
+        Kr, Krd, Kd = P.Kr, P.Kr * P.d, P.Kd
 
         def written_out(x, om):
             _, _, _, phi, theta, psi, v1, v2, v3, O1, O2, O3 = x
@@ -215,9 +218,10 @@ class TestDerivative:
         for _ in range(200):
             x = tuple(random_state(rng, speed=5.0, spin=3.0)
                       .as_vector().tolist())
-            om = tuple(rng.uniform(0.0, 500.0, size=4).tolist())
-            assert (np.array(_deriv(x, om, _param_tuple(P))).tobytes()
-                    == np.array(written_out(x, om)).tobytes())
+            om = rng.uniform(0.0, 500.0, size=4)
+            r = _rotor_terms(om[None], P)[0].tolist()
+            assert (np.array(_deriv(x, r, _param_tuple(P))).tobytes()
+                    == np.array(written_out(x, om.tolist())).tobytes())
 
     def test_kinematics_rows(self):
         rng = np.random.default_rng(11)
@@ -498,6 +502,39 @@ class TestSimulate:
         with pytest.raises(SaturationError,
                            match=r"rotor speed 600\.0 .* at t=0\.5$"):
             simulate(hover_state(), sched, P, 1.5)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("law, error, match, steps", [
+        # rotors 1 and 3 pass 500 rad/s at t = 0.5, within the chunk of
+        # steps 256-511 and of steps 497-503
+        (lambda tl: 400.0 + np.outer(tl, (200.0, 0.0, 200.0, 0.0)),
+         SaturationError,
+         r"^rotor speed 500\.1 outside \[0, 500\.0\] rad/s at t=0\.5005$",
+         500),
+        # the pitch torque tips the vehicle over before the law leaves
+        # the ceiling at t = 0.1, in the same chunk of 256 steps
+        (lambda tl: np.where(tl[:, None] < 0.1, (300.0, 100.0, 300.0, 500.0),
+                             600.0),
+         GimbalLockError,
+         r"^gimbal lock near t=0\.085000: pitch 1\.5750962180924637 "
+         r"within 1e-06 of \+-pi/2$",
+         86),
+    ], ids=["saturation", "gimbal-lock-first"])
+    def test_chunk_with_a_failing_sample_fails_where_each_sample_would(
+            self, monkeypatch, chunk, law, error, match, steps):
+        """An unprobed law that fails partway through a chunk raises
+        the error, with the t=, and after the steps, of a flight that
+        emits its samples one at a time: the chunk is walked point by
+        point."""
+        monkeypatch.setattr(quad, "_CHUNK", chunk)
+        calls = []
+        step = quad._rk4_step
+        monkeypatch.setattr(quad, "_rk4_step",
+                            lambda *a: calls.append(a) or step(*a))
+        sched = ControlSchedule((Segment(0.0, 1.0, law),))
+        with pytest.raises(error, match=match):
+            simulate(hover_state(), sched, P, 1.0)
+        assert len(calls) == steps
 
     def test_drag_dissipates_kinetic_energy(self):
         free = replace(P, g=0.0)
