@@ -41,6 +41,9 @@ from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
 
 MODES = ("particle", "quad", "compare")
 
+# Most rows of a CSV table that one tolist() turns into Python floats
+_BLOCK = 256
+
 # Each section's named keys, and the pattern of its numbered keys,
 # whose numbers are >= 1 and written as str(int) writes them, so that
 # every key has one spelling. [params] takes QuadParams' fields.
@@ -404,8 +407,16 @@ def _csv_lines(traj):
                           traj.thrust[:, None]])
     else:
         raise DomainError(f"cannot export {type(traj).__name__}")
-    return _table_lines(header, ((t, *row.tolist())
-                                 for t, row in zip(traj.times, rows)))
+    return _table_lines(header, _row_tuples(traj.times, rows))
+
+
+def _row_tuples(times, rows):
+    """Iterator over the rows of a table, each a tuple of Python floats
+    led by its time: one tolist() of the times stacked as column 0 per
+    block of _BLOCK rows, which bounds the floats held at once."""
+    for i in range(0, len(times), _BLOCK):
+        yield from map(tuple, np.column_stack(
+            (times[i:i + _BLOCK], rows[i:i + _BLOCK])).tolist())
 
 
 def _particle_header(n, r):
@@ -458,23 +469,17 @@ def _spectrum_log(particle):
     return tuple((float(t), tuple(float(x) for x in w)) for t, w in log)
 
 
-def _agent_report(i, alpha, particle, run):
-    """AgentReport of agent i (0-based). particle (the protocol run to
-    report on), run (the agent's flight) and alpha (the rendezvous
-    point) are None when the run has none; the fields they measure
-    then stay None."""
+def _flight_report(i, alpha, run):
+    """AgentReport of agent i's (0-based) flight run: its facts alone.
+    alpha, the rendezvous point, is None for a scripted flight, whose
+    miss and cross-track then stay None."""
+    end = run.states[-1][:3]
     measured = {}
-    if particle is not None:
-        measured["particle_final_error"] = float(
-            np.linalg.norm(particle.states[-1][i] - alpha))
-    end = particle.states[-1][i] if run is None else run.states[-1][:3]
-    if run is not None:
-        measured["flight_time"] = float(run.times[-1])
-        if alpha is not None:
-            measured["quad_final_error"] = float(np.linalg.norm(end - alpha))
-            measured["max_cross_track"] = max_cross_track(
-                run.states[:, :3], run.states[0][:3], alpha)
-    return AgentReport(agent=i + 1,
+    if alpha is not None:
+        measured["quad_final_error"] = float(np.linalg.norm(end - alpha))
+        measured["max_cross_track"] = max_cross_track(
+            run.states[:, :3], run.states[0][:3], alpha)
+    return AgentReport(agent=i + 1, flight_time=float(run.times[-1]),
                        final_position=tuple(float(x) for x in end),
                        **measured)
 
@@ -523,6 +528,14 @@ def run_mission(config, out_dir=None):
     FAILED is written as every artifact is, whole or not at all, and
     only where it can be: a failure to write it never hides the error.
 
+    A compare run on a complete graph flies to the agreement point of
+    the starts, which needs no protocol step, so it forks its flight
+    workers first and then integrates the protocol and writes
+    particle.csv beside them (_fly_agents). Its artifacts and its error
+    are still those of the protocol followed by a serial loop over the
+    agents: a protocol that fails, or a particle.csv that cannot be
+    written, kills the workers and is the run's error.
+
     Returns:
         ComparisonReport.
     """
@@ -555,7 +568,9 @@ def _clear(dest):
 
 def prepare(config, dest=None):
     """Everything a run of config does before its first flight step;
-    returns (alpha, particle, routes).
+    returns (alpha, particle, routes). A compare run on a complete graph
+    does the same work in another order: it forks its flight workers
+    before the protocol (run_mission).
 
     alpha is the agreement point of the starts and particle the protocol
     run, each None where the run has none: a scripted flight has
@@ -578,20 +593,38 @@ def prepare(config, dest=None):
     if config.mode == "particle":
         return alpha, particle, []
     targets = [alpha] * config.network.n if complete else particle.states[-1]
-    return alpha, particle, [rendezvous_route(_quad_start(config, i), target)
-                             for i, target in enumerate(targets)]
+    return alpha, particle, _routes(config, targets)
+
+
+def _routes(config, targets):
+    """Each agent's rendezvous_route to its target, in agent order."""
+    return [rendezvous_route(_quad_start(config, i), target)
+            for i, target in enumerate(targets)]
 
 
 def _run_mission(config, dest):
-    alpha, particle, routes = prepare(config, dest)
+    n = config.network.n
+    if config.mode == "compare" and is_complete(config.network):
+        # the routes need only alpha, so the flights start first
+        alpha = consensus_point(config.agents[:, :3])
+        particle, agents = _fly_agents(
+            config, _routes(config, [alpha] * n), alpha, dest,
+            lambda busy: _protocol_to_csv(
+                config, dest / "particle.csv", busy))
+    else:
+        alpha, particle, routes = prepare(config, dest)
+        if config.mode == "particle":
+            agents = [AgentReport(agent=i + 1, final_position=tuple(
+                float(x) for x in particle.states[-1][i])) for i in range(n)]
+        else:
+            agents = _fly_agents(config, routes, alpha, dest)[1]
+
     # the protocol run reported on; a quad run reports none
     reported = None if config.mode == "quad" else particle
-    if config.mode == "particle":
-        agents = [_agent_report(i, alpha, particle, None)
-                  for i in range(config.network.n)]
-    else:
-        agents = _fly_agents(config, routes, alpha, reported, dest)
-
+    if reported is not None:
+        # each agent's protocol miss, whichever process flew it
+        agents = [replace(a, particle_final_error=float(np.linalg.norm(
+            particle.states[-1][i] - alpha))) for i, a in enumerate(agents)]
     report = _report(config.mode, alpha, reported, agents)
     _write_report(report, dest)
     return report
@@ -603,11 +636,12 @@ def _protocol(config, sink=None):
                               config.stop_tol, sink=sink)
 
 
-def _protocol_to_csv(config, path):
+def _protocol_to_csv(config, path, busy=1):
     """Run config's protocol and write its samples to path as
     export_csv writes the run; returns the run.
 
-    With more than one usable CPU, a forked writer formats
+    busy counts the processes of the run at work, this one included.
+    When a usable CPU is left over after them, a forked writer formats
     the samples while the protocol integrates: each sample's raw
     float64 bytes, t and then the state, go through a pipe as the
     protocol records them, and the writer puts the lines on disk with
@@ -616,7 +650,7 @@ def _protocol_to_csv(config, path):
     after the protocol. Either way a protocol that raises leaves no
     file, and a writer that dies raises ChildProcessError.
     """
-    if _usable_cpus() < 2:
+    if _usable_cpus() <= busy:
         particle = _protocol(config)
         export_csv(particle, path)
         return particle
@@ -676,31 +710,36 @@ def _write_samples(args):
     return None
 
 
-def _fly_agents(config, routes, alpha, particle, dest):
+def _fly_agents(config, routes, alpha, dest, beside=None):
     """Plan and fly agent i along routes[i], a tuple of ManeuverSpec,
-    write its CSV and return the AgentReports in agent order, as a
-    serial loop over the agents would.
+    write its CSV and return (beside's result, the flight AgentReports
+    in agent order), as a serial loop over the agents would.
 
     The flights are independent, so they are spread over W = min(usable
     CPUs, agents) lanes by flight time, the sum of the route's leg
     durations. Lane 0 plans and flies in this process, every other lane
-    in a forked child. The CSVs are written in agent order up to the
-    first agent that failed, in planning or in flight, and that agent's
-    error is raised, so the artifacts and the error are those of the
-    serial loop. W = 1 forks nothing.
+    in a forked child. beside(W), where given, runs in this process
+    once the children are forked and before lane 0 flies; an error it
+    raises kills the children and is raised before any CSV is written.
+    The CSVs are written in agent order up to the first agent that
+    failed, in planning or in flight, and that agent's error is raised,
+    so the artifacts and the error are those of the serial loop. W = 1
+    forks nothing.
     """
     width = min(_usable_cpus(), len(routes))
     lanes = _lpt_lanes(
         [sum(spec.duration for spec in route) for route in routes], width)
 
     def fly(lane):
-        return _fly_lane(config, lane, routes, alpha, particle)
+        return _fly_lane(config, lane, routes, alpha)
 
-    flown = {}
+    flown, result = {}, None
     workers = []    # (pid, pipe) of every child not yet reaped
     try:
         for lane in lanes[1:]:
             workers.append(_fork(fly, lane))
+        if beside is not None:
+            result = beside(width)
         flown.update(fly(lanes[0]))
         while workers:
             flown.update(_join(workers, "flight worker"))
@@ -715,7 +754,7 @@ def _fly_agents(config, routes, alpha, particle, dest):
         text, agent = out
         _write_lines(dest / f"quad_agent{i + 1}.csv", (text,))
         agents.append(agent)
-    return agents
+    return result, agents
 
 
 def _lpt_lanes(durations, width):
@@ -731,11 +770,11 @@ def _lpt_lanes(durations, width):
     return [sorted(lane) for lane in lanes]
 
 
-def _fly_lane(config, lane, routes, alpha, particle):
+def _fly_lane(config, lane, routes, alpha):
     """Plan and fly the agents of one lane in index order; returns
-    {agent: (CSV text, AgentReport)}, ending at the lane's first agent
-    that failed, in planning or in flight, which maps to its error: no
-    later agent of the lane can matter."""
+    {agent: (CSV text, flight AgentReport)}, ending at the lane's first
+    agent that failed, in planning or in flight, which maps to its
+    error: no later agent of the lane can matter."""
     flown = {}
     for i in lane:
         try:
@@ -743,7 +782,7 @@ def _fly_lane(config, lane, routes, alpha, particle):
             run = simulate(_quad_start(config, i), sched, config.params,
                            sched.total_duration, config.dt, config.stride)
             flown[i] = ("".join(_csv_lines(run)),
-                        _agent_report(i, alpha, particle, run))
+                        _flight_report(i, alpha, run))
         except Exception as e:
             flown[i] = e
             break

@@ -13,6 +13,7 @@ by the squared rotor speeds; the gyroscopic torque, linear in the rotor
 speeds, is the one term that sits outside that affine-in-omega^2 form.
 """
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -372,26 +373,27 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             tns[last] = hi
             if rem > 0.0:
                 ts[last], hs[last] = hi - rem, rem
+            # the steps whose end state is recorded
+            due = (count + 1 + np.arange(k.size)) % stride == 0
+            count += k.size
             if seg.constant is not None:
-                r1 = rm = r4 = [terms] * k.size
+                r1 = rm = r4 = itertools.repeat(terms)
                 rec = [held if tn < edge else None for tn in tns.tolist()]
             else:
                 r1, rm, r4, rec = _chunk_samples(
-                    schedule, seg, p, edge, ts, hs, tns,
-                    (count + 1 + np.arange(k.size)) % stride == 0)
-            for j, (t, h, tn) in enumerate(zip(
-                    ts.tolist(), hs.tolist(), tns.tolist())):
+                    schedule, seg, p, edge, ts, hs, tns, due)
+            for t, h, tn, a, b, c, keep, w in zip(
+                    ts.tolist(), hs.tolist(), tns.tolist(), r1, rm, r4,
+                    due.tolist(), rec):
                 try:
-                    x = _rk4_step(x, h, r1[j], rm[j], r4[j], pc)
+                    x = _rk4_step(x, h, a, b, c, pc)
                 except GimbalLockError as e:
-                    raise GimbalLockError(
-                        f"gimbal lock near t={t:.6f}: {e}") from e
-                count += 1
+                    raise _locked_near(t, e) from e
                 if abs(x[4]) >= PITCH_LIMIT:
                     raise GimbalLockError(
                         f"gimbal lock at t={tn:.6f}: pitch {x[4]!r}")
-                if count % stride == 0 and tn > times[-1]:
-                    record(tn, x, rec[j])
+                if keep and tn > times[-1]:
+                    record(tn, x, w)
         if hi > times[-1]:
             record(hi, x)
 
@@ -404,27 +406,28 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     )
 
 
-def _chunk_samples(schedule, seg, p, edge, t, h, tn, recorded):
+def _chunk_samples(schedule, seg, p, edge, t, h, tn, due):
     """The samples of one chunk of a window through seg's law.
 
     t, h and tn are the steps' start times, sizes and end times, and
-    recorded marks the steps whose end state is recorded. Stages read
-    seg at times clamped to edge. Returns (r1, rm, r4, rec): per step,
-    the rotor terms at its start, midpoint and end, and the rotor
-    speeds to record at its end, or None for a time at or past edge,
-    which schedule.omega_at reads. When a sample is refused or out of
-    range, r1, rm and r4 emit each sample as the step loop reads it,
-    and rec is all None, which is where omega_at reads the same law.
+    due marks the steps whose end state is recorded. Stages read seg
+    at times clamped to edge. Returns (r1, rm, r4, rec): per step, the
+    rotor terms at its start, midpoint and end, and the rotor speeds to
+    record at its end, or None for a time at or past edge, which
+    schedule.omega_at reads. When a sample is refused or out of range,
+    r1, rm and r4 are _walk's, which emit each sample as the step loop
+    reads it, and rec is all None, which is where omega_at reads the
+    same law.
     """
     n, tq, t4 = t.size, t + 0.5 * h, t + h
     # a step's k1 reuses the last k4 when it starts at exactly that time
     own = np.ones(n, bool)
     own[1:] = t[1:] != t4[:-1]
-    recorded &= tn < edge
+    recorded = due & (tn < edge)
     stages = np.minimum(np.concatenate((t[own], tq, t4)), edge)
     om = schedule.sample(seg, np.concatenate((stages, tn[recorded])))
     if om is None:
-        return (*(_Walk(schedule, seg, p, np.minimum(s, edge))
+        return (*(_walk(schedule, seg, p, np.minimum(s, edge), t)
                   for s in (t, tq, t4)), [None] * n)
     n_own = own.sum()
     terms = _rotor_terms(om[:stages.size], p).tolist()
@@ -439,18 +442,22 @@ def _chunk_samples(schedule, seg, p, edge, t, h, tn, recorded):
             terms[n_own + n:], rec)
 
 
-class _Walk:
+def _walk(schedule, seg, p, times, starts):
     """Rotor terms at a chunk's stage times, each emitted when the step
     loop reads it: the point-by-point walk of a chunk that holds a
-    refused or out-of-range sample."""
+    refused or out-of-range sample. A law that refuses a tilt fails the
+    step it serves, which starts at the matching time of starts."""
+    for t, start in zip(times.tolist(), starts.tolist()):
+        try:
+            om = schedule.emit(seg, t)
+        except GimbalLockError as e:
+            raise _locked_near(start, e) from e
+        yield _rotor_terms(np.array([om]), p).tolist()[0]
 
-    def __init__(self, schedule, seg, p, times):
-        self.schedule, self.seg, self.p = schedule, seg, p
-        self.times = times.tolist()
 
-    def __getitem__(self, j):
-        om = self.schedule.emit(self.seg, self.times[j])
-        return _rotor_terms(np.array([om]), self.p).tolist()[0]
+def _locked_near(t, e):
+    """The error of the RK4 step from t that met the gimbal lock e."""
+    return GimbalLockError(f"gimbal lock near t={t:.6f}: {e}")
 
 
 def _rk4_step(x, h, r1, rm, r4, pc):
@@ -458,37 +465,40 @@ def _rk4_step(x, h, r1, rm, r4, pc):
     step's start, midpoint and end.
 
     Same operation order as numerics.rk4_step, element by element; the
-    midpoint terms serve both k2 and k3.
+    midpoint terms serve both k2 and k3. The stage states x + a k are
+    written out on unpacked floats, which runs faster than indexing
+    the tuples, three times a step.
     """
     half = 0.5 * h
-    k1 = _deriv(x, r1, pc)
-    k2 = _deriv(_stage(x, half, k1), rm, pc)
-    k3 = _deriv(_stage(x, half, k2), rm, pc)
-    k4 = _deriv(_stage(x, h, k3), r4, pc)
-    c = h / 6.0
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 = x
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _deriv(x, r1, pc)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _deriv((
+        x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
+        x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7,
+        x8 + half * a8, x9 + half * a9, x10 + half * a10, x11 + half * a11,
+    ), rm, pc)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _deriv((
+        x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
+        x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7,
+        x8 + half * b8, x9 + half * b9, x10 + half * b10, x11 + half * b11,
+    ), rm, pc)
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _deriv((
+        x0 + h * c0, x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4,
+        x5 + h * c5, x6 + h * c6, x7 + h * c7, x8 + h * c8, x9 + h * c9,
+        x10 + h * c10, x11 + h * c11,
+    ), r4, pc)
+    s = h / 6.0
     return (
-        x[0] + c * (((k1[0] + 2.0 * k2[0]) + 2.0 * k3[0]) + k4[0]),
-        x[1] + c * (((k1[1] + 2.0 * k2[1]) + 2.0 * k3[1]) + k4[1]),
-        x[2] + c * (((k1[2] + 2.0 * k2[2]) + 2.0 * k3[2]) + k4[2]),
-        x[3] + c * (((k1[3] + 2.0 * k2[3]) + 2.0 * k3[3]) + k4[3]),
-        x[4] + c * (((k1[4] + 2.0 * k2[4]) + 2.0 * k3[4]) + k4[4]),
-        x[5] + c * (((k1[5] + 2.0 * k2[5]) + 2.0 * k3[5]) + k4[5]),
-        x[6] + c * (((k1[6] + 2.0 * k2[6]) + 2.0 * k3[6]) + k4[6]),
-        x[7] + c * (((k1[7] + 2.0 * k2[7]) + 2.0 * k3[7]) + k4[7]),
-        x[8] + c * (((k1[8] + 2.0 * k2[8]) + 2.0 * k3[8]) + k4[8]),
-        x[9] + c * (((k1[9] + 2.0 * k2[9]) + 2.0 * k3[9]) + k4[9]),
-        x[10] + c * (((k1[10] + 2.0 * k2[10]) + 2.0 * k3[10]) + k4[10]),
-        x[11] + c * (((k1[11] + 2.0 * k2[11]) + 2.0 * k3[11]) + k4[11]),
+        x0 + s * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+        x1 + s * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+        x2 + s * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+        x3 + s * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+        x4 + s * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+        x5 + s * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+        x6 + s * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
+        x7 + s * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
+        x8 + s * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
+        x9 + s * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
+        x10 + s * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
+        x11 + s * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
     )
-
-
-def _stage(x, a, k):
-    """The RK4 stage state x + a k, element by element.
-
-    Written out term by term, it runs about twice as fast as a
-    comprehension over zip(x, k), and it runs three times per step.
-    """
-    return (x[0] + a * k[0], x[1] + a * k[1], x[2] + a * k[2],
-            x[3] + a * k[3], x[4] + a * k[4], x[5] + a * k[5],
-            x[6] + a * k[6], x[7] + a * k[7], x[8] + a * k[8],
-            x[9] + a * k[9], x[10] + a * k[10], x[11] + a * k[11])

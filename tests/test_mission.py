@@ -1,7 +1,9 @@
 """Unit checks for mission configs, artifacts, and the CLI."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,7 +33,8 @@ from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
 from quadswarm.numerics import sym_eigen
 from quadswarm.planner import hover_schedule, rendezvous_route
-from quadswarm.quad import default_params, hover_state, simulate
+from quadswarm.quad import (QuadTrajectory, default_params, hover_state,
+                            simulate)
 
 from conftest import scenario_path
 
@@ -494,24 +497,36 @@ class TestExportCsv:
                             "v1,v2,v3,O1,O2,O3,w1,w2,w3,w4,thrust")
         assert len(lines) == 1 + 3
 
-    def test_rows_render_like_per_float_format(self, tmp_path):
-        # one '%.17g' format per row must give the bytes of
-        # format(x, '.17g') applied to each float on its own
+    @pytest.mark.parametrize("kind", ["particle", "quad"])
+    def test_rows_render_like_per_float_format(self, tmp_path, kind):
+        # the table's one tolist() and one '%.17g' format per row must
+        # give the bytes of format(x, '.17g') applied to each float on
+        # its own, for either kind of run
         edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
                 -2.2250738585072014e-308, 2.225073858507201e-308,
                 1.7976931348623157e308, 0.1, 1.0 / 3.0, -123456789.0,
                 1e16, 1e17, 2.0 ** 53 + 2.0, 1e-5, 12345.678901234567]
         k = len(edge)
         times = np.array(edge[::-1])
-        states = np.array([np.roll(edge, i)[:6] for i in range(k)])
-        traj = ConsensusTrajectory(times=times,
-                                   states=states.reshape(k, 2, 3),
-                                   laplacian_log=[], start=None)
+        # 6 columns for two agents in 3-space; 12 + 4 + 1 for a quad
+        table = np.array([np.roll(edge, i)[:6 if kind == "particle" else k]
+                          for i in range(k)])
+        if kind == "particle":
+            traj = ConsensusTrajectory(times=times,
+                                       states=table.reshape(k, 2, 3),
+                                       laplacian_log=[], start=None)
+            header = "t,x1,y1,z1,x2,y2,z2"
+        else:
+            traj = QuadTrajectory(times=times, states=table[:, :12],
+                                  omegas=table[:, 12:16],
+                                  thrust=table[:, 16])
+            header = ("t,b1,b2,b3,phi,theta,psi,"
+                      "v1,v2,v3,O1,O2,O3,w1,w2,w3,w4,thrust")
         path = tmp_path / "edge.csv"
         export_csv(traj, path)
-        expect = "t,x1,y1,z1,x2,y2,z2\n" + "".join(
+        expect = header + "\n" + "".join(
             ",".join(format(float(v), ".17g") for v in (t, *row)) + "\n"
-            for t, row in zip(times, states))
+            for t, row in zip(times, table))
         assert path.read_bytes() == expect.encode("utf-8")
         assert b"-0," in path.read_bytes() and b"nan" in path.read_bytes()
 
@@ -990,6 +1005,45 @@ class TestParallelFlights:
         assert sorted(p.name for p in (tmp_path / cfg.out).iterdir()) \
             == ["FAILED", "particle.csv"]
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failed_protocol_beside_the_flights_wins(self, tmp_path, cpus,
+                                                     monkeypatch):
+        """A compare run on a complete graph forks its flight workers
+        before it integrates the protocol. A protocol that fails there
+        is the run's error, as it is before any flight in the serial
+        loop: the workers die, agent 1's failed flight is not raised,
+        and no quad CSV is written."""
+        real, real_fork = mission.simulate, mission._fork
+        forks, forks_at_protocol = [], []
+
+        def simulate(start, *args):
+            if agent_of(start) == 1:
+                raise GimbalLockError("agent 1")
+            return real(start, *args)
+
+        def fork(fn, arg):
+            forks.append(fn)
+            return real_fork(fn, arg)
+
+        def protocol(*args, **kwargs):
+            forks_at_protocol.append(len(forks))
+            raise DivergenceError("protocol state is non-finite at t=1")
+
+        monkeypatch.setattr(mission, "_fork", fork)
+        monkeypatch.setattr(mission, "simulate", simulate)
+        monkeypatch.setattr(mission, "integrate_protocol", protocol)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        cfg = load_config(scenario_path("scenario_4_2_2"))
+        with pytest.raises(DivergenceError, match="at t=1$"):
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        # every worker lane, and no particle writer, before the protocol
+        assert forks_at_protocol == [cpus - 1]
+        dest = tmp_path / cfg.out
+        assert [p.name for p in dest.iterdir()] == ["FAILED"]
+        assert (dest / "FAILED").read_text(encoding="utf-8") \
+            == "DivergenceError: protocol state is non-finite at t=1\n"
+
     def test_planning_failure_keeps_earlier_agents(self, tmp_path,
                                                    monkeypatch):
         # agent 2 is planned in a worker lane from 2 lanes on, and in
@@ -1092,6 +1146,64 @@ class TestParallelFlights:
             run_mission(cfg, out_dir=tmp_path)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+
+class TestGeneratedCompareMissions:
+    """Compare missions drawn at random keep the run's contracts at 1
+    and 2 usable CPUs, on complete graphs, whose flights start before
+    the protocol, and on paths, whose flights wait for it: the same
+    files and bytes, no .part file left, validate's FAIL: text equal to
+    the run's FAILED text, and a run that validate passed fails only in
+    flight. Steps from 0.3 s up make some flights fail."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 4), complete=st.booleans(),
+           starts=st.lists(st.tuples(st.integers(-15, 15),
+                                     st.integers(-15, 15)),
+                           min_size=4, max_size=4),
+           T=st.floats(0.5, 2.0),
+           dt=st.one_of(st.floats(-3.0, math.log10(0.05)).map(
+               lambda e: 10.0 ** e), st.floats(0.3, 0.9)))
+    def test_one_and_two_cpus_write_the_same(self, tmp_path_factory, n,
+                                              complete, starts, T, dt):
+        edges = ", ".join(f"{i}-{j}" for i in range(1, n + 1)
+                          for j in range(i + 1, n + 1)
+                          if complete or j == i + 1)
+        # level starts on a 0.1 m grid, at 0.1 m per agent of height
+        agents = "".join(f"agent{i + 1} = {x / 10!r}, {y / 10!r}, "
+                         f"{i / 10!r}\n"
+                         for i, (x, y) in enumerate(starts[:n]))
+        root = tmp_path_factory.mktemp("generated")
+        path = write_cfg(root, f"[mission]\nmode = compare\nT = {T!r}\n"
+                         f"dt = {dt!r}\n[network]\nn = {n}\n"
+                         f"edges = {edges}\n[agents]\n{agents}")
+        quiet = contextlib.redirect_stdout(io.StringIO())
+        runs, codes = {}, {}
+        for cpus in (1, 2):
+            out = root / f"w{cpus}"
+            with pytest.MonkeyPatch.context() as mp, quiet, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                mp.setattr(mission, "_usable_cpus", lambda: cpus)
+                codes[cpus] = main(["run", str(path), "--out", str(out)])
+            assert_no_child_left()
+            runs[cpus] = digests(out)
+        assert codes[1] == codes[2] and runs[1] == runs[2]
+        assert not list(root.rglob("*.part"))
+        with contextlib.redirect_stdout(io.StringIO()) as said:
+            checked = main(["validate", str(path)])
+        verdict = said.getvalue().splitlines()[0]
+        failed = root / "w1" / "mission" / "FAILED"
+        if checked == 2:
+            assert codes[1] == 1
+            assert verdict == "FAIL: " + failed.read_text(
+                encoding="utf-8").rstrip("\n")
+        else:
+            assert checked == 0 and verdict.startswith("OK: ")
+            assert codes[1] == (1 if failed.exists() else 0)
+            if failed.exists():
+                assert failed.read_text(encoding="utf-8").startswith((
+                    "GimbalLockError: ", "DivergenceError: ",
+                    "SaturationError: "))
 
 
 class TestParticleWriter:

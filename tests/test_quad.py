@@ -34,6 +34,17 @@ def random_state(rng, speed=2.0, spin=1.0):
     )
 
 
+def _tilt_refused_from(t_refused):
+    """A hovering law that refuses, as the translation laws refuse too
+    steep a tilt, every call holding a local time from t_refused on."""
+    def law(tl):
+        if (tl >= t_refused).any():
+            raise GimbalLockError("translation wants tilt beyond 0.5 rad")
+        return (300.0,) * 4
+
+    return law
+
+
 class TestParams:
     def test_default_values_are_physical(self):
         assert P.m > 0 and P.d > 0 and P.g == 9.81
@@ -519,7 +530,13 @@ class TestSimulate:
          r"^gimbal lock near t=0\.085000: pitch 1\.5750962180924637 "
          r"within 1e-06 of \+-pi/2$",
          86),
-    ], ids=["saturation", "gimbal-lock-first"])
+        # the law refuses a tilt from t = 0.1, the end of step 100: the
+        # refusal fails that step with the step's start time
+        (_tilt_refused_from(0.1), GimbalLockError,
+         r"^gimbal lock near t=0\.099000: translation wants tilt beyond "
+         r"0\.5 rad$",
+         99),
+    ], ids=["saturation", "gimbal-lock-first", "law-refuses-tilt"])
     def test_chunk_with_a_failing_sample_fails_where_each_sample_would(
             self, monkeypatch, chunk, law, error, match, steps):
         """An unprobed law that fails partway through a chunk raises
