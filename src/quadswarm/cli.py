@@ -5,10 +5,11 @@
     quadswarm list-scenarios
 
 Exit codes: 0 on success, 2 for config parse or validation problems,
-1 for any other failure. validate runs what the run does before its
-first flight step (mission.prepare, the protocol included, writing
-nothing) and plans every route; where that fails, it prints a FAIL:
-line holding the run's error and exits 2. The output root
+1 for any other failure. validate does what the run does before its
+first flight step (mission.prepare, writing nothing), then the
+protocol where the run integrates it beside the flights, then plans
+every route, the run's order of failures; where one fails, it prints
+a FAIL: line holding the run's error and exits 2. The output root
 defaults to $SWARM_OUT_DIR (falling back to the working directory);
 --out overrides it.
 """
@@ -77,10 +78,12 @@ def _cmd_validate(args):
     config = load_config(args.config)
     net = config.network
     problem = particle = None
-    # the run up to its first flight step, then its plans in agent
-    # order, so the first failure is the run's lowest failing agent
+    # the run up to its first flight step, the protocol it runs beside
+    # the flights, then its plans in agent order: the run's first failure
     try:
-        _, particle, routes = prepare(config)
+        _, particle, routes, beside = prepare(config)
+        if beside is not None:
+            particle = beside()
         for route in routes:
             plan(config.params, route)
     except SwarmError as e:

@@ -484,21 +484,6 @@ def _flight_report(i, alpha, run):
                        **measured)
 
 
-def _report(mode, alpha, particle, agents):
-    """ComparisonReport of a run from its AgentReports, in agent order.
-
-    The spectrum is logged only when particle is given, so a quad run
-    that ran the protocol just for its targets passes particle=None.
-    """
-    return ComparisonReport(
-        mode=mode,
-        rendezvous_point=tuple(float(x) for x in alpha)
-        if alpha is not None else None,
-        agents=tuple(agents),
-        eigenvalues=_spectrum_log(particle) if particle is not None else (),
-    )
-
-
 def _resolve_out(config, out_dir):
     root = out_dir if out_dir is not None else os.environ.get(
         "SWARM_OUT_DIR", ".")
@@ -528,13 +513,12 @@ def run_mission(config, out_dir=None):
     FAILED is written as every artifact is, whole or not at all, and
     only where it can be: a failure to write it never hides the error.
 
-    A compare run on a complete graph flies to the agreement point of
-    the starts, which needs no protocol step, so it forks its flight
-    workers first and then integrates the protocol and writes
-    particle.csv beside them (_fly_agents). Its artifacts and its error
-    are still those of the protocol followed by a serial loop over the
-    agents: a protocol that fails, or a particle.csv that cannot be
-    written, kills the workers and is the run's error.
+    The protocol runs before the flights only where their routes need
+    its endpoints, and otherwise beside them (prepare). Either way the
+    artifacts and the error are those of the protocol followed by a
+    serial loop over the agents: a protocol that fails, or a
+    particle.csv that cannot be written, is the run's error, and no
+    quad CSV is written.
 
     Returns:
         ComparisonReport.
@@ -568,32 +552,35 @@ def _clear(dest):
 
 def prepare(config, dest=None):
     """Everything a run of config does before its first flight step;
-    returns (alpha, particle, routes). A compare run on a complete graph
-    does the same work in another order: it forks its flight workers
-    before the protocol (run_mission).
+    returns (alpha, particle, routes, beside).
 
-    alpha is the agreement point of the starts and particle the protocol
-    run, each None where the run has none: a scripted flight has
-    neither, and a quad rendezvous on a complete graph runs no protocol.
-    routes holds each drone's tuple of ManeuverSpec in agent order: the
-    [maneuvers] legs, else one rendezvous_route per agent, to alpha on a
-    complete graph, else to its protocol endpoint, and none in particle
-    mode, whose starts need not be level. Only given the output
-    directory dest does a particle or compare run write particle.csv.
+    The one order rule: the protocol runs before the flights only where
+    their routes need its endpoints, and otherwise beside them. alpha is
+    the agreement point of the starts. A quad or compare run on an
+    incomplete graph integrates the protocol here and gets it as
+    particle. A particle run and a compare run on a complete graph get
+    beside instead, a job that beside(busy) runs, returning the protocol
+    run (_protocol). A scripted flight, which has no alpha, and a quad
+    rendezvous on a complete graph get neither. routes holds each
+    drone's tuple of ManeuverSpec in agent order: the [maneuvers] legs,
+    else one rendezvous_route per agent, to alpha on a complete graph,
+    else to its protocol endpoint, and none in particle mode, whose
+    starts need not be level. Only given the output directory dest does
+    a particle or compare run write particle.csv.
     """
     if config.maneuvers:
-        return None, None, [config.maneuvers]
+        return None, None, [config.maneuvers], None
     alpha = consensus_point(config.agents[:, :3])
-    complete = is_complete(config.network)
-    particle = None
-    if config.mode != "quad" and dest is not None:
-        particle = _protocol_to_csv(config, dest / "particle.csv")
-    elif config.mode != "quad" or not complete:
-        particle = _protocol(config)
+    path = None if dest is None or config.mode == "quad" \
+        else dest / "particle.csv"
+    protocol = functools.partial(_protocol, config, path)
     if config.mode == "particle":
-        return alpha, particle, []
-    targets = [alpha] * config.network.n if complete else particle.states[-1]
-    return alpha, particle, _routes(config, targets)
+        return alpha, None, [], protocol
+    if not is_complete(config.network):
+        particle = protocol()
+        return alpha, particle, _routes(config, particle.states[-1]), None
+    routes = _routes(config, [alpha] * config.network.n)
+    return alpha, None, routes, protocol if config.mode == "compare" else None
 
 
 def _routes(config, targets):
@@ -603,42 +590,34 @@ def _routes(config, targets):
 
 
 def _run_mission(config, dest):
-    n = config.network.n
-    if config.mode == "compare" and is_complete(config.network):
-        # the routes need only alpha, so the flights start first
-        alpha = consensus_point(config.agents[:, :3])
-        particle, agents = _fly_agents(
-            config, _routes(config, [alpha] * n), alpha, dest,
-            lambda busy: _protocol_to_csv(
-                config, dest / "particle.csv", busy))
-    else:
-        alpha, particle, routes = prepare(config, dest)
-        if config.mode == "particle":
-            agents = [AgentReport(agent=i + 1, final_position=tuple(
-                float(x) for x in particle.states[-1][i])) for i in range(n)]
-        else:
-            agents = _fly_agents(config, routes, alpha, dest)[1]
-
-    # the protocol run reported on; a quad run reports none
-    reported = None if config.mode == "quad" else particle
-    if reported is not None:
+    alpha, particle, routes, beside = prepare(config, dest)
+    ran, agents = _fly_agents(config, routes, alpha, dest, beside)
+    if beside is not None:
+        particle = ran
+    if config.mode == "quad":
+        particle = None     # a quad run reports no protocol run
+    if particle is not None:
+        ends = particle.states[-1]
+        # a particle run flies no agent: its reports are the endpoints
+        agents = agents or [AgentReport(agent=i + 1, final_position=tuple(
+            float(x) for x in end)) for i, end in enumerate(ends)]
         # each agent's protocol miss, whichever process flew it
         agents = [replace(a, particle_final_error=float(np.linalg.norm(
-            particle.states[-1][i] - alpha))) for i, a in enumerate(agents)]
-    report = _report(config.mode, alpha, reported, agents)
+            ends[i] - alpha))) for i, a in enumerate(agents)]
+    report = ComparisonReport(
+        mode=config.mode,
+        rendezvous_point=tuple(float(x) for x in alpha)
+        if alpha is not None else None,
+        agents=tuple(agents),
+        eigenvalues=_spectrum_log(particle) if particle is not None else (),
+    )
     _write_report(report, dest)
     return report
 
 
-def _protocol(config, sink=None):
-    return integrate_protocol(config.network, config.agents[:, :3],
-                              config.T, config.dt, config.stride,
-                              config.stop_tol, sink=sink)
-
-
-def _protocol_to_csv(config, path, busy=1):
-    """Run config's protocol and write its samples to path as
-    export_csv writes the run; returns the run.
+def _protocol(config, path=None, busy=1):
+    """Run config's protocol and return the run; given path, also write
+    its samples there as export_csv writes the run.
 
     busy counts the processes of the run at work, this one included.
     When a usable CPU is left over after them, a forked writer formats
@@ -650,8 +629,15 @@ def _protocol_to_csv(config, path, busy=1):
     after the protocol. Either way a protocol that raises leaves no
     file, and a writer that dies raises ChildProcessError.
     """
+    def integrate(sink=None):
+        return integrate_protocol(config.network, config.agents[:, :3],
+                                  config.T, config.dt, config.stride,
+                                  config.stop_tol, sink=sink)
+
+    if path is None:
+        return integrate()
     if _usable_cpus() <= busy:
-        particle = _protocol(config)
+        particle = integrate()
         export_csv(particle, path)
         return particle
     header = _particle_header(*config.agents[:, :3].shape)
@@ -671,7 +657,7 @@ def _protocol_to_csv(config, path, busy=1):
             pipe.write(q.tobytes())
 
         try:
-            particle = _protocol(config, sink)
+            particle = integrate(sink)
             pipe.close()    # the end of the samples
         except BrokenPipeError:
             # the writer ends before the samples do only by dying
@@ -718,13 +704,15 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
     The flights are independent, so they are spread over W = min(usable
     CPUs, agents) lanes by flight time, the sum of the route's leg
     durations. Lane 0 plans and flies in this process, every other lane
-    in a forked child. beside(W), where given, runs in this process
-    once the children are forked and before lane 0 flies; an error it
-    raises kills the children and is raised before any CSV is written.
-    The CSVs are written in agent order up to the first agent that
-    failed, in planning or in flight, and that agent's error is raised,
-    so the artifacts and the error are those of the serial loop. W = 1
-    forks nothing.
+    in a forked child. beside(max(W, 1)), prepare's protocol where the
+    routes do not need it, runs in this process once the children are
+    forked and before lane 0 flies; an error it raises kills the
+    children and is raised before any CSV is written. The CSVs are
+    written in agent order up to the first agent that failed, in
+    planning or in flight, and that agent's error is raised, so the
+    artifacts and the error are those of the serial loop. W <= 1 forks
+    no flight worker; a particle run has no routes, so W = 0 and only
+    beside runs.
     """
     width = min(_usable_cpus(), len(routes))
     lanes = _lpt_lanes(
@@ -739,8 +727,9 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
         for lane in lanes[1:]:
             workers.append(_fork(fly, lane))
         if beside is not None:
-            result = beside(width)
-        flown.update(fly(lanes[0]))
+            result = beside(max(width, 1))
+        if lanes:
+            flown.update(fly(lanes[0]))
         while workers:
             flown.update(_join(workers, "flight worker"))
     finally:

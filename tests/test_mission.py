@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadswarm import consensus, mission, quad
@@ -706,40 +706,54 @@ leg1 = bodyX, 5000, 4
             bound = math.sqrt(3) * cfg.stop_tol + 1e-6
             assert all(a.quad_final_error <= bound for a in report.agents)
 
-    def test_prepare_gives_the_run_up_to_its_first_flight_step(
-            self, tmp_path):
-        """The prefix run and validate share: the scripted legs; the
-        protocol and no route in particle mode; on a complete graph no
-        protocol in quad mode, every drone flying to alpha; on any
-        other graph each drone flying to its protocol endpoint. Only a
-        given output directory gets particle.csv."""
-        scripted = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
-        assert mission.prepare(scripted) == (None, None,
-                                             [scripted.maneuvers])
-        for text, complete in [(BASE, True), (PATH_3, False)]:
-            for mode in MODES:
-                config = replace(load_config(write_cfg(tmp_path, text)),
-                                 mode=mode)
-                q0 = config.agents[:, :3]
-                alpha, particle, routes = mission.prepare(config)
-                assert np.array_equal(alpha, consensus_point(q0))
-                if mode == "quad" and complete:
-                    assert particle is None
-                else:
-                    traj = integrate_protocol(config.network, q0, config.T,
-                                              config.dt)
-                    assert np.array_equal(particle.states, traj.states)
-                targets = [alpha] * len(q0) if complete \
-                    else particle.states[-1]
-                assert routes == ([] if mode == "particle" else [
-                    rendezvous_route(hover_state(q0[i]), targets[i])
-                    for i in range(len(q0))])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("text, complete", [(BASE, True),
+                                                (PATH_3, False)],
+                             ids=["complete", "path"])
+    def test_prepare_runs_the_protocol_first_only_for_its_endpoints(
+            self, tmp_path, text, complete, mode):
+        """The one order rule: the protocol runs in prepare, before the
+        flights, only where the routes go to its endpoints (quad and
+        compare on an incomplete graph). A particle run and a compare
+        run on a complete graph get it as beside instead, to run beside
+        the flights; a quad run on a complete graph runs none. The
+        routes: none in particle mode, else to alpha on a complete
+        graph, else to each protocol endpoint. Only given the output
+        directory does the protocol write particle.csv, and never in
+        quad mode."""
+        config = replace(load_config(write_cfg(tmp_path, text)), mode=mode)
+        q0 = config.agents[:, :3]
+        traj = integrate_protocol(config.network, q0, config.T, config.dt)
+        alpha, particle, routes, beside = mission.prepare(config)
+        assert np.array_equal(alpha, consensus_point(q0))
+        first = mode != "particle" and not complete
+        assert (particle is not None) == first
+        assert (beside is not None) == (
+            mode == "particle" or mode == "compare" and complete)
+        ran = beside() if beside is not None else particle
+        assert (ran is None) == (mode == "quad" and complete)
+        if ran is not None:
+            assert np.array_equal(ran.states, traj.states)
+        targets = [alpha] * len(q0) if complete else traj.states[-1]
+        assert routes == ([] if mode == "particle" else [
+            rendezvous_route(hover_state(q0[i]), targets[i])
+            for i in range(len(q0))])
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["mission.cfg"]
-        mission.prepare(config, tmp_path)
-        export_csv(particle, tmp_path / "expect.csv")
-        assert (tmp_path / "particle.csv").read_bytes() \
-            == (tmp_path / "expect.csv").read_bytes()
+        beside = mission.prepare(config, tmp_path)[3]
+        if beside is not None:
+            beside(1)
+        assert (tmp_path / "particle.csv").exists() == (mode != "quad")
+        if mode != "quad":
+            export_csv(traj, tmp_path / "expect.csv")
+            assert (tmp_path / "particle.csv").read_bytes() \
+                == (tmp_path / "expect.csv").read_bytes()
+
+    def test_prepare_runs_nothing_for_a_scripted_flight(self, tmp_path):
+        scripted = load_config(write_cfg(tmp_path, SCRIPTED_CLIMB))
+        assert mission.prepare(scripted, tmp_path) \
+            == (None, None, [scripted.maneuvers], None)
+        assert [p.name for p in tmp_path.iterdir()] == ["mission.cfg"]
 
     def test_report_decomposes_the_start_laplacian_once(self, tmp_path,
                                                         monkeypatch):
@@ -965,6 +979,8 @@ class TestParallelFlights:
         assert mission._lpt_lanes([2.0, 1.0, 1.0, 2.0], 2) \
             == [[0, 1], [2, 3]]
         assert mission._lpt_lanes([], 1) == [[]]
+        # a particle run has no routes and so no lane
+        assert mission._lpt_lanes([], 0) == []
 
     @pytest.mark.parametrize("case", [
         "4_2_2", "4_2_2 dt=0.9", "path3 quad", "path3 compare"])
@@ -1148,62 +1164,114 @@ class TestParallelFlights:
         assert_no_child_left()
 
 
+# level starts on a 0.1 m grid, at 0.1 m per agent of height, and steps
+# from 0.3 s up, which make some protocols or flights fail
+_STARTS = st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
+                   min_size=4, max_size=4)
+_DT = st.one_of(st.floats(-3.0, math.log10(0.05)).map(lambda e: 10.0 ** e),
+                st.floats(0.3, 0.9))
+# the errors a run raises only in flight
+_FLIGHT_ERRORS = ("GimbalLockError: ", "DivergenceError: ",
+                  "SaturationError: ")
+
+
+def _generated_positions(starts, n):
+    return np.array([(x / 10, y / 10, i / 10)
+                     for i, (x, y) in enumerate(starts[:n])])
+
+
+def _generated_text(mode, n, complete, q0, T, dt, network=""):
+    edges = ", ".join(f"{i}-{j}" for i in range(1, n + 1)
+                      for j in range(i + 1, n + 1) if complete or j == i + 1)
+    agents = "".join(f"agent{i + 1} = {x!r}, {y!r}, {z!r}\n"
+                     for i, (x, y, z) in enumerate(q0.tolist()))
+    return (f"[mission]\nmode = {mode}\nT = {T!r}\ndt = {dt!r}\n"
+            f"[network]\nn = {n}\nedges = {edges}\n{network}"
+            f"[agents]\n{agents}")
+
+
+def _run_generated(root, text):
+    """Run the mission file text through the CLI at 1 and 2 usable CPUs,
+    then validate it. Asserts what every run keeps: the same exit code,
+    files and bytes at both CPU counts, no child and no .part file left,
+    validate's FAIL: text equal to the run's FAILED text, and a run that
+    validate passed exits 1 exactly where it leaves FAILED. Returns
+    (the run's exit code, validate's, the FAILED text or None)."""
+    path = write_cfg(root, text)
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    runs, codes = {}, {}
+    for cpus in (1, 2):
+        out = root / f"w{cpus}"
+        with pytest.MonkeyPatch.context() as mp, quiet, \
+                contextlib.redirect_stderr(io.StringIO()):
+            mp.setattr(mission, "_usable_cpus", lambda: cpus)
+            codes[cpus] = main(["run", str(path), "--out", str(out)])
+        assert_no_child_left()
+        runs[cpus] = digests(out)
+    assert codes[1] == codes[2] and runs[1] == runs[2]
+    assert not list(root.rglob("*.part"))
+    with contextlib.redirect_stdout(io.StringIO()) as said:
+        checked = main(["validate", str(path)])
+    verdict = said.getvalue().splitlines()[0]
+    failed = root / "w1" / "mission" / "FAILED"
+    failed = failed.read_text(encoding="utf-8") if failed.exists() else None
+    if checked == 2:
+        assert codes[1] == 1
+        assert verdict == "FAIL: " + failed.rstrip("\n")
+    else:
+        assert checked == 0 and verdict.startswith("OK: ")
+        assert codes[1] == (1 if failed is not None else 0)
+    return codes[1], checked, failed
+
+
 class TestGeneratedCompareMissions:
     """Compare missions drawn at random keep the run's contracts at 1
-    and 2 usable CPUs, on complete graphs, whose flights start before
-    the protocol, and on paths, whose flights wait for it: the same
-    files and bytes, no .part file left, validate's FAIL: text equal to
-    the run's FAILED text, and a run that validate passed fails only in
-    flight. Steps from 0.3 s up make some flights fail."""
+    and 2 usable CPUs (_run_generated), on complete graphs, whose
+    flights start before the protocol, and on paths, whose flights wait
+    for it; and a run that validate passed fails only in flight."""
 
     @settings(max_examples=15, deadline=None)
-    @given(n=st.integers(2, 4), complete=st.booleans(),
-           starts=st.lists(st.tuples(st.integers(-15, 15),
-                                     st.integers(-15, 15)),
-                           min_size=4, max_size=4),
-           T=st.floats(0.5, 2.0),
-           dt=st.one_of(st.floats(-3.0, math.log10(0.05)).map(
-               lambda e: 10.0 ** e), st.floats(0.3, 0.9)))
+    @given(n=st.integers(2, 4), complete=st.booleans(), starts=_STARTS,
+           T=st.floats(0.5, 2.0), dt=_DT)
     def test_one_and_two_cpus_write_the_same(self, tmp_path_factory, n,
                                               complete, starts, T, dt):
-        edges = ", ".join(f"{i}-{j}" for i in range(1, n + 1)
-                          for j in range(i + 1, n + 1)
-                          if complete or j == i + 1)
-        # level starts on a 0.1 m grid, at 0.1 m per agent of height
-        agents = "".join(f"agent{i + 1} = {x / 10!r}, {y / 10!r}, "
-                         f"{i / 10!r}\n"
-                         for i, (x, y) in enumerate(starts[:n]))
-        root = tmp_path_factory.mktemp("generated")
-        path = write_cfg(root, f"[mission]\nmode = compare\nT = {T!r}\n"
-                         f"dt = {dt!r}\n[network]\nn = {n}\n"
-                         f"edges = {edges}\n[agents]\n{agents}")
-        quiet = contextlib.redirect_stdout(io.StringIO())
-        runs, codes = {}, {}
-        for cpus in (1, 2):
-            out = root / f"w{cpus}"
-            with pytest.MonkeyPatch.context() as mp, quiet, \
-                    contextlib.redirect_stderr(io.StringIO()):
-                mp.setattr(mission, "_usable_cpus", lambda: cpus)
-                codes[cpus] = main(["run", str(path), "--out", str(out)])
-            assert_no_child_left()
-            runs[cpus] = digests(out)
-        assert codes[1] == codes[2] and runs[1] == runs[2]
-        assert not list(root.rglob("*.part"))
-        with contextlib.redirect_stdout(io.StringIO()) as said:
-            checked = main(["validate", str(path)])
-        verdict = said.getvalue().splitlines()[0]
-        failed = root / "w1" / "mission" / "FAILED"
-        if checked == 2:
-            assert codes[1] == 1
-            assert verdict == "FAIL: " + failed.read_text(
-                encoding="utf-8").rstrip("\n")
-        else:
-            assert checked == 0 and verdict.startswith("OK: ")
-            assert codes[1] == (1 if failed.exists() else 0)
-            if failed.exists():
-                assert failed.read_text(encoding="utf-8").startswith((
-                    "GimbalLockError: ", "DivergenceError: ",
-                    "SaturationError: "))
+        text = _generated_text("compare", n, complete,
+                               _generated_positions(starts, n), T, dt)
+        code, checked, failed = _run_generated(
+            tmp_path_factory.mktemp("generated"), text)
+        if checked == 0 and code != 0:
+            assert failed.startswith(_FLIGHT_ERRORS)
+
+
+class TestGeneratedParticleAndQuadMissions:
+    """Particle and quad missions drawn at random, plain or distance
+    weighted, keep the run's contracts at 1 and 2 usable CPUs
+    (_run_generated). A particle run, whose protocol runs beside no
+    flight, passes validate exactly when it exits 0; a quad run that
+    validate passed fails only in flight. The proximity threshold stays
+    at least 0.05 m from every distance between the starts."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(mode=st.sampled_from(["particle", "quad"]), n=st.integers(2, 4),
+           complete=st.booleans(), starts=_STARTS,
+           threshold=st.one_of(st.none(), st.floats(0.5, 5.0)),
+           T=st.floats(0.5, 2.0), dt=_DT)
+    def test_one_and_two_cpus_write_the_same(self, tmp_path_factory, mode,
+                                              n, complete, starts,
+                                              threshold, T, dt):
+        q0 = _generated_positions(starts, n)
+        network = ""
+        if threshold is not None:
+            gaps = np.linalg.norm(q0[:, None] - q0[None], axis=-1)
+            assume(np.all(np.abs(gaps - threshold) >= 0.05))
+            network = f"weights = distance\nthreshold = {threshold!r}\n"
+        text = _generated_text(mode, n, complete, q0, T, dt, network)
+        code, checked, failed = _run_generated(
+            tmp_path_factory.mktemp("generated"), text)
+        if mode == "particle":
+            assert (checked == 0) == (code == 0)
+        elif checked == 0 and code != 0:
+            assert failed.startswith(_FLIGHT_ERRORS)
 
 
 class TestParticleWriter:
@@ -1237,6 +1305,25 @@ class TestParticleWriter:
         assert got == (tmp_path / "expect.csv").read_bytes()
         if case.endswith("r=2"):
             assert got.startswith(b"t,q1c1,q1c2,q2c1,q2c2,")
+
+    @pytest.mark.parametrize("cpus, forked", [(1, []),
+                                              (2, ["_write_samples"])])
+    def test_particle_run_forks_its_writer_alone(self, tmp_path, cpus,
+                                                 forked, monkeypatch):
+        """A particle run is a run with no routes: it forks no flight
+        worker, and the writer only where a CPU is left over."""
+        real_fork, names = mission._fork, []
+
+        def fork(fn, arg):
+            names.append(fn.__name__)
+            return real_fork(fn, arg)
+
+        monkeypatch.setattr(mission, "_fork", fork)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        run_mission(load_config(scenario_path("scenario_2_4_1")),
+                    out_dir=tmp_path)
+        assert_no_child_left()
+        assert names == forked
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_diverging_protocol_leaves_no_csv(self, tmp_path, cpus,
@@ -1385,6 +1472,16 @@ class TestArtifactWrites:
             == ["particle.csv", "quad_agent1.csv"]
 
 
+@pytest.fixture(scope="module")
+def validate_2_5_2():
+    """The exit code and stdout lines of one validate of scenario_2_5_2,
+    whose protocol runs 150,000 steps, for the tests that only read
+    them."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(["validate", str(scenario_path("scenario_2_5_2"))])
+    return rc, out.getvalue().splitlines()
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         rc = main(["validate", str(scenario_path("scenario_2_4_1"))])
@@ -1393,10 +1490,9 @@ class TestCli:
         assert out.startswith("OK:")
         assert "agents=4" in out
 
-    def test_validate_prints_spectrum(self, capsys):
-        rc = main(["validate", str(scenario_path("scenario_2_5_2"))])
+    def test_validate_prints_spectrum(self, validate_2_5_2):
+        rc, out = validate_2_5_2
         assert rc == 0
-        out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("OK:")
         assert out[1].startswith("spectrum of L(0):")
         fields = dict(tok.split("=") for tok in out[1].split()
@@ -1459,14 +1555,13 @@ class TestCli:
         assert float(fields["t"]) == pytest.approx(
             math.log(11.75 / 1e-4) / 13.0602, abs=1e-3)
 
-    def test_validate_gives_no_prediction_for_distance_weights(self,
-                                                               capsys):
+    def test_validate_gives_no_prediction_for_distance_weights(
+            self, validate_2_5_2):
         """On 2_5_2 lambda2 of L(0) would predict a stop near 1.8 s,
         but the re-weighted run never reaches stop_tol."""
-        rc = main(["validate", str(scenario_path("scenario_2_5_2"))])
+        rc, out = validate_2_5_2
         assert rc == 0
-        line = capsys.readouterr().out.splitlines()[2]
-        assert line.startswith("predicted stop: none; distance weights")
+        assert out[2].startswith("predicted stop: none; distance weights")
 
     def test_validate_gives_no_prediction_without_spectral_gap(
             self, tmp_path, capsys):
@@ -1799,19 +1894,22 @@ agent3 = -2, 0, 5
         assert (tmp_path / "scenario_4_2_2" / "FAILED").read_text(
             encoding="utf-8") == error + "\n"
 
-    @pytest.mark.parametrize("text, failed", [
-        (PATH_M3, "InfeasibleError: maneuver is infeasible at its natural "
-                  "amplitude: rotor speed 500.0078172269999 outside "
-                  "[0, 500.0] rad/s at t=0.197432523471049\n"),
-        (ring_text(), RING_FAILED),
+    @pytest.mark.parametrize("text, beside, failed", [
+        (PATH_M3, False,
+         "InfeasibleError: maneuver is infeasible at its natural "
+         "amplitude: rotor speed 500.0078172269999 outside "
+         "[0, 500.0] rad/s at t=0.197432523471049\n"),
+        (ring_text(), True, RING_FAILED),
     ], ids=["path-m3", "ring"])
     def test_validate_fails_as_the_run_fails(self, tmp_path, capsys, text,
-                                             failed):
-        """validate runs the run's own prefix, protocol included, so a
-        route to a protocol endpoint that the rotors cannot fly, or a
-        protocol that diverges after its first step, fails validate
-        with the error the run leaves in FAILED."""
+                                             beside, failed):
+        """validate runs the run's own prefix and then the protocol the
+        run integrates beside its flights, as the ring's particle run
+        does, so a route to a protocol endpoint that the rotors cannot
+        fly, or a protocol that diverges after its first step, fails
+        validate with the error the run leaves in FAILED."""
         path = write_cfg(tmp_path, text)
+        assert (mission.prepare(load_config(path))[3] is not None) == beside
         assert main(["validate", str(path)]) == 2
         first = capsys.readouterr().out.splitlines()[0]
         assert main(["run", str(path), "--out", str(tmp_path)]) == 1
