@@ -41,6 +41,12 @@ from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
 
 MODES = ("particle", "quad", "compare")
 
+# Most steps of dt a run's span (T, or a scripted flight's summed leg
+# durations) may take. The largest bundled scenario, 2_5_2, takes
+# 1.5e5; a count past this is a mistyped T, dt or duration, whose run
+# would step for hours or days instead of failing.
+MAX_STEPS = 10 ** 8
+
 # Most rows of a CSV table that one tolist() turns into Python floats
 _BLOCK = 256
 
@@ -110,10 +116,15 @@ class MissionConfig:
                 f"dt must be positive and finite, got {self.dt}")
         # the protocol's horizon, else the scripted flight's
         span = self.T or sum(spec.duration for spec in self.maneuvers)
-        if not span / self.dt < math.inf:
+        steps = span / self.dt
+        if not steps < math.inf:
             raise ValidationError(f"dt={self.dt} is too small: {span} s "
                                   "would take a non-finite number of steps")
-        if self.T is not None and round(span / self.dt) < 1:
+        if steps > MAX_STEPS:
+            raise ValidationError(
+                f"{span} s at dt={self.dt} would take {steps:.6g} steps, "
+                f"more than the {MAX_STEPS} a run may take")
+        if self.T is not None and round(steps) < 1:
             raise ValidationError(
                 f"T={self.T} is shorter than half a step dt={self.dt}; "
                 "the protocol would take no step")

@@ -17,6 +17,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
+from math import cos, sin
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .numerics import PITCH_LIMIT, gimbal_lock
 
 # Most RK4 steps of a window that one call of its law samples: a chunk
 # bounds the memory a long window's samples take.
-_CHUNK = 256
+_CHUNK = 1024
 
 
 def _as_vec(x, k, name):
@@ -171,9 +172,12 @@ class QuadTrajectory:
 
 
 def _param_tuple(p):
-    """Constants of p as Python floats, in the order _deriv unpacks them."""
-    return tuple(float(c) for c in (
-        p.m, p.g, p.Jr_bar, *p.J, *p.CD, *p.Ctau))
+    """Constants of p as Python floats, in the order _deriv unpacks them:
+    m, g, Jr_bar, J, CD, Ctau, then the inertia differences J2 - J3,
+    J3 - J1 and J1 - J2 of the Euler coupling, computed once here."""
+    pc = tuple(float(c) for c in (p.m, p.g, p.Jr_bar, *p.J, *p.CD, *p.Ctau))
+    J1, J2, J3 = pc[3:6]
+    return pc + (J2 - J3, J3 - J1, J1 - J2)
 
 
 def _rotor_terms(om, p):
@@ -198,22 +202,26 @@ def _rotor_terms(om, p):
 _OFF = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _deriv(x, r, pc):
+def _deriv(phi, theta, psi, v1, v2, v3, O1, O2, O3, r, pc):
     """Time derivative of the state as a 12-tuple.
 
-    x is the state as 12 floats, r a row of _rotor_terms and pc is
-    _param_tuple(p). Everything here is scalar arithmetic, which runs
-    about three times faster on Python floats than on numpy scalars.
+    The force law reads nine of the twelve state numbers, as floats:
+    the Euler angles, the body velocity and the body rates. Position
+    is an output that nothing here reads (its rate is R v). r is a row
+    of _rotor_terms and pc is _param_tuple(p). Everything here is
+    scalar arithmetic, which runs about three times faster on Python
+    floats than on numpy scalars. The chart test is two comparisons,
+    as |theta| >= PITCH_LIMIT, so a NaN pitch passes it.
     """
-    m, g, Jr, J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3 = pc
-    _, _, _, phi, theta, psi, v1, v2, v3, O1, O2, O3 = x
-    if abs(theta) >= PITCH_LIMIT:
+    if theta >= PITCH_LIMIT or theta <= -PITCH_LIMIT:
         raise gimbal_lock(theta)
+    (m, g, Jr, J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3,
+     J23, J31, J12) = pc
     thrust, sigma, roll, pitch, yaw = r
 
-    cf, sf = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(psi), math.sin(psi)
+    cf, sf = cos(phi), sin(phi)
+    ct, st = cos(theta), sin(theta)
+    cp, sp = cos(psi), sin(psi)
     tt = st / ct
     # a * b * c is (a * b) * c, so a shared leading product keeps the bits
     cpst, spst, gct = cp * st, sp * st, g * ct
@@ -229,12 +237,17 @@ def _deriv(x, r, pc):
         v2 * O3 - v3 * O2 - v1 * abs(v1) * CD1 / m + g * st,
         v3 * O1 - v1 * O3 - v2 * abs(v2) * CD2 / m - gct * sf,
         v1 * O2 - v2 * O1 + (thrust - v3 * abs(v3) * CD3) / m - gct * cf,
-        ((J2 - J3) * O2 * O3 + Jr * O2 * sigma
+        (J23 * O2 * O3 + Jr * O2 * sigma
          + roll - O1 * abs(O1) * Ct1) / J1,
-        ((J3 - J1) * O1 * O3 - Jr * O1 * sigma
+        (J31 * O1 * O3 - Jr * O1 * sigma
          + pitch - O2 * abs(O2) * Ct2) / J2,
-        ((J1 - J2) * O1 * O2 + yaw - O3 * abs(O3) * Ct3) / J3,
+        (J12 * O1 * O2 + yaw - O3 * abs(O3) * Ct3) / J3,
     )
+
+
+def _nine(s):
+    """The nine state numbers _deriv reads, as Python floats."""
+    return s.as_vector()[3:].tolist()
 
 
 def state_derivative(s, c, p):
@@ -245,7 +258,7 @@ def state_derivative(s, c, p):
     acceleration. Raises GimbalLockError when pitch is too close to
     +-pi/2 for the Euler-rate map.
     """
-    return np.array(_deriv(s.as_vector(), _rotor_terms(c.omega[None], p)[0],
+    return np.array(_deriv(*_nine(s), _rotor_terms(c.omega[None], p)[0],
                            _param_tuple(p)))
 
 
@@ -271,11 +284,11 @@ def affine_fields(s, p):
         (drift, fields): drift a 12-vector, fields a list of four
         12-vectors [g1, g2, g3, g4].
     """
-    drift = np.array(_deriv(s.as_vector(), _OFF, _param_tuple(p)))
+    drift = np.array(_deriv(*_nine(s), _OFF, _param_tuple(p)))
     pc = _param_tuple(
         replace(p, g=0.0, CD=np.zeros(3), Ctau=np.zeros(3), Jr_bar=0.0))
-    rest = (0.0,) * 12
-    fields = [np.array(_deriv(rest, r, pc))
+    rest = (0.0,) * 9
+    fields = [np.array(_deriv(*rest, r, pc))
               for r in _rotor_terms(np.eye(4), p).tolist()]
     return drift, fields
 
@@ -287,7 +300,7 @@ def geodesic_spray(s, p):
     (R v, Theta Omega, v x Omega, J^{-1}((J Omega) x Omega)).
     """
     free = replace(p, g=0.0, CD=np.zeros(3), Ctau=np.zeros(3))
-    return np.array(_deriv(s.as_vector(), _OFF, _param_tuple(free)))
+    return np.array(_deriv(*_nine(s), _OFF, _param_tuple(free)))
 
 
 def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
@@ -389,9 +402,10 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
                     x = _rk4_step(x, h, a, b, c, pc)
                 except GimbalLockError as e:
                     raise _locked_near(t, e) from e
-                if abs(x[4]) >= PITCH_LIMIT:
+                theta = x[4]
+                if theta >= PITCH_LIMIT or theta <= -PITCH_LIMIT:
                     raise GimbalLockError(
-                        f"gimbal lock at t={tn:.6f}: pitch {x[4]!r}")
+                        f"gimbal lock at t={tn:.6f}: pitch {theta!r}")
                 if keep and tn > times[-1]:
                     record(tn, x, w)
         if hi > times[-1]:
@@ -465,28 +479,25 @@ def _rk4_step(x, h, r1, rm, r4, pc):
     step's start, midpoint and end.
 
     Same operation order as numerics.rk4_step, element by element; the
-    midpoint terms serve both k2 and k3. The stage states x + a k are
-    written out on unpacked floats, which runs faster than indexing
-    the tuples, three times a step.
+    midpoint terms serve both k2 and k3. Each stage hands _deriv the
+    nine stage values it reads, written out on unpacked floats: no
+    stage state is built, and no stage position, which no stage reads.
     """
     half = 0.5 * h
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11 = x
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _deriv(x, r1, pc)
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _deriv((
-        x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
-        x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7,
-        x8 + half * a8, x9 + half * a9, x10 + half * a10, x11 + half * a11,
-    ), rm, pc)
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _deriv((
-        x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
-        x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7,
-        x8 + half * b8, x9 + half * b9, x10 + half * b10, x11 + half * b11,
-    ), rm, pc)
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _deriv((
-        x0 + h * c0, x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4,
-        x5 + h * c5, x6 + h * c6, x7 + h * c7, x8 + h * c8, x9 + h * c9,
-        x10 + h * c10, x11 + h * c11,
-    ), r4, pc)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = _deriv(
+        x3, x4, x5, x6, x7, x8, x9, x10, x11, r1, pc)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _deriv(
+        x3 + half * a3, x4 + half * a4, x5 + half * a5, x6 + half * a6,
+        x7 + half * a7, x8 + half * a8, x9 + half * a9, x10 + half * a10,
+        x11 + half * a11, rm, pc)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _deriv(
+        x3 + half * b3, x4 + half * b4, x5 + half * b5, x6 + half * b6,
+        x7 + half * b7, x8 + half * b8, x9 + half * b9, x10 + half * b10,
+        x11 + half * b11, rm, pc)
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11 = _deriv(
+        x3 + h * c3, x4 + h * c4, x5 + h * c5, x6 + h * c6, x7 + h * c7,
+        x8 + h * c8, x9 + h * c9, x10 + h * c10, x11 + h * c11, r4, pc)
     s = h / 6.0
     return (
         x0 + s * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),

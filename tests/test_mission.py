@@ -802,12 +802,13 @@ leg1 = bodyX, 5000, 4
 
 
 class TestFlightChunks:
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
     def test_quad_csvs_do_not_depend_on_the_chunk(self, tmp_path,
                                                   monkeypatch, run_4_2_2,
                                                   chunk):
         """A flight samples its laws a chunk of steps at a time, and
-        chunks of 1 and 7 steps write the bytes of the default chunk."""
+        chunks of 1, 7 and 256 steps write the bytes of the default
+        chunk (1024 steps)."""
         monkeypatch.setattr(quad, "_CHUNK", chunk)
         cfg, shipped = run_4_2_2
         run_mission(cfg, out_dir=tmp_path)
@@ -1706,6 +1707,38 @@ class TestCli:
         assert "would take a non-finite number of steps" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("scenario_2_4_1", "T = 50.0", "T = 1e12"),
+        ("scenario_4_2_1", "leg1 = vertical, 10, 12",
+         "leg1 = hover, 0, 1e12")],
+        ids=["T=1e12", "hover leg of 1e12 s"])
+    def test_rejects_a_step_count_past_the_bound(self, tmp_path, capsys,
+                                                 name, old, new):
+        """A finite span / dt above MAX_STEPS is a config error: the run
+        would step for days after a validate that printed OK:. The
+        message names the count, about 1e15 steps at dt = 1e-3."""
+        text = scenario_path(name).read_text(encoding="utf-8")
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as refused:
+            load_config(path)
+        assert (f"would take 1e+15 steps, more than the {mission.MAX_STEPS} "
+                "a run may take") in str(refused.value)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "would take 1e+15 steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_count_bound_is_inclusive(self):
+        """MAX_STEPS steps are allowed; a span one step longer is not.
+        Only the configs are built: nothing is run."""
+        cfg = load_config(scenario_path("scenario_2_4_1"))
+        limit = mission.MAX_STEPS * cfg.dt
+        assert replace(cfg, T=limit).T == limit
+        with pytest.raises(ValidationError, match="more than the"):
+            replace(cfg, T=limit + cfg.dt)
 
     def test_rejects_maneuvers_under_non_quad_mode(self, tmp_path, capsys):
         """--mode is checked like the file's mode: a scripted flight

@@ -187,11 +187,14 @@ class TestDerivative:
         assert np.max(np.abs(dx)) <= 1e-12
 
     def test_written_out_formula_bit_for_bit(self):
-        """_deriv computes each repeated leading product once. Python
-        groups a * b * c as (a * b) * c, so it must still equal the
-        model written out term by term, to the last bit, fed the rotor
-        terms _rotor_terms computes from the same speeds."""
-        m, g, Jr, J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3 = _param_tuple(P)
+        """_deriv computes each repeated leading product once, and
+        _param_tuple the inertia differences. Python groups a * b * c
+        as (a * b) * c, so it must still equal the model written out
+        term by term, to the last bit, fed the rotor terms _rotor_terms
+        computes from the same speeds and the nine state numbers it
+        reads."""
+        (m, g, Jr, J1, J2, J3, CD1, CD2, CD3, Ct1, Ct2, Ct3,
+         *_) = _param_tuple(P)
         Kr, Krd, Kd = P.Kr, P.Kr * P.d, P.Kd
 
         def written_out(x, om):
@@ -231,7 +234,7 @@ class TestDerivative:
                       .as_vector().tolist())
             om = rng.uniform(0.0, 500.0, size=4)
             r = _rotor_terms(om[None], P)[0].tolist()
-            assert (np.array(_deriv(x, r, _param_tuple(P))).tobytes()
+            assert (np.array(_deriv(*x[3:], r, _param_tuple(P))).tobytes()
                     == np.array(written_out(x, om.tolist())).tobytes())
 
     def test_kinematics_rows(self):
@@ -514,16 +517,17 @@ class TestSimulate:
                            match=r"rotor speed 600\.0 .* at t=0\.5$"):
             simulate(hover_state(), sched, P, 1.5)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 1024])
     @pytest.mark.parametrize("law, error, match, steps", [
         # rotors 1 and 3 pass 500 rad/s at t = 0.5, within the chunk of
-        # steps 256-511 and of steps 497-503
+        # steps 497-503, of steps 256-511, and, at the default chunk of
+        # 1024 steps, of the whole 1000-step window
         (lambda tl: 400.0 + np.outer(tl, (200.0, 0.0, 200.0, 0.0)),
          SaturationError,
          r"^rotor speed 500\.1 outside \[0, 500\.0\] rad/s at t=0\.5005$",
          500),
         # the pitch torque tips the vehicle over before the law leaves
-        # the ceiling at t = 0.1, in the same chunk of 256 steps
+        # the ceiling at t = 0.1, in the first chunk of 256 or more steps
         (lambda tl: np.where(tl[:, None] < 0.1, (300.0, 100.0, 300.0, 500.0),
                              600.0),
          GimbalLockError,
