@@ -94,8 +94,11 @@ def _cmd_validate(args):
     else:
         print(f"FAIL: {type(problem).__name__}: {problem}")
     if net.n >= 2:
-        spec = particle.start if particle is not None else start_spectrum(
-            net, config.agents[:, :3])
+        # L(0) as the protocol decomposed it, where it ran, finished or not
+        spec = particle.start if particle is not None else getattr(
+            problem, "start", None)
+        if spec is None:
+            spec = start_spectrum(net, config.agents[:, :3])
         print(f"spectrum of L(0): lambda2={spec.lambda2:.6g} "
               f"lambda_max={spec.lambda_max:.6g} "
               f"dt*lambda_max={config.dt * spec.lambda_max:.6g} "

@@ -124,6 +124,9 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
             eigenvalue of L(0) exceeds 2.785, RK4's real-axis stability
             limit, so the fastest mode would grow instead of decay;
             otherwise at the first recorded sample that is not finite.
+
+    Either error carries the StartSpectrum of L(0) as its attribute
+    start, so a caller that reports it need not decompose L(0) again.
     """
     q = np.array(q0, dtype=float)
     if q.ndim != 2 or q.shape[0] != net.n:
@@ -188,8 +191,8 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
                     break
                 # np.maximum propagates NaN, so this costs no extra pass
                 if not math.isfinite(spread):
-                    raise DivergenceError(
-                        f"protocol state is non-finite at t={times[-1]:.6f}")
+                    raise _starting(spec, DivergenceError(
+                        f"protocol state is non-finite at t={times[-1]:.6f}"))
 
     return ConsensusTrajectory(
         times=np.array(times),
@@ -235,16 +238,18 @@ class StartSpectrum:
         """Raise the error the protocol stops with before its first
         step of dt: DisconnectedError for a graph that is not connected,
         else DivergenceError when dt * lambda_max exceeds RK4's
-        real-axis stability limit, 2.785."""
+        real-axis stability limit, 2.785. The error carries self as its
+        attribute start."""
         if not self.connected:
-            raise DisconnectedError("network is not connected at t=0")
+            raise _starting(self, DisconnectedError(
+                "network is not connected at t=0"))
         lam_max = self.lambda_max
         if dt * lam_max > _RK4_REAL_LIMIT:
-            raise DivergenceError(
+            raise _starting(self, DivergenceError(
                 f"step dt={dt!r} is unstable for RK4: dt * lambda_max = "
                 f"{dt * lam_max:.6g} with lambda_max(L(0)) = {lam_max:.6g} "
                 f"exceeds {_RK4_REAL_LIMIT}; the largest stable step is "
-                f"{self.dt_max:.6g}")
+                f"{self.dt_max:.6g}"))
 
     def predicted_stop(self, stop_tol):
         """Seconds until the early stop at stop_tol should fire, or the
@@ -262,6 +267,12 @@ class StartSpectrum:
         if self.spread > stop_tol:
             return math.log(self.spread / stop_tol) / lam2
         return 0.0
+
+
+def _starting(spec, error):
+    """error, carrying spec, the StartSpectrum of the run it ends."""
+    error.start = spec
+    return error
 
 
 def start_spectrum(net, q):

@@ -37,7 +37,7 @@ from .planner import (ManeuverSpec, plan, rendezvous_route,
 # next benchmark change removes that wrapper and these imports together.
 from .planner import rendezvous_leg, schedule_for
 from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
-                   simulate)
+                   flight_kernel, simulate)
 
 MODES = ("particle", "quad", "compare")
 
@@ -120,10 +120,7 @@ class MissionConfig:
         if not steps < math.inf:
             raise ValidationError(f"dt={self.dt} is too small: {span} s "
                                   "would take a non-finite number of steps")
-        if steps > MAX_STEPS:
-            raise ValidationError(
-                f"{span} s at dt={self.dt} would take {steps:.6g} steps, "
-                f"more than the {MAX_STEPS} a run may take")
+        _bound_steps(span, self.dt)
         if self.T is not None and round(steps) < 1:
             raise ValidationError(
                 f"T={self.T} is shorter than half a step dt={self.dt}; "
@@ -196,6 +193,16 @@ class ComparisonReport:
                 {"t": t, "values": list(vals)} for t, vals in self.eigenvalues
             ],
         }
+
+
+def _bound_steps(span, dt, what=""):
+    """Raise ValidationError where span seconds at dt take more than
+    MAX_STEPS steps; what names the span in the message."""
+    steps = span / dt
+    if steps > MAX_STEPS:
+        raise ValidationError(
+            f"{what}{span} s at dt={dt} would take {steps:.6g} steps, "
+            f"more than the {MAX_STEPS} a run may take")
 
 
 def _floats(text, key):
@@ -595,9 +602,15 @@ def prepare(config, dest=None):
 
 
 def _routes(config, targets):
-    """Each agent's rendezvous_route to its target, in agent order."""
-    return [rendezvous_route(_quad_start(config, i), target)
-            for i, target in enumerate(targets)]
+    """Each agent's rendezvous_route to its target, in agent order; a
+    route that would take more than MAX_STEPS steps of dt raises
+    ValidationError before any is planned."""
+    routes = [rendezvous_route(_quad_start(config, i), target)
+              for i, target in enumerate(targets)]
+    for i, route in enumerate(routes):
+        _bound_steps(sum(spec.duration for spec in route), config.dt,
+                     f"agent {i + 1}'s route: ")
+    return routes
 
 
 def _run_mission(config, dest):
@@ -723,8 +736,11 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
     planning or in flight, and that agent's error is raised, so the
     artifacts and the error are those of the serial loop. W <= 1 forks
     no flight worker; a particle run has no routes, so W = 0 and only
-    beside runs.
+    beside runs. The compiled flight chunk is loaded before the lanes
+    fork, so a cold cache builds it once, and never on a particle run.
     """
+    if routes:
+        flight_kernel()
     width = min(_usable_cpus(), len(routes))
     lanes = _lpt_lanes(
         [sum(spec.duration for spec in route) for route in routes], width)

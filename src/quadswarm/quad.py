@@ -13,11 +13,17 @@ by the squared rotor speeds; the gyroscopic torque, linear in the rotor
 speeds, is the one term that sits outside that affine-in-omega^2 form.
 """
 
+import ctypes
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import zlib
 from array import array
 from dataclasses import dataclass, replace
 from math import cos, sin
+from pathlib import Path
 
 import numpy as np
 
@@ -193,9 +199,9 @@ def _rotor_terms(om, p):
     Krd = p.Kr * p.d
     with np.errstate(over="ignore", invalid="ignore"):
         q1, q2, q3, q4 = (om * om).T
-        return np.array((p.Kr * (q1 + q2 + q3 + q4), w1 - w2 + w3 - w4,
+        return np.stack((p.Kr * (q1 + q2 + q3 + q4), w1 - w2 + w3 - w4,
                          Krd * (q3 - q1), Krd * (q4 - q2),
-                         p.Kd * (q1 - q2 + q3 - q4))).T
+                         p.Kd * (q1 - q2 + q3 - q4)), axis=1)
 
 
 # the rotor terms of rotors at rest
@@ -303,6 +309,90 @@ def geodesic_spray(s, p):
     return np.array(_deriv(*_nine(s), _OFF, _param_tuple(free)))
 
 
+# The compiled chunk of _flight.c: None until the first flight asks for
+# it, False where it cannot be built or loaded
+_kernel = None
+
+# The compiler's flags: -ffp-contract=off keeps it from fusing a
+# multiply and an add, and no -ffast-math keeps IEEE arithmetic
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def flight_kernel():
+    """run_chunk of _flight.c through ctypes, or None where it cannot be
+    had; simulate flies every chunk it can through it.
+
+    The first call in a process builds the shared object unless it is
+    cached, with $CC (else cc) and _CFLAGS, where Python would put the
+    C file's bytecode (importlib.util.cache_from_source, so
+    PYTHONPYCACHEPREFIX moves it too). Its name carries checksums of the
+    source, the command and the interpreter's extension suffix. It is
+    built to a temporary sibling, moved into place, and loaded only from
+    a directory and a file that no other user can write. Every failure
+    (no compiler, a compile error, a cache that cannot be written, a
+    failed load) leaves None, and the Python step flies.
+    """
+    global _kernel
+    if _kernel is None:
+        try:
+            _kernel = _load_kernel()
+        except (OSError, ValueError, AttributeError):
+            _kernel = False
+    return _kernel or None
+
+
+def _load_kernel():
+    """flight_kernel's run_chunk, built first where it is not cached;
+    False where the cache is not private or the build fails."""
+    import shlex
+
+    source = Path(__file__).with_name("_flight.c")
+    cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS]
+    key = b"\0".join([source.read_bytes(), *map(os.fsencode, cmd),
+                      importlib.machinery.EXTENSION_SUFFIXES[0].encode()])
+    # zlib is loaded with numpy; hashlib would cost the first flight 8 ms
+    lib = Path(importlib.util.cache_from_source(str(source))).with_name(
+        f"_flight.{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    if not _private(lib.parent):
+        return False
+    if not lib.exists() and not _build(cmd, source, lib):
+        return False
+    if not _private(lib):
+        return False
+    run = ctypes.CDLL(str(lib)).run_chunk
+    ptr, c_double, c_long = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
+    run.argtypes = (ptr, c_long, c_double, ptr, ptr, ptr, c_long, ptr,
+                    c_double, ptr)
+    run.restype = c_long
+    return run
+
+
+def _build(cmd, source, lib):
+    """Compile source to lib with cmd, through a temporary sibling that
+    is moved into place; returns whether lib was built. The compiler's
+    output goes nowhere: a failed build changes no output."""
+    import subprocess
+
+    part = lib.with_name(f"{lib.name}.{os.getpid()}.part")
+    try:
+        subprocess.run([*cmd, "-o", str(part), str(source), "-lm"],
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL, check=True, timeout=300)
+        os.replace(part, lib)
+        return True
+    except subprocess.SubprocessError:
+        return False
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _private(path):
+    """Whether no user but this one and root can write path."""
+    st = os.stat(path)
+    return st.st_uid in (0, os.getuid()) and not st.st_mode & 0o022
+
+
 def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     """Integrate the vehicle under a control schedule with fixed-step RK4.
 
@@ -318,9 +408,13 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     out-of-range sample is walked point by point through schedule.emit
     instead, so its error comes at the step a flight that emits every
     sample raises it. A segment with a constant is emitted once per
-    window. States are recorded at t=0, every stride-th step and each
-    window's end; the rotor speeds of a sample at a junction or at the
-    end of a window come from schedule.omega_at.
+    window. Where flight_kernel loads, the compiled chunk flies the
+    steps of every chunk that is not walked, up to the first step that
+    meets the gimbal band or a stage angle of +-inf; from there, and in
+    a walked chunk, _rk4_step flies them, so every error keeps its
+    type, its text and its step. States are recorded at t=0, every
+    stride-th step and each window's end; the rotor speeds of a sample
+    at a junction or at the end of a window come from schedule.omega_at.
 
     Args:
         s0: initial QuadState.
@@ -356,6 +450,11 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             f"schedule covers [0, {total}], mission needs [0, {duration}]")
 
     pc = _param_tuple(p)
+    run = flight_kernel()
+    if run is not None:
+        # the kernel's constants, start state and end states
+        pcbuf, xbuf = np.array(pc), np.empty(12)
+        out = np.empty((_CHUNK, 12))
 
     # samples go to flat float buffers: per-sample tuples or arrays
     # would cost an object header per sample
@@ -371,6 +470,26 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
         states.extend(x)
         omegas.extend(schedule.omega_at(tn) if om is None else om)
 
+    def record_rows(tns, rows, due, w, known):
+        """record, in bulk and in order, the due steps of a chunk whose
+        end states the kernel wrote to rows."""
+        i = np.flatnonzero(due[:len(rows)])
+        tn = tns[i]
+        # a due step is recorded when it ends after every earlier one
+        keep = tn > np.maximum.accumulate(
+            np.concatenate(([times[-1]], tn)))[:-1]
+        i, tn = i[keep], tn[keep]
+        rows, om = rows[i], w[i]
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        stop = bad[0] if bad.size else i.size
+        for k in np.flatnonzero(~known[i[:stop]]).tolist():
+            om[k] = schedule.omega_at(float(tn[k]))
+        if bad.size:
+            raise DivergenceError(f"non-finite state at t={tn[stop]:.6f}")
+        times.frombytes(tn.tobytes())
+        states.frombytes(rows.tobytes())
+        omegas.frombytes(om.tobytes())
+
     record(0.0, x)
     count = 0
     for seg, lo, hi, edge, nfull, rem in schedule.windows(duration, dt):
@@ -378,7 +497,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
         if nsteps and seg.constant is not None:
             # the one range check of the window, at its first stage
             held = schedule.emit(seg, lo)
-            terms = _rotor_terms(np.array([held]), p).tolist()[0]
+            terms = _rotor_terms(np.array([held]), p)
         for c0 in range(0, nsteps, _CHUNK):
             k = np.arange(c0, min(c0 + _CHUNK, nsteps))
             ts, hs, tns = lo + k * dt, np.full(k.size, dt), lo + (k + 1) * dt
@@ -390,14 +509,31 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             due = (count + 1 + np.arange(k.size)) % stride == 0
             count += k.size
             if seg.constant is not None:
-                r1 = rm = r4 = itertools.repeat(terms)
-                rec = [held if tn < edge else None for tn in tns.tolist()]
+                r1 = rm = r4 = terms
+                w, known = np.broadcast_to(held, (k.size, 4)), tns < edge
             else:
-                r1, rm, r4, rec = _chunk_samples(
+                r1, rm, r4, w, known = _chunk_samples(
                     schedule, seg, p, edge, ts, hs, tns, due)
-            for t, h, tn, a, b, c, keep, w in zip(
-                    ts.tolist(), hs.tolist(), tns.tolist(), r1, rm, r4,
-                    due.tolist(), rec):
+            # the kernel flies the chunk up to step j, where Python
+            # takes over; a walked chunk (w is None) is Python's alone
+            j = 0
+            if run is not None and w is not None:
+                xbuf[:] = x
+                j = _kernel_steps(run, xbuf, hs, r1, rm, r4, pcbuf, out)
+                if j:
+                    record_rows(tns, out[:j], due, w, known)
+                    x = tuple(out[j - 1].tolist())
+            if j == k.size:
+                continue
+            if w is not None:
+                r1, rm, r4 = (_rows(r, j) for r in (r1, rm, r4))
+                w = [om if kn else None for om, kn in
+                     zip(w[j:].tolist(), known[j:].tolist())]
+            else:
+                w = itertools.repeat(None)
+            for t, h, tn, a, b, c, keep, om in zip(
+                    ts[j:].tolist(), hs[j:].tolist(), tns[j:].tolist(), r1,
+                    rm, r4, due[j:].tolist(), w):
                 try:
                     x = _rk4_step(x, h, a, b, c, pc)
                 except GimbalLockError as e:
@@ -407,7 +543,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
                     raise GimbalLockError(
                         f"gimbal lock at t={tn:.6f}: pitch {theta!r}")
                 if keep and tn > times[-1]:
-                    record(tn, x, w)
+                    record(tn, x, om)
         if hi > times[-1]:
             record(hi, x)
 
@@ -420,18 +556,55 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     )
 
 
+def _rows(r, j):
+    """The rotor-term rows of a chunk's steps from step j on, as lists:
+    an (n, 5) array's own, or a one-row array's row for every step."""
+    return r[j:].tolist() if len(r) > 1 else itertools.repeat(r[0].tolist())
+
+
+def _kernel_steps(run, x, hs, r1, rm, r4, pc, out):
+    """Fly the steps of sizes hs from the state x through run, the
+    compiled chunk, into the rows of out; returns how many it flew: all
+    of them, or the index of the first that Python must take.
+
+    r1, rm and r4 hold a row of rotor terms per step, or one row for
+    every step. Only a window's last step may be shorter; it takes a
+    call of its own."""
+    n = hs.size
+    # the C loop reads and writes these rows unchecked
+    r1, rm, r4 = (np.ascontiguousarray(r, float) for r in (r1, rm, r4))
+    if not (r1.shape == rm.shape == r4.shape in {(n, 5), (1, 5)}
+            and out.shape[0] >= n and out.flags.c_contiguous):
+        raise DomainError("the compiled chunk's arrays do not fit its steps")
+    rstride = 5 if len(r1) > 1 else 0
+    o, a, b, c = (v.ctypes.data for v in (out, r1, rm, r4))
+    m = n - 1 if n > 1 and hs[-1] != hs[0] else n
+    j = run(x.ctypes.data, m, hs[0], a, b, c, rstride, pc.ctypes.data,
+            PITCH_LIMIT, o)
+    if j >= 0:
+        return j
+    if m < n:
+        # the rows of the last step: 8 bytes a float
+        ro, xo = 8 * rstride * m, 96 * m
+        if run(o + xo - 96, 1, hs[-1], a + ro, b + ro, c + ro, rstride,
+               pc.ctypes.data, PITCH_LIMIT, o + xo) >= 0:
+            return m
+    return n
+
+
 def _chunk_samples(schedule, seg, p, edge, t, h, tn, due):
     """The samples of one chunk of a window through seg's law.
 
     t, h and tn are the steps' start times, sizes and end times, and
     due marks the steps whose end state is recorded. Stages read seg
-    at times clamped to edge. Returns (r1, rm, r4, rec): per step, the
-    rotor terms at its start, midpoint and end, and the rotor speeds to
-    record at its end, or None for a time at or past edge, which
-    schedule.omega_at reads. When a sample is refused or out of range,
-    r1, rm and r4 are _walk's, which emit each sample as the step loop
-    reads it, and rec is all None, which is where omega_at reads the
-    same law.
+    at times clamped to edge. Returns (r1, rm, r4, w, known): per step,
+    the rotor terms at its start, midpoint and end as C-ordered (n, 5)
+    arrays, and in the rows of the (n, 4) array w that known marks, the
+    rotor speeds at the end of each recorded step that ends before
+    edge; schedule.omega_at reads the others. When a sample is refused
+    or out of range, r1, rm and r4 are _walk's, which emit each sample
+    as the step loop reads it, and w is None: omega_at reads every
+    recorded speed, from the same law.
     """
     n, tq, t4 = t.size, t + 0.5 * h, t + h
     # a step's k1 reuses the last k4 when it starts at exactly that time
@@ -442,18 +615,16 @@ def _chunk_samples(schedule, seg, p, edge, t, h, tn, due):
     om = schedule.sample(seg, np.concatenate((stages, tn[recorded])))
     if om is None:
         return (*(_walk(schedule, seg, p, np.minimum(s, edge), t)
-                  for s in (t, tq, t4)), [None] * n)
+                  for s in (t, tq, t4)), None, None)
     n_own = own.sum()
-    terms = _rotor_terms(om[:stages.size], p).tolist()
+    terms = _rotor_terms(om[:stages.size], p)
     # each step's start: its own sample, or the last step's k4
     start = np.arange(n_own + n - 1, n_own + 2 * n - 1)
     start[own] = np.arange(n_own)
-    rec = [None] * n
-    for j, w in zip(np.flatnonzero(recorded).tolist(),
-                    om[stages.size:].tolist()):
-        rec[j] = w
-    return ([terms[i] for i in start.tolist()], terms[n_own:n_own + n],
-            terms[n_own + n:], rec)
+    w = np.empty((n, 4))
+    w[recorded] = om[stages.size:]
+    return (terms[start], terms[n_own:n_own + n], terms[n_own + n:], w,
+            recorded)
 
 
 def _walk(schedule, seg, p, times, starts):

@@ -1520,6 +1520,28 @@ class TestCli:
         assert main(["validate", str(scenario_path("scenario_2_5_2"))]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("text", [
+        ring_text(),
+        scenario_path("scenario_2_4_1").read_text(encoding="utf-8")
+        .replace("dt = 0.001", "dt = 1.0")], ids=["ring", "unstable-dt"])
+    def test_validate_eigendecomposes_once_when_the_protocol_fails(
+            self, tmp_path, capsys, monkeypatch, text):
+        # The ring's protocol diverges after its start check, and 2_4_1
+        # at dt = 1 fails the check itself: either error carries the
+        # L(0) the protocol decomposed, whose spectrum validate prints.
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return sym_eigen(a)
+
+        for mod in (consensus, mission):
+            monkeypatch.setattr(mod, "sym_eigen", counted)
+        assert main(["validate", str(write_cfg(tmp_path, text))]) == 2
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[1].startswith(
+            "spectrum of L(0): lambda2=")
+
     @pytest.mark.parametrize("name, t_stop", [
         # ln(spread0 / 1e-4) / lambda2 with spread0 and lambda2 of L(0)
         ("scenario_2_4_1", math.log(7.75 / 1e-4) / 1.0),
@@ -1730,6 +1752,37 @@ class TestCli:
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "would take 1e+15 steps" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["compare", "quad"])
+    def test_rejects_a_route_past_the_step_bound(self, tmp_path, capsys,
+                                                 monkeypatch, mode):
+        """A rendezvous route's duration comes from the distance it
+        flies: with agent 3 of 4_2_2 at 1e9 m, every drone's route to
+        the centroid takes more than 1e11 steps. run and validate
+        refuse the first, agent 1's, with MAX_STEPS's wording and exit
+        2, before any route is planned or flown."""
+        text = scenario_path("scenario_4_2_2").read_text(encoding="utf-8")
+        old = "agent3 = 15, 9, 0, 0, 0, 1.5707963267948966"
+        assert old in text
+        path = write_cfg(tmp_path, text.replace(old, "agent3 = 1e9, 9, 0")
+                         .replace("mode = compare", f"mode = {mode}"))
+        flown = []
+        monkeypatch.setattr(mission, "plan",
+                            lambda *a: flown.append(a) or None)
+        monkeypatch.setattr(mission, "simulate",
+                            lambda *a: flown.append(a) or None)
+        assert main(["validate", str(path)]) == 2
+        refusal = capsys.readouterr().out.splitlines()[0]
+        assert refusal.startswith("FAIL: ValidationError: agent 1's route: ")
+        assert refusal.endswith(
+            f"steps, more than the {mission.MAX_STEPS} a run may take")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: " + refusal.split(
+            ": ", 2)[2] + "\n"
+        assert (out / "scenario_4_2_2" / "FAILED").read_text(
+            encoding="utf-8") == refusal.split(": ", 1)[1] + "\n"
+        assert flown == []
 
     def test_step_count_bound_is_inclusive(self):
         """MAX_STEPS steps are allowed; a span one step longer is not.

@@ -546,16 +546,29 @@ class TestSimulate:
         """An unprobed law that fails partway through a chunk raises
         the error, with the t=, and after the steps, of a flight that
         emits its samples one at a time: the chunk is walked point by
-        point."""
+        point. A step counts whether the compiled chunk or _rk4_step
+        flew it; with the compiled chunk off, _rk4_step flies them all."""
         monkeypatch.setattr(quad, "_CHUNK", chunk)
-        calls = []
-        step = quad._rk4_step
+        flown = []
+        step, kernel_steps = quad._rk4_step, quad._kernel_steps
+
+        def count_kernel(*args):
+            j = kernel_steps(*args)
+            flown.extend([None] * j)
+            return j
+
         monkeypatch.setattr(quad, "_rk4_step",
-                            lambda *a: calls.append(a) or step(*a))
+                            lambda *a: flown.append(a) or step(*a))
+        monkeypatch.setattr(quad, "_kernel_steps", count_kernel)
         sched = ControlSchedule((Segment(0.0, 1.0, law),))
-        with pytest.raises(error, match=match):
-            simulate(hover_state(), sched, P, 1.0)
-        assert len(calls) == steps
+        for kernel in (quad._kernel, False):
+            monkeypatch.setattr(quad, "_kernel", kernel)
+            flown.clear()
+            with pytest.raises(error, match=match):
+                simulate(hover_state(), sched, P, 1.0)
+            assert len(flown) == steps
+            if kernel is False:
+                assert None not in flown
 
     def test_drag_dissipates_kinetic_energy(self):
         free = replace(P, g=0.0)
