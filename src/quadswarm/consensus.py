@@ -5,12 +5,14 @@ coordinate. The protocol conserves column sums, so all agents converge
 to the centroid of the initial rows when the graph is connected.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from . import native
 from .errors import DisconnectedError, DivergenceError, DomainError
 from .network import (DistanceWeighted, Laplacian, adjacency, is_complete,
                       is_connected, proximity_edges, weighted_laplacian_at,
@@ -176,13 +178,16 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
     states = [q.copy()]
     if sink is not None:
         sink(0.0, states[0])
-    last = steps - 1
+    # advance(k, count) takes up to count steps from step k, as many as
+    # its branch takes in one call, and returns how many it took; count
+    # reaches the next recorded sample, so every sample is seen
+    k = 0
     # an overflow shows once, as the check's DivergenceError below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            advance(k)
-            if (k + 1) % stride == 0 or k == last:
-                times.append((k + 1) * dt)
+        while k < steps:
+            k += advance(k, min(stride - k % stride, steps - k))
+            if k % stride == 0 or k == steps:
+                times.append(k * dt)
                 states.append(q.copy())
                 if sink is not None:
                     sink(times[-1], states[-1])
@@ -289,7 +294,7 @@ def _static_step(m, q, coef):
 
     The whole step propagator is one fixed matrix, so it is computed
     once and each step costs one product through the bound prop.dot
-    (see _moving_step).
+    (see _moving_step). advance(k, count) takes one step and returns 1.
     """
     c1, c2, c3, c4 = coef
     prop = np.eye(len(m)) - c1 * m + c2 * (m @ m) - c3 * (m @ m @ m) \
@@ -297,9 +302,10 @@ def _static_step(m, q, coef):
     qn = np.empty_like(q)
     pdot = prop.dot
 
-    def advance(k):
+    def advance(k, count):
         pdot(q, qn)
         q[...] = qn
+        return 1
 
     return advance
 
@@ -307,21 +313,36 @@ def _static_step(m, q, coef):
 def _moving_step(net, q, dt, coef, log):
     """Step function for a distance-weighted network; advances q in place.
 
-    Each step re-weights the graph from the current positions and grows
-    it by the proximity rule, appending (time, Laplacian) to log when
-    edges appear. Once complete the graph can only re-weight; that
-    branch dominates the runtime, so it reuses fixed buffers and views
-    of them (q is updated in place, which keeps the broadcast views
-    below valid across steps). The differences are coordinate-major,
-    (r, n, n), as in network.pairwise_distances; their squares are
-    summed in place into the first plane, ((d0 + d1) + d2) for r = 3,
-    the order of that function's reduce over the leading axis. Every
-    call of the complete-graph branch is a direct C entry point, as its
-    cost is per-call dispatch, not arithmetic: the five products go
-    through the bound methods mbuf.dot and signed.dot, which run the
-    same routine as np.dot without its Python-level dispatcher (and the
-    same BLAS call as np.matmul with less per-call work); every buffer
-    is C-contiguous float64, as dot's out requires.
+    advance(k, count) takes steps k, k + 1, ... and returns how many it
+    took: count where the compiled step runs, else 1. Each step
+    re-weights the graph from the current positions and grows it by the
+    proximity rule, appending (time, Laplacian) to log when edges
+    appear. Once complete the graph can only re-weight, and that branch
+    takes nearly every step.
+
+    The compiled path: on a complete graph, where native.library loads
+    and native.numpy_blas resolves and the state has n >= 2 agents and
+    r >= 2 coordinates, run_protocol of _kernels.c takes all count
+    steps in one call. It writes the operations of the numpy branch in
+    their order: the coordinate-major squares summed ((d0 + d1) + d2),
+    the row sums in numpy's pairwise order, and the four products and
+    the Taylor combination through the very dgemm and dgemv calls that
+    ndarray.dot makes for these shapes, so its bits are numpy's on any
+    BLAS kernel. For n or r of 1, dot takes other BLAS routines (gemv
+    for an (n, 1) operand), so those states stay on numpy.
+
+    The numpy branch is the reference and the fallback, one step a
+    call. It reuses fixed buffers and views of them (q is updated in
+    place, which keeps the broadcast views below valid across steps).
+    The differences are coordinate-major, (r, n, n), as in
+    network.pairwise_distances; their squares are summed in place into
+    the first plane, ((d0 + d1) + d2) for r = 3, the order of that
+    function's reduce over the leading axis. Its calls are direct C
+    entry points, as a step's cost is per-call dispatch, not
+    arithmetic: the five products go through the bound methods mbuf.dot
+    and signed.dot, which run the routine of np.dot without its
+    Python-level dispatcher; every buffer is C-contiguous float64, as
+    dot's out requires.
     """
     n, r = q.shape
     thr = net.policy.threshold
@@ -344,9 +365,13 @@ def _moving_step(net, q, dt, coef, log):
     subtract, multiply = np.subtract, np.multiply
     sqrt, negative, add = np.sqrt, np.negative, np.add
     reduce = np.add.reduce
+    steps = _compiled_steps(q, signed, mbuf, dist, powers, acc)
 
-    def advance(k):
+    def advance(k, count):
         nonlocal cur, complete
+        if complete and steps is not None:
+            steps(count)
+            return count
         # network.pairwise_distances(q), written into the buffers.
         subtract(qa, qb, diff)
         multiply(diff, diff, diff)
@@ -371,8 +396,27 @@ def _moving_step(net, q, dt, coef, log):
         mdot(p2, p3)
         sdot(pflat, accflat)
         add(q, acc, q)
+        return 1
 
     return advance
+
+
+def _compiled_steps(q, signed, m, dist, powers, acc):
+    """run_protocol bound to the (n, r) state q, a function that takes
+    count complete-graph steps of q in place; or None where the compiled
+    path does not apply (see _moving_step). signed holds the Taylor
+    coefficients, and m, dist, powers and acc are the numpy branch's
+    buffers, its scratch, which that branch's advance keeps alive."""
+    n, r = q.shape
+    # the C loop reads q's rows unchecked
+    fits = n >= 2 and r >= 2 and q.flags.c_contiguous
+    blas = native.numpy_blas() if fits else None
+    lib = native.library() if blas is not None else None
+    if lib is None:
+        return None
+    return functools.partial(
+        lib.run_protocol, q.ctypes.data, n, r, signed.ctypes.data, *blas,
+        *(a.ctypes.data for a in (m, dist, powers, acc)))
 
 
 def straightness_residual(traj, agent):

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .consensus import (ConsensusTrajectory, consensus_point,
                         integrate_protocol, max_cross_track)
 from .errors import (DivergenceError, DomainError, IoError, ParseError,
@@ -37,7 +38,7 @@ from .planner import (ManeuverSpec, plan, rendezvous_route,
 # next benchmark change removes that wrapper and these imports together.
 from .planner import rendezvous_leg, schedule_for
 from .quad import (QuadParams, QuadState, QuadTrajectory, default_params,
-                   flight_kernel, simulate)
+                   simulate)
 
 MODES = ("particle", "quad", "compare")
 
@@ -736,11 +737,12 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
     planning or in flight, and that agent's error is raised, so the
     artifacts and the error are those of the serial loop. W <= 1 forks
     no flight worker; a particle run has no routes, so W = 0 and only
-    beside runs. The compiled flight chunk is loaded before the lanes
-    fork, so a cold cache builds it once, and never on a particle run.
+    beside runs. The compiled loops (native.library) are loaded before
+    the lanes fork, so a cold cache builds them once; a particle run
+    loads them when its distance-weighted protocol starts.
     """
     if routes:
-        flight_kernel()
+        native.library()
     width = min(_usable_cpus(), len(routes))
     lanes = _lpt_lanes(
         [sum(spec.duration for spec in route) for route in routes], width)

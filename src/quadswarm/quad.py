@@ -13,20 +13,15 @@ by the squared rotor speeds; the gyroscopic torque, linear in the rotor
 speeds, is the one term that sits outside that affine-in-omega^2 form.
 """
 
-import ctypes
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import zlib
 from array import array
 from dataclasses import dataclass, replace
 from math import cos, sin
-from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .errors import DivergenceError, DomainError, GimbalLockError
 from .numerics import PITCH_LIMIT, gimbal_lock
 
@@ -309,90 +304,6 @@ def geodesic_spray(s, p):
     return np.array(_deriv(*_nine(s), _OFF, _param_tuple(free)))
 
 
-# The compiled chunk of _flight.c: None until the first flight asks for
-# it, False where it cannot be built or loaded
-_kernel = None
-
-# The compiler's flags: -ffp-contract=off keeps it from fusing a
-# multiply and an add, and no -ffast-math keeps IEEE arithmetic
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-def flight_kernel():
-    """run_chunk of _flight.c through ctypes, or None where it cannot be
-    had; simulate flies every chunk it can through it.
-
-    The first call in a process builds the shared object unless it is
-    cached, with $CC (else cc) and _CFLAGS, where Python would put the
-    C file's bytecode (importlib.util.cache_from_source, so
-    PYTHONPYCACHEPREFIX moves it too). Its name carries checksums of the
-    source, the command and the interpreter's extension suffix. It is
-    built to a temporary sibling, moved into place, and loaded only from
-    a directory and a file that no other user can write. Every failure
-    (no compiler, a compile error, a cache that cannot be written, a
-    failed load) leaves None, and the Python step flies.
-    """
-    global _kernel
-    if _kernel is None:
-        try:
-            _kernel = _load_kernel()
-        except (OSError, ValueError, AttributeError):
-            _kernel = False
-    return _kernel or None
-
-
-def _load_kernel():
-    """flight_kernel's run_chunk, built first where it is not cached;
-    False where the cache is not private or the build fails."""
-    import shlex
-
-    source = Path(__file__).with_name("_flight.c")
-    cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS]
-    key = b"\0".join([source.read_bytes(), *map(os.fsencode, cmd),
-                      importlib.machinery.EXTENSION_SUFFIXES[0].encode()])
-    # zlib is loaded with numpy; hashlib would cost the first flight 8 ms
-    lib = Path(importlib.util.cache_from_source(str(source))).with_name(
-        f"_flight.{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
-    lib.parent.mkdir(parents=True, exist_ok=True)
-    if not _private(lib.parent):
-        return False
-    if not lib.exists() and not _build(cmd, source, lib):
-        return False
-    if not _private(lib):
-        return False
-    run = ctypes.CDLL(str(lib)).run_chunk
-    ptr, c_double, c_long = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
-    run.argtypes = (ptr, c_long, c_double, ptr, ptr, ptr, c_long, ptr,
-                    c_double, ptr)
-    run.restype = c_long
-    return run
-
-
-def _build(cmd, source, lib):
-    """Compile source to lib with cmd, through a temporary sibling that
-    is moved into place; returns whether lib was built. The compiler's
-    output goes nowhere: a failed build changes no output."""
-    import subprocess
-
-    part = lib.with_name(f"{lib.name}.{os.getpid()}.part")
-    try:
-        subprocess.run([*cmd, "-o", str(part), str(source), "-lm"],
-                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL, check=True, timeout=300)
-        os.replace(part, lib)
-        return True
-    except subprocess.SubprocessError:
-        return False
-    finally:
-        part.unlink(missing_ok=True)
-
-
-def _private(path):
-    """Whether no user but this one and root can write path."""
-    st = os.stat(path)
-    return st.st_uid in (0, os.getuid()) and not st.st_mode & 0o022
-
-
 def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     """Integrate the vehicle under a control schedule with fixed-step RK4.
 
@@ -408,7 +319,7 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     out-of-range sample is walked point by point through schedule.emit
     instead, so its error comes at the step a flight that emits every
     sample raises it. A segment with a constant is emitted once per
-    window. Where flight_kernel loads, the compiled chunk flies the
+    window. Where native.library loads, its run_chunk flies the
     steps of every chunk that is not walked, up to the first step that
     meets the gimbal band or a stage angle of +-inf; from there, and in
     a walked chunk, _rk4_step flies them, so every error keeps its
@@ -450,7 +361,8 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             f"schedule covers [0, {total}], mission needs [0, {duration}]")
 
     pc = _param_tuple(p)
-    run = flight_kernel()
+    lib = native.library()
+    run = lib.run_chunk if lib is not None else None
     if run is not None:
         # the kernel's constants, start state and end states
         pcbuf, xbuf = np.array(pc), np.empty(12)

@@ -1,13 +1,15 @@
-"""The compiled flight chunk (quadswarm/_flight.c) against the Python step.
+"""The compiled loops of quadswarm/_kernels.c against their references.
 
-run_chunk transcribes quad._deriv and quad._rk4_step. These tests hold
-it to them bit for bit, on drawn chunks and on the bundled flights, and
-check that simulate flies through it where it builds and falls back to
-the same bytes where it does not. Where no C compiler is found, the
-tests that need one are skipped.
+run_chunk transcribes quad._deriv and quad._rk4_step, and run_protocol
+the complete-graph branch of consensus._moving_step. These tests hold
+each to its reference bit for bit, on drawn inputs and on the bundled
+runs, and check that simulate and integrate_protocol go through them
+where they build and fall back to the same bytes where they do not.
+Where no C compiler is found, the tests that need one are skipped.
 """
 
 import importlib.util
+import itertools
 import math
 import os
 import shlex
@@ -16,6 +18,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario_path
-from quadswarm import quad
-from quadswarm.errors import GimbalLockError
+from quadswarm import consensus, native, quad
+from quadswarm.errors import DivergenceError, GimbalLockError
 from quadswarm.mission import load_config, prepare, run_mission
+from quadswarm.network import DistanceWeighted, Network
 from quadswarm.numerics import PITCH_LIMIT
 from quadswarm.planner import ControlSchedule, Segment, hover_schedule, plan
 from quadswarm.quad import (QuadState, default_params, hover_state, simulate,
@@ -38,19 +42,25 @@ COMPILER = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0])
 
 
 @pytest.fixture(scope="module")
-def kernel(tmp_path_factory):
-    """run_chunk, built from this checkout's _flight.c into a fresh
-    cache: where a compiler exists, a C file that does not build or load
-    fails here instead of falling back unnoticed."""
+def lib(tmp_path_factory):
+    """The shared object, built from this checkout's _kernels.c into a
+    fresh cache: where a compiler exists, a C file that does not build or
+    load fails here instead of falling back unnoticed."""
     if COMPILER is None:
         pytest.skip("no C compiler")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "pycache_prefix",
                    str(tmp_path_factory.mktemp("pycache")))
-        mp.setattr(quad, "_kernel", None)
-        run = quad.flight_kernel()
-    assert run is not None
-    return run
+        mp.setattr(native, "_lib", None)
+        so = native.library()
+    assert so is not None
+    return so
+
+
+@pytest.fixture(scope="module")
+def kernel(lib):
+    """run_chunk of the fresh build."""
+    return lib.run_chunk
 
 
 def python_chunk(x, hs, r1, rm, r4):
@@ -80,10 +90,11 @@ def python_chunk(x, hs, r1, rm, r4):
 
 def bits(rows):
     """The bytes of rows of states, every NaN made the one NaN: C and
-    Python may order the operands of a + b or a * b differently, which
-    can change the sign of a NaN that both are. No NaN reaches an
-    output: a recorded state that is not finite fails the flight."""
-    rows = np.array(rows, dtype=float).reshape(-1, 12)
+    Python (or numpy) may order the operands of a + b or a * b
+    differently, which can change the sign of a NaN that both are. No
+    NaN reaches an output: a recorded state that is not finite fails
+    the flight or the protocol."""
+    rows = np.array(rows, dtype=float)
     rows[np.isnan(rows)] = np.nan
     return rows.tobytes()
 
@@ -210,12 +221,12 @@ class TestBundledFlights:
     @pytest.mark.parametrize("dt", [None, 0.0037], ids=["dt", "off-grid"])
     @pytest.mark.parametrize("name", ["scenario_4_2_1", "scenario_4_2_2"])
     def test_trajectories_do_not_depend_on_the_kernel(
-            self, monkeypatch, kernel, name, dt):
+            self, monkeypatch, lib, name, dt):
         """The 4_2_1 flight and 4_2_2's three routes; at dt = 0.0037
         every window ends with a shorter step."""
-        monkeypatch.setattr(quad, "_kernel", kernel)
+        monkeypatch.setattr(native, "_lib", lib)
         compiled = flights(name, dt)
-        monkeypatch.setattr(quad, "_kernel", False)
+        monkeypatch.setattr(native, "_lib", False)
         python = flights(name, dt)
         assert len(compiled) == len(python) >= 1
         for a, b in zip(compiled, python):
@@ -225,10 +236,10 @@ class TestBundledFlights:
 
     @pytest.mark.parametrize("name", ["scenario_4_2_1", "scenario_4_2_2"])
     def test_quad_csvs_do_not_depend_on_the_kernel(
-            self, tmp_path, monkeypatch, kernel, name):
+            self, tmp_path, monkeypatch, lib, name):
         cfg = load_config(scenario_path(name))
-        for label, run in (("compiled", kernel), ("python", False)):
-            monkeypatch.setattr(quad, "_kernel", run)
+        for label, so in (("compiled", lib), ("python", False)):
+            monkeypatch.setattr(native, "_lib", so)
             run_mission(cfg, out_dir=tmp_path / label)
         csvs = sorted(p.name for p in
                       (tmp_path / "compiled" / cfg.out).glob("quad_*.csv"))
@@ -239,8 +250,8 @@ class TestBundledFlights:
 
 
 class TestSimulateUsesTheKernel:
-    def test_every_step_flies_compiled(self, monkeypatch, kernel):
-        monkeypatch.setattr(quad, "_kernel", kernel)
+    def test_every_step_flies_compiled(self, monkeypatch, lib):
+        monkeypatch.setattr(native, "_lib", lib)
         python, compiled = [], []
         step, kernel_steps = quad._rk4_step, quad._kernel_steps
         monkeypatch.setattr(quad, "_rk4_step",
@@ -251,10 +262,10 @@ class TestSimulateUsesTheKernel:
         assert python == [] and sum(compiled) == 500
 
     def test_a_refused_sample_walks_its_chunk_in_python(self, monkeypatch,
-                                                        kernel):
+                                                        lib):
         """A chunk whose samples go through schedule.emit one at a time
         never reaches the kernel."""
-        monkeypatch.setattr(quad, "_kernel", kernel)
+        monkeypatch.setattr(native, "_lib", lib)
         monkeypatch.setattr(ControlSchedule, "sample",
                             lambda self, seg, times: None)
         compiled = []
@@ -263,7 +274,7 @@ class TestSimulateUsesTheKernel:
             kernel_steps(*a)) or compiled[-1])
         sched = ControlSchedule((Segment(0.0, 0.05, lambda tl: (300.0,) * 4),))
         walked = simulate(hover_state(), sched, P, 0.05)
-        monkeypatch.setattr(quad, "_kernel", False)
+        monkeypatch.setattr(native, "_lib", False)
         assert compiled == []
         assert walked.states.tobytes() \
             == simulate(hover_state(), sched, P, 0.05).states.tobytes()
@@ -271,19 +282,19 @@ class TestSimulateUsesTheKernel:
 
 class TestBuild:
     def test_the_c_file_ships_with_the_package(self):
-        assert (resources.files("quadswarm") / "_flight.c").is_file()
+        assert (resources.files("quadswarm") / "_kernels.c").is_file()
 
     def test_cache_writable_by_others_is_not_used(self, tmp_path,
                                                   monkeypatch):
         """A cache directory that another user could write is neither
         built into nor loaded from."""
         monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
-        monkeypatch.setattr(quad, "_kernel", None)
+        monkeypatch.setattr(native, "_lib", None)
         cache = Path(importlib.util.cache_from_source(
-            str(Path(quad.__file__).with_name("_flight.c")))).parent
+            str(Path(native.__file__).with_name("_kernels.c")))).parent
         cache.mkdir(parents=True)
         cache.chmod(0o777)
-        assert quad.flight_kernel() is None
+        assert native.library() is None
         assert list(cache.iterdir()) == []
 
     def test_no_compiler_falls_back_to_the_same_bytes(self, tmp_path):
@@ -302,8 +313,8 @@ class TestBuild:
 
         cc = {} if COMPILER is None else {"CC": os.environ.get("CC", "cc")}
         assert run("no-cc", {"CC": "false"}) == run("cc", cc)
-        built = {p.name for p in (tmp_path / "cc-cache").rglob("_flight.*")}
-        assert not any((tmp_path / "no-cc-cache").rglob("_flight.*"))
+        built = {p.name for p in (tmp_path / "cc-cache").rglob("_kernels.*")}
+        assert not any((tmp_path / "no-cc-cache").rglob("_kernels.*"))
         if COMPILER is not None:
             assert len(built) == 1 and built.pop().endswith(".so")
         files = sorted(p.relative_to(tmp_path / "cc")
@@ -314,3 +325,180 @@ class TestBuild:
             if (tmp_path / "cc" / f).is_file():
                 assert (tmp_path / "cc" / f).read_bytes() \
                     == (tmp_path / "no-cc" / f).read_bytes()
+
+
+# ---- run_protocol: the complete-graph protocol step ----
+
+def counting(lib):
+    """lib with a run_protocol that also appends the steps of each call
+    to the returned list."""
+    steps = []
+
+    def run_protocol(*args):
+        steps.append(args[-1])
+        return lib.run_protocol(*args)
+
+    return SimpleNamespace(run_chunk=lib.run_chunk,
+                           run_protocol=run_protocol), steps
+
+
+def complete(n, threshold=10.0):
+    return Network(n, itertools.combinations(range(1, n + 1), 2),
+                   DistanceWeighted(threshold))
+
+
+def taylor(dt):
+    c2 = dt * dt / 2.0
+    c3 = dt * c2 / 3.0
+    return dt, c2, c3, dt * c3 / 4.0
+
+
+def protocol_steps(q0, count, dt=1e-3):
+    """q0 after count steps of _moving_step on the complete graph, with
+    the library native._lib holds."""
+    q = np.array(q0, dtype=float)
+    advance = consensus._moving_step(complete(len(q)), q, dt, taylor(dt), [])
+    k = 0
+    while k < count:
+        k += advance(k, count - k)
+    assert k == count
+    return q
+
+
+def swarm_text(swarm_seed):
+    """The benchmark's 24-agent distance-weighted swarm, run seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SRC.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.swarm_config(1, swarm_seed)
+
+
+def mission_config(tmp_path, name):
+    if name.startswith("swarm"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(swarm_text(int(name[-1])))
+        return load_config(path)
+    return load_config(scenario_path(name))
+
+
+def artifacts(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunProtocol:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_equals_numpy_steps_bit_for_bit(self, monkeypatch, lib, r):
+        """n in 1..40 (the 8-accumulator row sums end at 128 terms) and
+        129..140 (where they split in two), each with a -0.0 coordinate;
+        states of one agent or one coordinate stay on numpy, as its dot
+        calls other BLAS routines for them."""
+        rng = np.random.default_rng(r)
+        so, taken = counting(lib)
+        for n in [*range(1, 41), *range(129, 141)]:
+            q0 = rng.uniform(-1.0, 1.0, (n, r))
+            q0[0, 0] = -0.0
+            q0[-1, -1] = -0.0
+            monkeypatch.setattr(native, "_lib", False)
+            want = protocol_steps(q0, 7)
+            monkeypatch.setattr(native, "_lib", so)
+            taken.clear()
+            got = protocol_steps(q0, 7)
+            assert sum(taken) == (7 if n >= 2 and r >= 2 else 0)
+            assert np.isfinite(want).all()
+            assert got.tobytes() == want.tobytes(), (n, r)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300])
+    def test_overflowing_steps_equal_numpy_steps(self, monkeypatch, lib,
+                                                 scale):
+        """Squares that overflow to inf, and the inf - inf and 0 * inf
+        that follow, give numpy's infinities and NaNs (NaN signs aside,
+        which no output shows)."""
+        q0 = np.random.default_rng(7).uniform(-scale, scale, (5, 3))
+        so, taken = counting(lib)
+        with np.errstate(over="ignore", invalid="ignore"):
+            monkeypatch.setattr(native, "_lib", False)
+            want = protocol_steps(q0, 5)
+            monkeypatch.setattr(native, "_lib", so)
+            got = protocol_steps(q0, 5)
+        assert taken == [5]
+        assert not np.isfinite(want).all()
+        assert bits(got) == bits(want)
+
+    def test_divergence_fails_at_the_same_sample(self, monkeypatch, lib):
+        """A complete graph stepped past RK4's stability limit (its
+        start check switched off) overflows inside run_protocol, and the
+        run fails with the text, at the sample, and after the samples of
+        the numpy steps."""
+        monkeypatch.setattr(consensus.StartSpectrum, "check",
+                            lambda self, dt: None)
+        q0 = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 3))
+        runs = []
+        for so in (lib, False):
+            counted, taken = counting(lib) if so else (False, [])
+            monkeypatch.setattr(native, "_lib", counted)
+            got = []
+            with pytest.raises(DivergenceError) as e:
+                consensus.integrate_protocol(
+                    complete(6), q0, 50.0, dt=0.5, stride=10,
+                    sink=lambda t, q: got.append((t, q.copy())))
+            runs.append((str(e.value), [t for t, _ in got],
+                         bits([q for _, q in got]), sum(taken)))
+        (text, times, states, taken), want = runs[0], runs[1][:3]
+        assert (text, times, states) == want
+        assert text.startswith("protocol state is non-finite at t=")
+        assert taken == 10 * (len(times) - 1)
+
+    def test_early_stop_falls_on_the_same_sample(self, monkeypatch, lib):
+        runs = []
+        for so in (lib, False):
+            monkeypatch.setattr(native, "_lib", so)
+            runs.append(consensus.integrate_protocol(
+                complete(5), np.random.default_rng(5).uniform(
+                    -3.0, 3.0, (5, 3)), 100.0, dt=1e-3, stride=7,
+                stop_tol=0.03))
+        compiled, numpy = runs
+        # the spread falls below 0.03 at t = 3.458, step 3458 = 7 * 494
+        assert len(compiled.times) == 495
+        assert compiled.times.tobytes() == numpy.times.tobytes()
+        assert compiled.states.tobytes() == numpy.states.tobytes()
+
+    @pytest.mark.parametrize("name", ["scenario_2_5_2", "swarm1", "swarm2"])
+    def test_artifacts_do_not_depend_on_the_kernel(
+            self, tmp_path, monkeypatch, lib, name):
+        """particle.csv and report.json of the bundled distance-weighted
+        scenario and of the benchmark's two 24-agent swarms."""
+        cfg = mission_config(tmp_path, name)
+        for label, so in (("compiled", lib), ("numpy", False)):
+            monkeypatch.setattr(native, "_lib", so)
+            run_mission(cfg, out_dir=tmp_path / label)
+        compiled = artifacts(tmp_path / "compiled")
+        assert {p.name for p in compiled} == {"particle.csv", "report.json"}
+        assert compiled == artifacts(tmp_path / "numpy")
+
+    def test_missing_blas_symbols_fall_back_to_numpy(self, monkeypatch, lib):
+        so, taken = counting(lib)
+        monkeypatch.setattr(native, "_lib", so)
+        monkeypatch.setattr(native, "_blas", None)
+        monkeypatch.setattr(native, "_BLAS_SYMBOLS",
+                            ("no_such_dgemm", "no_such_dgemv"))
+        q0 = np.random.default_rng(9).uniform(-1.0, 1.0, (4, 3))
+        got = protocol_steps(q0, 20)
+        monkeypatch.setattr(native, "_lib", False)
+        want = protocol_steps(q0, 20)
+        assert native.numpy_blas() is None
+        assert taken == []
+        assert got.tobytes() == want.tobytes()
+
+    def test_bundled_run_takes_its_steps_in_c(self, monkeypatch, lib):
+        """2_5_2's graph is complete from step 110 of 150,000, so a
+        silent fallback to numpy cannot pass unseen."""
+        if native.numpy_blas() is None:
+            pytest.skip("numpy exports no ILP64 CBLAS routines")
+        so, taken = counting(lib)
+        monkeypatch.setattr(native, "_lib", so)
+        cfg = load_config(scenario_path("scenario_2_5_2"))
+        consensus.integrate_protocol(cfg.network, cfg.agents[:, :3], cfg.T,
+                                     cfg.dt, cfg.stride, cfg.stop_tol)
+        assert sum(taken) >= 149_000

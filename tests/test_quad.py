@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadswarm import quad
+from quadswarm import native, quad
 from quadswarm.errors import (DivergenceError, DomainError,
                               GimbalLockError, SaturationError)
 from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
@@ -561,13 +561,13 @@ class TestSimulate:
                             lambda *a: flown.append(a) or step(*a))
         monkeypatch.setattr(quad, "_kernel_steps", count_kernel)
         sched = ControlSchedule((Segment(0.0, 1.0, law),))
-        for kernel in (quad._kernel, False):
-            monkeypatch.setattr(quad, "_kernel", kernel)
+        for lib in (native._lib, False):
+            monkeypatch.setattr(native, "_lib", lib)
             flown.clear()
             with pytest.raises(error, match=match):
                 simulate(hover_state(), sched, P, 1.0)
             assert len(flown) == steps
-            if kernel is False:
+            if lib is False:
                 assert None not in flown
 
     def test_drag_dissipates_kinetic_energy(self):
