@@ -1,14 +1,20 @@
-/* The two hot loops of quadswarm, compiled into one shared object.
+/* The hot loops of quadswarm, compiled into one shared object.
  *
  * run_chunk flies the RK4 steps of one chunk of a quad.simulate flight;
- * run_protocol takes the complete-graph steps of the distance-weighted
- * agreement protocol (consensus._moving_step). Each is a transcription
- * of its Python reference, operation by operation and in the same
- * order. Built with -ffp-contract=off, so no multiply and add are
- * fused, and without -ffast-math, each gives the bits of its reference.
+ * run_samples takes the complete-graph steps of the distance-weighted
+ * agreement protocol (consensus._moving_step) and records its samples
+ * (consensus._record). Each is a transcription of its Python
+ * reference, operation by operation and in the same order. Built with
+ * -ffp-contract=off, so no multiply and add are fused, and without
+ * -ffast-math, each gives the bits of its reference. format_rows
+ * writes a table as CSV lines, each number as Python's '%.17g' % x
+ * writes it.
  */
+#define _POSIX_C_SOURCE 200809L
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 /* ---- The flight: quad._deriv and quad._rk4_step ----
@@ -165,7 +171,7 @@ static double pairwise(const double *a, long n)
  * gemm for M q. signed holds (-c1, c2, -c3, c4). m is an (n, n)
  * buffer, row an n-buffer, p a (4, n, r) buffer and acc an (n, r)
  * buffer, all C-ordered. */
-void run_protocol(double *q, long n, long r, const double *signed_,
+static void run_protocol(double *q, long n, long r, const double *signed_,
                   dgemm_fn dgemm, dgemv_fn dgemv, double *m, double *row,
                   double *p, double *acc, long count)
 {
@@ -202,3 +208,239 @@ void run_protocol(double *q, long n, long r, const double *signed_,
             q[k] = q[k] + acc[k];
     }
 }
+
+/* The sample loop of consensus._record on a complete graph. From step
+ * ctl[0] of steps, take the steps up to each recorded sample (every
+ * stride-th step, and the last) with run_protocol, and write the
+ * sample's time, k * dt, to times[j] and its state to states[j n r],
+ * for j below cap. After each sample the run stops, as _record does,
+ * when the spread max |q - alpha| is below stop_tol (ctl[1] = 1) or is
+ * not finite (ctl[1] = 2); the spread is NaN where any offset is, as
+ * np.maximum.reduce propagates NaN. Returns the samples written, with
+ * ctl[0] the step reached and ctl[1] 0 where the run goes on. The
+ * arguments up to acc are run_protocol's, alpha an r-vector. */
+long run_samples(double *q, long n, long r, const double *signed_,
+                 dgemm_fn dgemm, dgemv_fn dgemv, double *m, double *row,
+                 double *p, double *acc, int64_t *ctl, long steps,
+                 long stride, double dt, const double *alpha,
+                 double stop_tol, double *times, double *states, long cap)
+{
+    const long nr = n * r;
+    long k = ctl[0], j = 0;
+    ctl[1] = 0;
+    while (j < cap && k < steps) {
+        long count = stride - k % stride;
+        if (count > steps - k)
+            count = steps - k;
+        run_protocol(q, n, r, signed_, dgemm, dgemv, m, row, p, acc, count);
+        k += count;
+        times[j] = (double)k * dt;
+        memcpy(states + j * nr, q, nr * sizeof(double));
+        j++;
+        double spread = 0.0;
+        for (long i = 0; i < nr; i++) {
+            const double d = fabs(q[i] - alpha[i % r]);
+            if (isnan(d)) {
+                spread = d;
+                break;
+            }
+            if (d > spread)
+                spread = d;
+        }
+        if (spread < stop_tol) {
+            ctl[1] = 1;
+            break;
+        }
+        if (!isfinite(spread)) {
+            ctl[1] = 2;
+            break;
+        }
+    }
+    ctl[0] = k;
+    return j;
+}
+
+/* ---- The CSV rows: '%.17g' % x, exactly ----
+ *
+ * Python writes each number of a CSV row as '%.17g' % x: the 17
+ * significant digits of x's exact binary value, rounded half to even,
+ * then %g's layout. format_rows finds those digits in 128-bit integer
+ * arithmetic (an exact scaling, as in Steele and White, "How to print
+ * floating-point numbers accurately", PLDI 1990) wherever the scaled
+ * value fits: every x from about 1e-6 up to 2^128. Smaller numbers,
+ * subnormals among them, and larger ones go to snprintf in the "C"
+ * locale, whose %.17g is exact too and whose decimal point does not
+ * follow LC_NUMERIC. A compiler without unsigned __int128 builds no
+ * format_rows, and the CSVs keep Python's '%' formatting.
+ */
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t P10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+    10000000000000000000ULL};
+
+/* 10^k for k = 0..38, every power of ten below 2^128 */
+static u128 pow10_128(int k)
+{
+    return k < 20 ? (u128)P10[k] : (u128)P10[k - 19] * P10[19];
+}
+
+/* The number of decimal digits of v > 0 */
+static int digits(u128 v)
+{
+    const uint64_t hi = (uint64_t)(v >> 64), lo = (uint64_t)v;
+    const int bits = hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll(lo);
+    const int t = bits * 1233 >> 12;   /* floor or one below log10(v) */
+    return t + (v >= pow10_128(t));
+}
+
+/* The 17 significant digits of the positive normal double of biased
+ * exponent be and fraction f, as an integer *d in [10^16, 10^17), and
+ * its decimal exponent *x, so that d 10^(x - 16) is the value rounded
+ * half to even; 0 where the exact scaling does not fit 128 bits. */
+static int digits17(uint64_t f, int be, uint64_t *d, int *x)
+{
+    const uint64_t m = f | 1ULL << 52;
+    const int e = be - 1075;
+    u128 v, rb = 0, hb = 0;   /* v + rb / 2^-e is the scaled value */
+    int s10 = 0;
+    if (e >= 0) {
+        if (e > 75)
+            return 0;
+        v = (u128)m << e;
+    } else {
+        if (e < -127)
+            return 0;
+        s10 = 22;
+        const u128 w = (u128)m * pow10_128(22);
+        v = w >> -e;
+        rb = w & (((u128)1 << -e) - 1);
+        hb = (u128)1 << (-e - 1);
+        if (v < P10[16])
+            return 0;
+    }
+    const int n = digits(v);
+    int up;
+    if (n <= 17) {
+        /* an integer of 17 digits or fewer, or 17 digits and rb */
+        *d = (uint64_t)v * P10[17 - n];
+        up = rb > hb || (rb == hb && rb && (*d & 1));
+    } else {
+        const u128 p = pow10_128(n - 17), h = p / 2;
+        const u128 rem = v % p;
+        *d = (uint64_t)(v / p);
+        up = rem > h || (rem == h && (rb || (*d & 1)));
+    }
+    *x = n - 1 - s10;
+    /* %g's exponent is that of the rounded digits; no double from 1e-6
+     * to 2^128 lies close enough below a power of ten to carry here */
+    if (up && ++*d == P10[17]) {
+        *d = P10[16];
+        ++*x;
+    }
+    return 1;
+}
+
+/* Writes '%.17g' % x at s and returns its end, at most 24 bytes on.
+ * *loc holds the "C" locale once a number has needed snprintf, and
+ * *old the thread's locale it replaced; (locale_t)0 until then.
+ * Returns NULL where that locale cannot be had. */
+static char *g17(double x, char *s, locale_t *loc, locale_t *old)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (isnan(x)) {   /* Python writes every NaN as nan */
+        memcpy(s, "nan", 3);
+        return s + 3;
+    }
+    if (bits >> 63)
+        *s++ = '-';
+    if (isinf(x)) {
+        memcpy(s, "inf", 3);
+        return s + 3;
+    }
+    const uint64_t f = bits & ((1ULL << 52) - 1);
+    const int be = (int)(bits >> 52 & 0x7ff);
+    if (be == 0 && f == 0) {
+        *s++ = '0';
+        return s;
+    }
+    uint64_t d;
+    int e;
+    if (be == 0 || !digits17(f, be, &d, &e)) {
+        char tmp[32];
+        if (!*loc) {
+            *loc = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+            if (!*loc)
+                return NULL;
+            *old = uselocale(*loc);
+        }
+        const int len = snprintf(tmp, sizeof tmp, "%.17g", fabs(x));
+        memcpy(s, tmp, len);
+        return s + len;
+    }
+    char dig[17];
+    for (int i = 16; i >= 0; i--, d /= 10)
+        dig[i] = (char)('0' + d % 10);
+    int nd = 17;   /* the digits but trailing zeros, which %g drops */
+    while (nd > 1 && dig[nd - 1] == '0')
+        nd--;
+    if (e < -4 || e >= 17) {
+        *s++ = dig[0];
+        if (nd > 1) {
+            *s++ = '.';
+            memcpy(s, dig + 1, nd - 1);
+            s += nd - 1;
+        }
+        *s++ = 'e';
+        *s++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *s++ = (char)('0' + e / 100);
+        *s++ = (char)('0' + e / 10 % 10);
+        *s++ = (char)('0' + e % 10);
+    } else if (e >= 0) {
+        memcpy(s, dig, e + 1);
+        s += e + 1;
+        if (nd > e + 1) {
+            *s++ = '.';
+            memcpy(s, dig + e + 1, nd - e - 1);
+            s += nd - e - 1;
+        }
+    } else {
+        *s++ = '0';
+        *s++ = '.';
+        for (int i = -1; i > e; i--)
+            *s++ = '0';
+        memcpy(s, dig, nd);
+        s += nd;
+    }
+    return s;
+}
+
+/* The rows x cols C-ordered table t as CSV lines at out, each number as
+ * '%.17g' % x writes it, joined by commas, each line ended by LF; out
+ * holds 25 rows cols bytes, the longest a line can take. Returns the
+ * bytes written, or -1 where the "C" locale cannot be had. */
+long format_rows(const double *t, long rows, long cols, char *out)
+{
+    char *s = out;
+    locale_t loc = (locale_t)0, old = (locale_t)0;
+    for (long i = 0; i < rows * cols && s; i++) {
+        s = g17(t[i], s, &loc, &old);
+        if (s)
+            *s++ = (i + 1) % cols ? ',' : '\n';
+    }
+    if (loc) {
+        uselocale(old);
+        freelocale(loc);
+    }
+    return s ? s - out : -1;
+}
+#endif

@@ -86,8 +86,7 @@ def lyapunov(q, qstar):
     return 0.5 * float(np.sum((q - qstar) ** 2))
 
 
-def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
-                       sink=None):
+def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4):
     """Integrate q_dot = -L q with fixed-step RK4.
 
     The Laplacian is evaluated at the start of each step and held
@@ -108,12 +107,6 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
         dt: step size, > 0 and finite.
         stride: record every stride-th step (plus t=0 and the end).
         stop_tol: early-stop threshold on max |q - consensus|.
-        sink: None, or a callable that gets sink(t, state) for each
-            sample as it is recorded, in order: exactly the samples of
-            the returned trajectory, t=0 first and none after an early
-            stop. state is the recorded (n, r) float64 array, C-ordered,
-            which the trajectory keeps, so it must not be changed; a
-            sink that raises ends the run with its error.
 
     Returns:
         ConsensusTrajectory.
@@ -157,7 +150,6 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
     spec.check(dt)
     lap = spec.laplacian
 
-    alpha = consensus_point(q)
     # For a matrix frozen across the step, the classical RK4 update on
     # q' = -m q collapses to the degree-4 Taylor polynomial of the step
     # propagator; same arithmetic as rk4_step, fewer temporaries.
@@ -166,45 +158,87 @@ def integrate_protocol(net, q0, duration, dt=1e-3, stride=10, stop_tol=1e-4,
     coef = (dt, c2, c3, dt * c3 / 4.0)
     log = [(0.0, lap)]
     if isinstance(net.policy, DistanceWeighted):
-        advance = _moving_step(lap.source, q, dt, coef, log)
+        advance, compiled = _moving_step(lap.source, q, dt, coef, log)
     else:
-        advance = _static_step(lap.matrix, q, coef)
+        advance, compiled = _static_step(lap.matrix, q, coef), lambda: None
+    times, states, stop = _record(q, consensus_point(q), advance, compiled,
+                                  steps, stride, dt, stop_tol)
+    if stop == _DIVERGED:
+        raise _starting(spec, DivergenceError(
+            f"protocol state is non-finite at t={times[-1]:.6f}"))
+    return ConsensusTrajectory(times=times, states=states, laplacian_log=log,
+                               start=spec)
 
+
+# Most samples one block of a run's record holds. The record grows a
+# block at a time, so a long horizon that stops early holds only what
+# it records, and the compiled sample loop fills a block a call.
+_SAMPLES = 256
+
+# How a run's sample loop ended, where it did not run to its horizon:
+# the spread fell below stop_tol, or it was not finite
+_STOPPED, _DIVERGED = 1, 2
+
+
+def _record(q, alpha, advance, compiled, steps, stride, dt, stop_tol):
+    """The sample loop: (times, states, stop) of a run that steps q, at
+    step 0, to step steps, recording t = 0 and every stride-th step and
+    the last, each sample's time k * dt and a copy of q.
+
+    After each sample the run stops when the spread max |q - alpha| is
+    below stop_tol (stop is _STOPPED), or when it is not finite
+    (_DIVERGED, NaN where any offset is NaN); stop is 0 where the run
+    reached its horizon. advance(k) takes step k in place, one step a
+    call. compiled() is None, or run_samples of _kernels.c bound to q
+    and its buffers where the rest of the run can take that path
+    (_compiled_steps): a call fills the rest of a block with samples,
+    taking the same steps and making the same checks in C, and this
+    loop reads back where it ended.
+
+    Samples go into blocks of _SAMPLES, joined once at the end.
+    """
+    n, r = q.shape
+    blocks = []    # the full blocks, (times, states)
+    times, states = np.empty(_SAMPLES), np.empty((_SAMPLES, n, r))
+    times[0], states[0] = 0.0, q
+    j, k, stop = 1, 0, 0
+    ctl = np.zeros(2, dtype=np.int64)    # run_samples' step and stop
     # The spread check at recorded samples, max |q - alpha|, as direct
     # ufunc calls into one buffer (np.max adds a Python wrapper).
     off = np.empty_like(q)
     subtract, absolute, peak = np.subtract, np.absolute, np.maximum.reduce
-    times = [0.0]
-    states = [q.copy()]
-    if sink is not None:
-        sink(0.0, states[0])
-    # advance(k, count) takes up to count steps from step k, as many as
-    # its branch takes in one call, and returns how many it took; count
-    # reaches the next recorded sample, so every sample is seen
-    k = 0
-    # an overflow shows once, as the check's DivergenceError below
+    # an overflow shows once, as the caller's DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < steps:
-            k += advance(k, min(stride - k % stride, steps - k))
+        while k < steps and not stop:
+            if j == _SAMPLES:
+                blocks.append((times, states))
+                times, states = np.empty(_SAMPLES), np.empty((_SAMPLES, n, r))
+                j = 0
+            run = compiled()
+            # a step count past int64 stays in Python; it never ends
+            # unless it stops early
+            if run is not None and steps < 2 ** 63:
+                ctl[0] = k
+                j += run(ctl.ctypes.data, steps, min(stride, steps), dt,
+                         alpha.ctypes.data, stop_tol,
+                         times[j:].ctypes.data, states[j:].ctypes.data,
+                         _SAMPLES - j)
+                k, stop = ctl.tolist()
+                continue
+            advance(k)
+            k += 1
             if k % stride == 0 or k == steps:
-                times.append(k * dt)
-                states.append(q.copy())
-                if sink is not None:
-                    sink(times[-1], states[-1])
+                times[j], states[j] = k * dt, q
+                j += 1
                 spread = peak(absolute(subtract(q, alpha, off), off), None)
                 if spread < stop_tol:
-                    break
+                    stop = _STOPPED
                 # np.maximum propagates NaN, so this costs no extra pass
-                if not math.isfinite(spread):
-                    raise _starting(spec, DivergenceError(
-                        f"protocol state is non-finite at t={times[-1]:.6f}"))
-
-    return ConsensusTrajectory(
-        times=np.array(times),
-        states=np.array(states),
-        laplacian_log=log,
-        start=spec,
-    )
+                elif not math.isfinite(spread):
+                    stop = _DIVERGED
+    blocks.append((times[:j], states[:j]))
+    return (np.concatenate([t for t, _ in blocks]),
+            np.concatenate([x for _, x in blocks]), stop)
 
 
 @dataclass(frozen=True)
@@ -294,7 +328,8 @@ def _static_step(m, q, coef):
 
     The whole step propagator is one fixed matrix, so it is computed
     once and each step costs one product through the bound prop.dot
-    (see _moving_step). advance(k, count) takes one step and returns 1.
+    (see _moving_step). advance(k) takes one step; no compiled path
+    applies.
     """
     c1, c2, c3, c4 = coef
     prop = np.eye(len(m)) - c1 * m + c2 * (m @ m) - c3 * (m @ m @ m) \
@@ -302,47 +337,45 @@ def _static_step(m, q, coef):
     qn = np.empty_like(q)
     pdot = prop.dot
 
-    def advance(k, count):
+    def advance(k):
         pdot(q, qn)
         q[...] = qn
-        return 1
 
     return advance
 
 
 def _moving_step(net, q, dt, coef, log):
-    """Step function for a distance-weighted network; advances q in place.
+    """Step functions for a distance-weighted network, which advance q
+    in place: (advance, compiled), as _record takes them.
 
-    advance(k, count) takes steps k, k + 1, ... and returns how many it
-    took: count where the compiled step runs, else 1. Each step
-    re-weights the graph from the current positions and grows it by the
-    proximity rule, appending (time, Laplacian) to log when edges
-    appear. Once complete the graph can only re-weight, and that branch
-    takes nearly every step.
+    advance(k) takes step k. Each step re-weights the graph from the
+    current positions and grows it by the proximity rule, appending
+    (time, Laplacian) to log when edges appear. Once complete the graph
+    can only re-weight, and that branch takes nearly every step.
 
-    The compiled path: on a complete graph, where native.library loads
-    and native.numpy_blas resolves and the state has n >= 2 agents and
-    r >= 2 coordinates, run_protocol of _kernels.c takes all count
-    steps in one call. It writes the operations of the numpy branch in
-    their order: the coordinate-major squares summed ((d0 + d1) + d2),
-    the row sums in numpy's pairwise order, and the four products and
-    the Taylor combination through the very dgemm and dgemv calls that
-    ndarray.dot makes for these shapes, so its bits are numpy's on any
-    BLAS kernel. For n or r of 1, dot takes other BLAS routines (gemv
-    for an (n, 1) operand), so those states stay on numpy.
+    compiled() gives run_samples of _kernels.c, bound to q and the
+    buffers below (_compiled_steps), once the graph is complete and
+    where native.library loads and native.numpy_blas resolves and the
+    state has n >= 2 agents and r >= 2 coordinates; else None. It
+    writes the operations of the complete branch below in their order:
+    the coordinate-major squares summed ((d0 + d1) + d2), the row sums
+    in numpy's pairwise order, and the four products and the Taylor
+    combination through the very dgemm and dgemv calls that ndarray.dot
+    makes for these shapes, so its bits are numpy's on any BLAS kernel.
+    For n or r of 1, dot takes other BLAS routines (gemv for an (n, 1)
+    operand), so those states stay on numpy.
 
-    The numpy branch is the reference and the fallback, one step a
-    call. It reuses fixed buffers and views of them (q is updated in
-    place, which keeps the broadcast views below valid across steps).
-    The differences are coordinate-major, (r, n, n), as in
-    network.pairwise_distances; their squares are summed in place into
-    the first plane, ((d0 + d1) + d2) for r = 3, the order of that
-    function's reduce over the leading axis. Its calls are direct C
-    entry points, as a step's cost is per-call dispatch, not
-    arithmetic: the five products go through the bound methods mbuf.dot
-    and signed.dot, which run the routine of np.dot without its
-    Python-level dispatcher; every buffer is C-contiguous float64, as
-    dot's out requires.
+    advance is the reference and the fallback. It reuses fixed buffers
+    and views of them (q is updated in place, which keeps the broadcast
+    views below valid across steps). The differences are
+    coordinate-major, (r, n, n), as in network.pairwise_distances;
+    their squares are summed in place into the first plane,
+    ((d0 + d1) + d2) for r = 3, the order of that function's reduce
+    over the leading axis. Its calls are direct C entry points, as a
+    step's cost is per-call dispatch, not arithmetic: the five products
+    go through the bound methods mbuf.dot and signed.dot, which run the
+    routine of np.dot without its Python-level dispatcher; every buffer
+    is C-contiguous float64, as dot's out requires.
     """
     n, r = q.shape
     thr = net.policy.threshold
@@ -365,13 +398,13 @@ def _moving_step(net, q, dt, coef, log):
     subtract, multiply = np.subtract, np.multiply
     sqrt, negative, add = np.sqrt, np.negative, np.add
     reduce = np.add.reduce
-    steps = _compiled_steps(q, signed, mbuf, dist, powers, acc)
+    samples = _compiled_steps(q, signed, mbuf, dist, powers, acc)
 
-    def advance(k, count):
+    def compiled():
+        return samples if complete else None
+
+    def advance(k):
         nonlocal cur, complete
-        if complete and steps is not None:
-            steps(count)
-            return count
         # network.pairwise_distances(q), written into the buffers.
         subtract(qa, qb, diff)
         multiply(diff, diff, diff)
@@ -396,17 +429,17 @@ def _moving_step(net, q, dt, coef, log):
         mdot(p2, p3)
         sdot(pflat, accflat)
         add(q, acc, q)
-        return 1
 
-    return advance
+    return advance, compiled
 
 
 def _compiled_steps(q, signed, m, dist, powers, acc):
-    """run_protocol bound to the (n, r) state q, a function that takes
-    count complete-graph steps of q in place; or None where the compiled
-    path does not apply (see _moving_step). signed holds the Taylor
-    coefficients, and m, dist, powers and acc are the numpy branch's
-    buffers, its scratch, which that branch's advance keeps alive."""
+    """run_samples bound to the (n, r) state q, which records samples of
+    complete-graph steps of q in place (_record); or None where the
+    compiled path does not apply (see _moving_step). signed holds the
+    Taylor coefficients, and m, dist, powers and acc are the numpy
+    branch's buffers, its scratch, which that branch's advance keeps
+    alive."""
     n, r = q.shape
     # the C loop reads q's rows unchecked
     fits = n >= 2 and r >= 2 and q.flags.c_contiguous
@@ -415,7 +448,7 @@ def _compiled_steps(q, signed, m, dist, powers, acc):
     if lib is None:
         return None
     return functools.partial(
-        lib.run_protocol, q.ctypes.data, n, r, signed.ctypes.data, *blas,
+        lib.run_samples, q.ctypes.data, n, r, signed.ctypes.data, *blas,
         *(a.ctypes.data for a in (m, dist, powers, acc)))
 
 

@@ -18,7 +18,6 @@ import math
 import os
 import pickle
 import re
-import struct
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -48,7 +47,8 @@ MODES = ("particle", "quad", "compare")
 # would step for hours or days instead of failing.
 MAX_STEPS = 10 ** 8
 
-# Most rows of a CSV table that one tolist() turns into Python floats
+# Most rows of a CSV table formatted at once: the bytes of a block are
+# written before the next is made, so no whole file is held as text
 _BLOCK = 256
 
 # Each section's named keys, and the pattern of its numbered keys,
@@ -413,8 +413,10 @@ def export_csv(traj, path):
 
 
 def _csv_lines(traj):
-    """Iterator over the lines of traj's CSV; raises DomainError for an
-    unknown payload before a line is made."""
+    """Iterator over the bytes of traj's CSV: the header line, then the
+    lines of each block of _BLOCK rows (_format_rows), so the text held
+    at once is one block's; raises DomainError for an unknown payload
+    before a line is made."""
     if isinstance(traj, ConsensusTrajectory):
         k, n, r = traj.states.shape
         header = _particle_header(n, r)
@@ -426,16 +428,11 @@ def _csv_lines(traj):
                           traj.thrust[:, None]])
     else:
         raise DomainError(f"cannot export {type(traj).__name__}")
-    return _table_lines(header, _row_tuples(traj.times, rows))
-
-
-def _row_tuples(times, rows):
-    """Iterator over the rows of a table, each a tuple of Python floats
-    led by its time: one tolist() of the times stacked as column 0 per
-    block of _BLOCK rows, which bounds the floats held at once."""
-    for i in range(0, len(times), _BLOCK):
-        yield from map(tuple, np.column_stack(
-            (times[i:i + _BLOCK], rows[i:i + _BLOCK])).tolist())
+    times = traj.times
+    blocks = (np.column_stack((times[i:i + _BLOCK], rows[i:i + _BLOCK]))
+              for i in range(0, len(times), _BLOCK))
+    return itertools.chain(((header + "\n").encode(),),
+                           map(_format_rows, blocks))
 
 
 def _particle_header(n, r):
@@ -447,25 +444,38 @@ def _particle_header(n, r):
     return "t," + ",".join(cols)
 
 
-def _table_lines(header, rows):
-    """Iterator over the header line and one line per row, a tuple of
-    as many floats as the header has columns."""
-    # '%.17g' % x renders a float exactly as format(x, '.17g') does,
-    # including -0, inf, nan and subnormals, in one call per row
-    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    return itertools.chain((header + "\n",), (line % row for row in rows))
+def _format_rows(table):
+    """The CSV lines of a (k, c) table as bytes: each number as
+    '%.17g' % x writes it, exactly as format(x, '.17g') does, including
+    -0, inf, nan and subnormals, joined by commas, each line ended by
+    LF. format_rows of _kernels.c writes a C-ordered float64 table
+    where the shared object has it (native.library), else Python's '%'
+    does, per row."""
+    lib = native.library()
+    if lib is not None and hasattr(lib, "format_rows") \
+            and table.dtype == np.float64 and table.flags.c_contiguous:
+        # 24 bytes is the longest number, as -1.2345678901234567e-308
+        out = np.empty(table.size * 25, dtype=np.uint8)
+        size = lib.format_rows(table.ctypes.data, *table.shape,
+                               out.ctypes.data)
+        if size >= 0:
+            return out[:size].tobytes()
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join([line % row for row in map(tuple, table.tolist())]
+                   ).encode()
 
 
 def _write_lines(path, lines):
     """Put an artifact on disk, the one way every artifact gets there:
-    lines go to the temporary sibling _part(path), which is renamed onto
-    path once the last is written. Any failure deletes the sibling, and
-    an OSError raises IoError naming path, so path is whole or absent."""
+    lines, bytes, go to the temporary sibling _part(path), which is
+    renamed onto path once the last is written. Any failure deletes the
+    sibling, and an OSError raises IoError naming path, so path is whole
+    or absent."""
     path = Path(path)
     part = _part(path)
     try:
         try:
-            with open(part, "w", encoding="utf-8", newline="") as f:
+            with open(part, "wb") as f:
                 f.writelines(lines)
             os.replace(part, path)
         finally:
@@ -548,7 +558,8 @@ def run_mission(config, out_dir=None):
         return _run_mission(config, dest)
     except (SwarmError, ChildProcessError) as e:
         with contextlib.suppress(IoError):
-            _write_lines(dest / "FAILED", (f"{type(e).__name__}: {e}\n",))
+            _write_lines(dest / "FAILED",
+                         (f"{type(e).__name__}: {e}\n".encode(),))
         raise
 
 
@@ -578,8 +589,8 @@ def prepare(config, dest=None):
     the agreement point of the starts. A quad or compare run on an
     incomplete graph integrates the protocol here and gets it as
     particle. A particle run and a compare run on a complete graph get
-    beside instead, a job that beside(busy) runs, returning the protocol
-    run (_protocol). A scripted flight, which has no alpha, and a quad
+    beside instead, a job that beside() runs, returning the protocol run
+    (_protocol). A scripted flight, which has no alpha, and a quad
     rendezvous on a complete graph get neither. routes holds each
     drone's tuple of ManeuverSpec in agent order: the [maneuvers] legs,
     else one rendezvous_route per agent, to alpha on a complete graph,
@@ -640,85 +651,15 @@ def _run_mission(config, dest):
     return report
 
 
-def _protocol(config, path=None, busy=1):
+def _protocol(config, path=None):
     """Run config's protocol and return the run; given path, also write
-    its samples there as export_csv writes the run.
-
-    busy counts the processes of the run at work, this one included.
-    When a usable CPU is left over after them, a forked writer formats
-    the samples while the protocol integrates: each sample's raw
-    float64 bytes, t and then the state, go through a pipe as the
-    protocol records them, and the writer puts the lines on disk with
-    _write_lines. The samples end, and so path appears, only once the
-    protocol has returned. Otherwise export_csv writes the run here
-    after the protocol. Either way a protocol that raises leaves no
-    file, and a writer that dies raises ChildProcessError.
-    """
-    def integrate(sink=None):
-        return integrate_protocol(config.network, config.agents[:, :3],
+    it there with export_csv. A protocol that raises leaves no file."""
+    particle = integrate_protocol(config.network, config.agents[:, :3],
                                   config.T, config.dt, config.stride,
-                                  config.stop_tol, sink=sink)
-
-    if path is None:
-        return integrate()
-    if _usable_cpus() <= busy:
-        particle = integrate()
+                                  config.stop_tol)
+    if path is not None:
         export_csv(particle, path)
-        return particle
-    header = _particle_header(*config.agents[:, :3].shape)
-    workers = []    # the writer's (pid, pipe) until it is reaped
-    rfd, wfd = os.pipe()
-    pipe = open(wfd, "wb")
-    try:
-        with open(rfd, "rb") as samples:
-            workers.append(_fork(_write_samples,
-                                 (samples, pipe, header, path)))
-        stamp = struct.Struct("d").pack
-
-        # tobytes, not the array itself: numpy keeps the buffer format
-        # it exports with the array, about 1 MB over 2_5_2's samples
-        def sink(t, q):
-            pipe.write(stamp(t))
-            pipe.write(q.tobytes())
-
-        try:
-            particle = integrate(sink)
-            pipe.close()    # the end of the samples
-        except BrokenPipeError:
-            # the writer ends before the samples do only by dying
-            _join(workers, "particle writer")
-            raise
-        error = _join(workers, "particle writer")
-        if error is not None:
-            raise error
-        return particle
-    finally:
-        _kill(workers)
-        # after a failure, the buffered samples meet a closed pipe
-        with contextlib.suppress(OSError):
-            pipe.close()
-        # what a killed writer left behind
-        with contextlib.suppress(FileNotFoundError):
-            _part(path).unlink()
-
-
-def _write_samples(args):
-    """The forked particle writer: read the samples from the pipe until
-    it ends, each as raw float64 t and then the state, and write them
-    under header to path with _write_lines. Returns None, or the
-    IoError of a failed write once the pipe has ended, so that the run
-    raises it after the protocol, where the in-process export would."""
-    samples, pipe, header, path = args
-    pipe.close()    # this child's copy of the write end
-    row = struct.Struct(f"{header.count(',') + 1}d")
-    rows = map(row.unpack,
-               iter(functools.partial(samples.read, row.size), b""))
-    try:
-        _write_lines(path, _table_lines(header, rows))
-    except IoError as e:
-        samples.read()
-        return e
-    return None
+    return particle
 
 
 def _fly_agents(config, routes, alpha, dest, beside=None):
@@ -729,8 +670,8 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
     The flights are independent, so they are spread over W = min(usable
     CPUs, agents) lanes by flight time, the sum of the route's leg
     durations. Lane 0 plans and flies in this process, every other lane
-    in a forked child. beside(max(W, 1)), prepare's protocol where the
-    routes do not need it, runs in this process once the children are
+    in a forked child. beside(), prepare's protocol where the routes do
+    not need it, runs in this process once the children are
     forked and before lane 0 flies; an error it raises kills the
     children and is raised before any CSV is written. The CSVs are
     written in agent order up to the first agent that failed, in
@@ -739,7 +680,7 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
     no flight worker; a particle run has no routes, so W = 0 and only
     beside runs. The compiled loops (native.library) are loaded before
     the lanes fork, so a cold cache builds them once; a particle run
-    loads them when its distance-weighted protocol starts.
+    loads them when its protocol or its particle.csv first needs them.
     """
     if routes:
         native.library()
@@ -756,7 +697,7 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
         for lane in lanes[1:]:
             workers.append(_fork(fly, lane))
         if beside is not None:
-            result = beside(max(width, 1))
+            result = beside()
         if lanes:
             flown.update(fly(lanes[0]))
         while workers:
@@ -769,8 +710,8 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
         out = flown[i]
         if isinstance(out, Exception):
             raise out
-        text, agent = out
-        _write_lines(dest / f"quad_agent{i + 1}.csv", (text,))
+        csv, agent = out
+        _write_lines(dest / f"quad_agent{i + 1}.csv", (csv,))
         agents.append(agent)
     return result, agents
 
@@ -790,7 +731,7 @@ def _lpt_lanes(durations, width):
 
 def _fly_lane(config, lane, routes, alpha):
     """Plan and fly the agents of one lane in index order; returns
-    {agent: (CSV text, flight AgentReport)}, ending at the lane's first
+    {agent: (CSV bytes, flight AgentReport)}, ending at the lane's first
     agent that failed, in planning or in flight, which maps to its
     error: no later agent of the lane can matter."""
     flown = {}
@@ -799,7 +740,7 @@ def _fly_lane(config, lane, routes, alpha):
             sched = plan(config.params, routes[i])
             run = simulate(_quad_start(config, i), sched, config.params,
                            sched.total_duration, config.dt, config.stride)
-            flown[i] = ("".join(_csv_lines(run)),
+            flown[i] = (b"".join(_csv_lines(run)),
                         _flight_report(i, alpha, run))
         except Exception as e:
             flown[i] = e
@@ -876,4 +817,4 @@ def _write_report(report, dest):
     except ValueError as e:
         raise DivergenceError(
             f"report holds a non-finite number: {e}") from e
-    _write_lines(dest / "report.json", (text + "\n",))
+    _write_lines(dest / "report.json", ((text + "\n").encode(),))

@@ -2,11 +2,12 @@
 routines numpy's own products call.
 
 _kernels.c holds run_chunk, the RK4 steps of a flight chunk
-(quad.simulate), and run_protocol, the complete-graph steps of the
-distance-weighted protocol (consensus._moving_step). Each transcribes
-its Python reference operation by operation, and each caller keeps
-that reference as its fallback: where nothing can be compiled or
-loaded, the same bytes come from Python and numpy, only more slowly.
+(quad.simulate); run_samples, the complete-graph steps and the
+recorded samples of the distance-weighted protocol (consensus._record);
+and format_rows, the CSV lines of a table (mission._csv_lines). Each
+transcribes its Python reference, and each caller keeps that reference
+as its fallback: where nothing can be compiled or loaded, the same
+bytes come from Python and numpy, only more slowly.
 """
 
 import ctypes
@@ -25,8 +26,8 @@ _lib = None
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # The ILP64 CBLAS entry points of numpy's bundled OpenBLAS, which
-# ndarray.dot calls; the int64 dimensions of run_protocol's pointer
-# types are theirs
+# ndarray.dot calls; the int64 dimensions of run_samples' pointer types
+# are theirs
 _BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
 
 # (dgemm, dgemv) as addresses: None until first asked, False where
@@ -35,8 +36,9 @@ _blas = None
 
 
 def library():
-    """The shared object of _kernels.c through ctypes, with run_chunk
-    and run_protocol typed, or None where it cannot be had.
+    """The shared object of _kernels.c through ctypes, with run_chunk,
+    run_samples and, where the compiler has unsigned __int128,
+    format_rows typed; or None where it cannot be had.
 
     The first call in a process builds it unless it is cached, with $CC
     (else cc) and _CFLAGS, where Python would put the C file's bytecode
@@ -99,9 +101,14 @@ def _load():
     so.run_chunk.argtypes = (ptr, c_long, c_double, ptr, ptr, ptr, c_long,
                              ptr, c_double, ptr)
     so.run_chunk.restype = c_long
-    so.run_protocol.argtypes = (ptr, c_long, c_long, ptr, ptr, ptr, ptr,
-                                ptr, ptr, ptr, c_long)
-    so.run_protocol.restype = None
+    so.run_samples.argtypes = (ptr, c_long, c_long, ptr, ptr, ptr, ptr, ptr,
+                               ptr, ptr, ptr, c_long, c_long, c_double, ptr,
+                               c_double, ptr, ptr, c_long)
+    so.run_samples.restype = c_long
+    # built only where the compiler has unsigned __int128
+    if hasattr(so, "format_rows"):
+        so.format_rows.argtypes = (ptr, c_long, c_long, ptr)
+        so.format_rows.restype = c_long
     return so
 
 

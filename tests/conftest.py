@@ -6,17 +6,26 @@ scrolling through the full pytest output.
 """
 
 import dataclasses
+import importlib.util
+import os
 import pathlib
+import shlex
+import shutil
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from quadswarm import native
 from quadswarm.consensus import integrate_protocol
 from quadswarm.mission import load_config
 
-_SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / (
-    "src/quadswarm/scenarios")
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SCENARIOS = _ROOT / "src/quadswarm/scenarios"
+
+# The C compiler native.library builds with, or None
+COMPILER = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0])
 
 _acceptance = {}
 
@@ -41,6 +50,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def scenario_path(name):
     return _SCENARIOS / f"{name}.cfg"
+
+
+def swarm_text(swarm_seed):
+    """The benchmark's 24-agent distance-weighted swarm, run seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", _ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.swarm_config(1, swarm_seed)
+
+
+def mission_config(tmp_path, name):
+    """The config of a bundled scenario, or of swarm1 or swarm2, the
+    benchmark's swarms of swarm seeds 1 and 2."""
+    if name.startswith("swarm"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(swarm_text(int(name[-1])))
+        return load_config(path)
+    return load_config(scenario_path(name))
+
+
+@pytest.fixture(scope="session")
+def lib(tmp_path_factory):
+    """The shared object of _kernels.c, built from this checkout into a
+    fresh cache: where a compiler exists, a C file that does not build or
+    load fails here instead of falling back unnoticed."""
+    if COMPILER is None:
+        pytest.skip("no C compiler")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "pycache_prefix",
+                   str(tmp_path_factory.mktemp("pycache")))
+        mp.setattr(native, "_lib", None)
+        so = native.library()
+    assert so is not None
+    return so
 
 
 @pytest.fixture(scope="session")

@@ -171,17 +171,23 @@ class TestIntegrate:
     @pytest.mark.parametrize("duration, stop_tol", [(50.0, 1e-4),
                                                     (0.032, 0.0)],
                              ids=["early stop", "horizon off stride"])
-    def test_sink_gets_the_recorded_samples(self, duration, stop_tol):
-        got = []
-        traj = integrate_protocol(HUB, Q0, duration, stop_tol=stop_tol,
-                                  sink=lambda t, q: got.append((t, q)))
+    def test_records_every_sample_up_to_the_stop(self, duration, stop_tol):
+        """The samples are t = 0, every 10th step and the last: those of
+        the run to its horizon, up to the first whose spread is below
+        stop_tol."""
+        traj = integrate_protocol(HUB, Q0, duration, stop_tol=stop_tol)
+        full = integrate_protocol(HUB, Q0, duration, stop_tol=0.0)
+        spreads = np.max(np.abs(full.states - consensus_point(Q0)),
+                         axis=(1, 2))
         if stop_tol:
-            assert traj.times[-1] < 20.0
+            stop = int(np.argmax(spreads < stop_tol))
+            assert 0 < stop and traj.times[-1] < 20.0
         else:
             # steps 10, 20 and 30, then the last, step 32
-            assert len(traj.times) == 5
-        assert [t for t, _ in got] == traj.times.tolist()
-        assert np.array_equal([q for _, q in got], traj.states)
+            stop = 4
+            assert full.times.tolist() == [0.0, 0.01, 0.02, 0.03, 0.032]
+        assert traj.times.tobytes() == full.times[:stop + 1].tobytes()
+        assert traj.states.tobytes() == full.states[:stop + 1].tobytes()
 
     def test_rejects_state_without_coordinates(self):
         # An (n, 0) state has no spread to check at the recorded samples.

@@ -1,19 +1,19 @@
 """The compiled loops of quadswarm/_kernels.c against their references.
 
-run_chunk transcribes quad._deriv and quad._rk4_step, and run_protocol
-the complete-graph branch of consensus._moving_step. These tests hold
-each to its reference bit for bit, on drawn inputs and on the bundled
-runs, and check that simulate and integrate_protocol go through them
-where they build and fall back to the same bytes where they do not.
-Where no C compiler is found, the tests that need one are skipped.
+run_chunk transcribes quad._deriv and quad._rk4_step, and run_samples
+the complete-graph branch of consensus._moving_step and the sample loop
+of consensus._record. These tests hold each to its reference bit for
+bit, on drawn inputs and on the bundled runs, and check that simulate
+and integrate_protocol go through them where they build and fall back
+to the same bytes where they do not. Where no C compiler is found, the
+tests that need one are skipped. format_rows has tests/test_format.py.
 """
 
+import ctypes
 import importlib.util
 import itertools
 import math
 import os
-import shlex
-import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_path
+from conftest import COMPILER, mission_config, scenario_path
 from quadswarm import consensus, native, quad
 from quadswarm.errors import DivergenceError, GimbalLockError
 from quadswarm.mission import load_config, prepare, run_mission
@@ -38,23 +38,6 @@ from quadswarm.quad import (QuadState, default_params, hover_state, simulate,
 P = default_params()
 PC = _param_tuple(P)
 SRC = Path(quad.__file__).resolve().parents[1]
-COMPILER = shutil.which(shlex.split(os.environ.get("CC") or "cc")[0])
-
-
-@pytest.fixture(scope="module")
-def lib(tmp_path_factory):
-    """The shared object, built from this checkout's _kernels.c into a
-    fresh cache: where a compiler exists, a C file that does not build or
-    load fails here instead of falling back unnoticed."""
-    if COMPILER is None:
-        pytest.skip("no C compiler")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "pycache_prefix",
-                   str(tmp_path_factory.mktemp("pycache")))
-        mp.setattr(native, "_lib", None)
-        so = native.library()
-    assert so is not None
-    return so
 
 
 @pytest.fixture(scope="module")
@@ -327,19 +310,22 @@ class TestBuild:
                     == (tmp_path / "no-cc" / f).read_bytes()
 
 
-# ---- run_protocol: the complete-graph protocol step ----
+# ---- run_samples: the complete-graph protocol step and its samples ----
 
 def counting(lib):
-    """lib with a run_protocol that also appends the steps of each call
-    to the returned list."""
+    """lib with a run_samples that also appends the steps each call
+    took, read from its ctl argument, to the returned list."""
     steps = []
 
-    def run_protocol(*args):
-        steps.append(args[-1])
-        return lib.run_protocol(*args)
+    def run_samples(*args):
+        ctl = ctypes.c_int64.from_address(args[10])
+        k = ctl.value
+        got = lib.run_samples(*args)
+        steps.append(ctl.value - k)
+        return got
 
-    return SimpleNamespace(run_chunk=lib.run_chunk,
-                           run_protocol=run_protocol), steps
+    return SimpleNamespace(run_chunk=lib.run_chunk, run_samples=run_samples,
+                           format_rows=lib.format_rows), steps
 
 
 def complete(n, threshold=10.0):
@@ -353,33 +339,32 @@ def taylor(dt):
     return dt, c2, c3, dt * c3 / 4.0
 
 
-def protocol_steps(q0, count, dt=1e-3):
-    """q0 after count steps of _moving_step on the complete graph, with
-    the library native._lib holds."""
+def protocol_run(q0, steps, stride, dt=1e-3, stop_tol=0.0):
+    """(times, states, stop) of consensus._record for steps of
+    _moving_step on the complete graph from q0, with the library
+    native._lib holds and no start check."""
     q = np.array(q0, dtype=float)
-    advance = consensus._moving_step(complete(len(q)), q, dt, taylor(dt), [])
-    k = 0
-    while k < count:
-        k += advance(k, count - k)
-    assert k == count
-    return q
+    advance, compiled = consensus._moving_step(complete(len(q)), q, dt,
+                                               taylor(dt), [])
+    return consensus._record(q, consensus.consensus_point(q), advance,
+                             compiled, steps, stride, dt, stop_tol)
 
 
-def swarm_text(swarm_seed):
-    """The benchmark's 24-agent distance-weighted swarm, run seed 1."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", SRC.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.swarm_config(1, swarm_seed)
+def protocol_steps(q0, count, dt=1e-3):
+    """q0 after count steps, the last sample of a run of one stride."""
+    times, states, _ = protocol_run(q0, count, count, dt)
+    assert len(times) == 2
+    return states[-1]
 
 
-def mission_config(tmp_path, name):
-    if name.startswith("swarm"):
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(swarm_text(int(name[-1])))
-        return load_config(path)
-    return load_config(scenario_path(name))
+def both_ways(monkeypatch, lib, run):
+    """run() with the compiled library, counted, and without it:
+    (compiled result, numpy result, steps the compiled calls took)."""
+    so, taken = counting(lib)
+    monkeypatch.setattr(native, "_lib", so)
+    compiled = run()
+    monkeypatch.setattr(native, "_lib", False)
+    return compiled, run(), sum(taken)
 
 
 def artifacts(root):
@@ -395,17 +380,13 @@ class TestRunProtocol:
         states of one agent or one coordinate stay on numpy, as its dot
         calls other BLAS routines for them."""
         rng = np.random.default_rng(r)
-        so, taken = counting(lib)
         for n in [*range(1, 41), *range(129, 141)]:
             q0 = rng.uniform(-1.0, 1.0, (n, r))
             q0[0, 0] = -0.0
             q0[-1, -1] = -0.0
-            monkeypatch.setattr(native, "_lib", False)
-            want = protocol_steps(q0, 7)
-            monkeypatch.setattr(native, "_lib", so)
-            taken.clear()
-            got = protocol_steps(q0, 7)
-            assert sum(taken) == (7 if n >= 2 and r >= 2 else 0)
+            got, want, taken = both_ways(monkeypatch, lib,
+                                         lambda: protocol_steps(q0, 7))
+            assert taken == (7 if n >= 2 and r >= 2 else 0)
             assert np.isfinite(want).all()
             assert got.tobytes() == want.tobytes(), (n, r)
 
@@ -416,51 +397,126 @@ class TestRunProtocol:
         that follow, give numpy's infinities and NaNs (NaN signs aside,
         which no output shows)."""
         q0 = np.random.default_rng(7).uniform(-scale, scale, (5, 3))
-        so, taken = counting(lib)
         with np.errstate(over="ignore", invalid="ignore"):
-            monkeypatch.setattr(native, "_lib", False)
-            want = protocol_steps(q0, 5)
-            monkeypatch.setattr(native, "_lib", so)
-            got = protocol_steps(q0, 5)
-        assert taken == [5]
+            got, want, taken = both_ways(monkeypatch, lib,
+                                         lambda: protocol_steps(q0, 5))
+        assert taken == 5
         assert not np.isfinite(want).all()
         assert bits(got) == bits(want)
 
     def test_divergence_fails_at_the_same_sample(self, monkeypatch, lib):
         """A complete graph stepped past RK4's stability limit (its
-        start check switched off) overflows inside run_protocol, and the
+        start check switched off) overflows inside run_samples, and the
         run fails with the text, at the sample, and after the samples of
         the numpy steps."""
         monkeypatch.setattr(consensus.StartSpectrum, "check",
                             lambda self, dt: None)
         q0 = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 3))
-        runs = []
-        for so in (lib, False):
-            counted, taken = counting(lib) if so else (False, [])
-            monkeypatch.setattr(native, "_lib", counted)
-            got = []
-            with pytest.raises(DivergenceError) as e:
-                consensus.integrate_protocol(
-                    complete(6), q0, 50.0, dt=0.5, stride=10,
-                    sink=lambda t, q: got.append((t, q.copy())))
-            runs.append((str(e.value), [t for t, _ in got],
-                         bits([q for _, q in got]), sum(taken)))
-        (text, times, states, taken), want = runs[0], runs[1][:3]
-        assert (text, times, states) == want
-        assert text.startswith("protocol state is non-finite at t=")
-        assert taken == 10 * (len(times) - 1)
 
-    def test_early_stop_falls_on_the_same_sample(self, monkeypatch, lib):
-        runs = []
-        for so in (lib, False):
-            monkeypatch.setattr(native, "_lib", so)
-            runs.append(consensus.integrate_protocol(
-                complete(5), np.random.default_rng(5).uniform(
-                    -3.0, 3.0, (5, 3)), 100.0, dt=1e-3, stride=7,
-                stop_tol=0.03))
-        compiled, numpy = runs
-        # the spread falls below 0.03 at t = 3.458, step 3458 = 7 * 494
-        assert len(compiled.times) == 495
+        def run():
+            with pytest.raises(DivergenceError) as e:
+                consensus.integrate_protocol(complete(6), q0, 50.0, dt=0.5,
+                                             stride=10)
+            times, states, stop = protocol_run(q0, 100, 10, 0.5, 1e-4)
+            return str(e.value), times.tolist(), bits(states), stop
+
+        compiled, numpy, taken = both_ways(monkeypatch, lib, run)
+        text, times, _, stop = compiled
+        assert compiled == numpy
+        assert stop == consensus._DIVERGED
+        assert text == f"protocol state is non-finite at t={times[-1]:.6f}"
+        # each run took its steps in C: integrate_protocol's and _record's
+        assert taken == 2 * 10 * (len(times) - 1)
+
+    def test_a_nan_ends_the_run_as_divergence(self, monkeypatch, lib):
+        """One NaN coordinate makes every distance of its agent NaN, and
+        the first sample's spread NaN, which is no early stop, however
+        large stop_tol, but the non-finite stop."""
+        q0 = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 3))
+        q0[2, 1] = np.nan
+        compiled, numpy, taken = both_ways(
+            monkeypatch, lib, lambda: protocol_run(q0, 50, 10, stop_tol=1e9))
+        assert [len(compiled[0]), compiled[2]] == [2, consensus._DIVERGED]
+        assert numpy[2] == consensus._DIVERGED
+        assert compiled[0].tobytes() == numpy[0].tobytes()
+        assert bits(compiled[1]) == bits(numpy[1])
+        assert taken == 10
+
+    # Each run of 5 agents from the same start, at dt = 1e-3: (stride,
+    # horizon in steps, stop_tol, samples recorded). The spread falls
+    # below 0.03 at step 3458 = 7 * 494; 3459 samples fill 14 blocks.
+    # A horizon past int64 stays in Python, and its early stop ends it.
+    @pytest.mark.parametrize("stride, steps, stop_tol, samples", [
+        (7, 100_000, 0.03, 495), (1, 100_000, 0.03, 3459),
+        (10 ** 6, 2000, 0.0, 2), (2 ** 70, 2000, 0.0, 2),
+        (3, 3001, 0.0, 1002), (256, 256 * 300, 0.0, 301),
+        (7, 10 ** 20, 0.03, 495)],
+        ids=["stride 7", "stride 1", "stride past the run",
+             "stride past int64", "horizon off stride", "block edges",
+             "horizon past int64"])
+    def test_samples_equal_the_numpy_samples(self, monkeypatch, lib, stride,
+                                             steps, stop_tol, samples):
+        q0 = np.random.default_rng(5).uniform(-3.0, 3.0, (5, 3))
+        compiled, numpy, taken = both_ways(
+            monkeypatch, lib,
+            lambda: protocol_run(q0, steps, stride, stop_tol=stop_tol))
+        assert len(compiled[0]) == samples
+        assert compiled[2] == (consensus._STOPPED if stop_tol else 0)
+        assert compiled[0].tobytes() == numpy[0].tobytes()
+        assert compiled[1].tobytes() == numpy[1].tobytes()
+        assert compiled[2] == numpy[2]
+        assert taken == (round(compiled[0][-1] / 1e-3) if steps < 2 ** 63
+                         else 0)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_small_blocks_give_the_same_samples(self, monkeypatch, lib,
+                                                block):
+        """Blocks of 1 to 4 samples put a block's end at every sample of
+        the run, the stop sample included."""
+        q0 = np.random.default_rng(5).uniform(-3.0, 3.0, (5, 3))
+        want = protocol_run(q0, 100_000, 7, stop_tol=0.03)
+        monkeypatch.setattr(consensus, "_SAMPLES", block)
+        compiled, numpy, _ = both_ways(
+            monkeypatch, lib, lambda: protocol_run(q0, 100_000, 7,
+                                                   stop_tol=0.03))
+        for got in (compiled, numpy):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
+    def test_a_spread_equal_to_stop_tol_goes_on(self, monkeypatch, lib):
+        """The run stops where the spread is below stop_tol, not where it
+        equals it: at stop_tol equal to the spread of sample 100, the
+        run stops at a later sample."""
+        q0 = np.random.default_rng(5).uniform(-3.0, 3.0, (5, 3))
+        alpha = consensus.consensus_point(q0)
+        _, states, _ = protocol_run(q0, 1000, 7)
+        spreads = np.max(np.abs(states - alpha), axis=(1, 2))
+        tol = float(spreads[100])
+        assert np.all(spreads[:100] > tol)
+        compiled, numpy, _ = both_ways(
+            monkeypatch, lib, lambda: protocol_run(q0, 1000, 7,
+                                                   stop_tol=tol))
+        assert len(compiled[0]) > 101
+        assert compiled[1].tobytes() == numpy[1].tobytes()
+
+    @pytest.mark.parametrize("stride", [10, 7])
+    def test_bundled_run_hands_over_to_c(self, monkeypatch, lib, stride):
+        """2_5_2's graph grows complete in step 109, so the numpy steps
+        end at step 110, a sample at stride 10 and mid-stride at 7; the
+        first 3 s, 301 samples at stride 10, fill two blocks."""
+        if native.numpy_blas() is None:
+            pytest.skip("numpy exports no ILP64 CBLAS routines")
+        cfg = load_config(scenario_path("scenario_2_5_2"))
+
+        def run():
+            return consensus.integrate_protocol(
+                cfg.network, cfg.agents[:, :3], 3.0, cfg.dt, stride,
+                cfg.stop_tol)
+
+        compiled, numpy, taken = both_ways(monkeypatch, lib, run)
+        assert taken == 3000 - 110
+        assert [t for t, _ in compiled.laplacian_log][-1] == 0.109
         assert compiled.times.tobytes() == numpy.times.tobytes()
         assert compiled.states.tobytes() == numpy.states.tobytes()
 
@@ -499,6 +555,11 @@ class TestRunProtocol:
         so, taken = counting(lib)
         monkeypatch.setattr(native, "_lib", so)
         cfg = load_config(scenario_path("scenario_2_5_2"))
-        consensus.integrate_protocol(cfg.network, cfg.agents[:, :3], cfg.T,
-                                     cfg.dt, cfg.stride, cfg.stop_tol)
-        assert sum(taken) >= 149_000
+        traj = consensus.integrate_protocol(
+            cfg.network, cfg.agents[:, :3], cfg.T, cfg.dt, cfg.stride,
+            cfg.stop_tol)
+        assert sum(taken) == 150_000 - 110
+        # after the 12 samples to step 110, the first call fills the
+        # first block of 256 samples, and every later call one more
+        assert len(traj.times) == 15_001
+        assert len(taken) == 1 + -(-(15_001 - 256) // 256)

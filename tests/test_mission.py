@@ -742,7 +742,7 @@ leg1 = bodyX, 5000, 4
             == ["mission.cfg"]
         beside = mission.prepare(config, tmp_path)[3]
         if beside is not None:
-            beside(1)
+            beside()
         assert (tmp_path / "particle.csv").exists() == (mode != "quad")
         if mode != "quad":
             export_csv(traj, tmp_path / "expect.csv")
@@ -1276,11 +1276,10 @@ class TestGeneratedParticleAndQuadMissions:
 
 
 class TestParticleWriter:
-    """With more than one usable CPU, a forked writer formats
-    particle.csv while the protocol integrates; on one CPU the run
-    formats it after the protocol. Either way the file is export_csv's
-    of the protocol run, and a run that fails leaves none, nor the
-    writer's temporary file or process."""
+    """A particle run writes particle.csv in its own process, with
+    export_csv, after the protocol, at any CPU count: the file is
+    export_csv's of the protocol run, and a run that fails leaves none,
+    nor its temporary file."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("case", ["2_4_1", "2_5_2 T=3", "2_4_1 r=2"])
@@ -1307,12 +1306,10 @@ class TestParticleWriter:
         if case.endswith("r=2"):
             assert got.startswith(b"t,q1c1,q1c2,q2c1,q2c2,")
 
-    @pytest.mark.parametrize("cpus, forked", [(1, []),
-                                              (2, ["_write_samples"])])
-    def test_particle_run_forks_its_writer_alone(self, tmp_path, cpus,
-                                                 forked, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_particle_run_forks_nothing(self, tmp_path, cpus, monkeypatch):
         """A particle run is a run with no routes: it forks no flight
-        worker, and the writer only where a CPU is left over."""
+        worker, and nothing else."""
         real_fork, names = mission._fork, []
 
         def fork(fn, arg):
@@ -1324,7 +1321,7 @@ class TestParticleWriter:
         run_mission(load_config(scenario_path("scenario_2_4_1")),
                     out_dir=tmp_path)
         assert_no_child_left()
-        assert names == forked
+        assert names == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_diverging_protocol_leaves_no_csv(self, tmp_path, cpus,
@@ -1352,42 +1349,6 @@ class TestParticleWriter:
             encoding="utf-8") == RING_FAILED
         assert capsys.readouterr().err \
             == "error: " + RING_FAILED.split(": ", 1)[1]
-
-    @pytest.mark.parametrize("kill_at", [1.0, 20.0])
-    def test_killed_writer_fails_the_run(self, tmp_path, kill_at,
-                                         monkeypatch):
-        # killed at t = 1 s, the writer leaves the samples to come with
-        # no reader; killed at the last sample, it misses the end
-        import signal
-        real_fork, real_protocol = mission._fork, mission.integrate_protocol
-        writers = []
-
-        def fork(fn, arg):
-            pid, pipe = real_fork(fn, arg)
-            writers.append(pid)
-            return pid, pipe
-
-        def protocol(*args, sink, **kwargs):
-            def kill_then_sink(t, q):
-                if writers and t >= kill_at:
-                    os.kill(writers.pop(), signal.SIGKILL)
-                sink(t, q)
-
-            return real_protocol(*args, sink=kill_then_sink, **kwargs)
-
-        monkeypatch.setattr(mission, "_fork", fork)
-        monkeypatch.setattr(mission, "integrate_protocol", protocol)
-        monkeypatch.setattr(mission, "_usable_cpus", lambda: 2)
-        cfg = replace(load_config(scenario_path("scenario_2_5_2")), T=20.0)
-        with pytest.raises(ChildProcessError, match="^particle writer "
-                           "[0-9]+ ended with wait status 9$") as err:
-            run_mission(cfg, out_dir=tmp_path)
-        assert not writers
-        assert_no_child_left()
-        dest = tmp_path / cfg.out
-        assert [p.name for p in dest.iterdir()] == ["FAILED"]
-        assert (dest / "FAILED").read_text(encoding="utf-8") \
-            == f"ChildProcessError: {err.value}\n"
 
 
 class _FullDisk:
