@@ -11,7 +11,7 @@ LAPACK, so another kernel can change them.
 
 from .consensus import (ConsensusTrajectory, closed_form_state,
                         consensus_point, integrate_protocol, lyapunov,
-                        straightness_residual)
+                        straightness_residual, sym_eigen)
 from .errors import (ConvergenceError, DisconnectedError, DivergenceError,
                      DomainError, GimbalLockError, InfeasibleError, IoError,
                      ParseError, SaturationError, SwarmError, ValidationError)
@@ -20,15 +20,13 @@ from .mission import (AgentReport, ComparisonReport, MissionConfig,
 from .network import (DistanceWeighted, Laplacian, Network, StaticWeights,
                       Unweighted, is_connected, laplacian,
                       weighted_laplacian_at)
-from .numerics import (GIMBAL_EPS, euler_rate_matrix, hat, rk4_step,
-                       rotation_from_euler, sym_eigen)
 from .planner import (OMEGA_MAX, ControlSchedule, ManeuverSpec,
                       axis_translation_schedule, chain_schedules,
                       hover_controls, hover_schedule, rendezvous_leg,
                       schedule_for, vertical_schedule, yaw_schedule)
-from .quad import (Controls, QuadParams, QuadState, QuadTrajectory,
-                   affine_fields, default_params, geodesic_spray,
-                   hover_state, simulate, state_derivative)
+from .quad import (GIMBAL_EPS, Controls, QuadParams, QuadState,
+                   QuadTrajectory, affine_fields, default_params,
+                   geodesic_spray, hover_state, simulate, state_derivative)
 
 __version__ = "0.1.0"
 
@@ -42,11 +40,10 @@ __all__ = [
     "StaticWeights", "SwarmError", "Unweighted", "ValidationError",
     "affine_fields", "axis_translation_schedule", "chain_schedules",
     "closed_form_state", "consensus_point", "default_params",
-    "euler_rate_matrix", "export_csv", "geodesic_spray", "hat",
-    "hover_controls", "hover_schedule", "hover_state",
-    "integrate_protocol", "is_connected", "laplacian", "load_config",
-    "lyapunov", "rendezvous_leg", "rk4_step", "rotation_from_euler",
-    "run_mission", "schedule_for", "simulate", "state_derivative",
-    "straightness_residual", "sym_eigen", "vertical_schedule",
-    "weighted_laplacian_at", "yaw_schedule",
+    "export_csv", "geodesic_spray", "hover_controls", "hover_schedule",
+    "hover_state", "integrate_protocol", "is_connected", "laplacian",
+    "load_config", "lyapunov", "rendezvous_leg", "run_mission",
+    "schedule_for", "simulate", "state_derivative", "straightness_residual",
+    "sym_eigen", "vertical_schedule", "weighted_laplacian_at",
+    "yaw_schedule",
 ]

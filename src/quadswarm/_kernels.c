@@ -83,19 +83,19 @@ static int deriv(double phi, double theta, double psi, double v1,
     x[8] + (f) * (k)[8], x[9] + (f) * (k)[9], x[10] + (f) * (k)[10], \
     x[11] + (f) * (k)[11]
 
-/* Up to n RK4 steps of size h from the 12-float state x0. Step i reads
- * the 5-term rotor rows r1, rm and r4 at i * rstride (rstride 0 holds
- * one row for every step) and writes its end state to out[12 i:].
- * Returns the first step that Python must take instead, or -1 when all
- * n ran. */
-long run_chunk(const double *x0, long n, double h, const double *r1,
+/* Up to n RK4 steps from the 12-float state x0, step i of size hs[i].
+ * Step i reads the 5-term rotor rows r1, rm and r4 at i * rstride
+ * (rstride 0 holds one row for every step) and writes its end state to
+ * out[12 i:]. Returns the first step that Python must take instead, or
+ * -1 when all n ran. */
+long run_chunk(const double *x0, long n, const double *hs, const double *r1,
                const double *rm, const double *r4, long rstride,
                const double *pc, double pitch_limit, double *out)
 {
-    const double half = 0.5 * h, s = h / 6.0;
     const double *x = x0;
     double a[12], b[12], c[12], d[12];
     for (long i = 0; i < n; i++) {
+        const double h = hs[i], half = 0.5 * h, s = h / 6.0;
         const long o = i * rstride;
         if (deriv(x[3], x[4], x[5], x[6], x[7], x[8], x[9], x[10], x[11],
                   r1 + o, pc, pitch_limit, a)

@@ -13,11 +13,11 @@ from typing import ClassVar
 import numpy as np
 
 from . import native
-from .errors import DisconnectedError, DivergenceError, DomainError
+from .errors import (ConvergenceError, DisconnectedError, DivergenceError,
+                     DomainError)
 from .network import (DistanceWeighted, Laplacian, adjacency, is_complete,
                       is_connected, proximity_edges, weighted_laplacian_at,
                       with_edges)
-from .numerics import sym_eigen
 
 # Real-axis stability limit of classical RK4: |R(z)| <= 1 on
 # [-2.785, 0] for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (Hairer and
@@ -50,6 +50,39 @@ def consensus_point(q0):
     if q0.ndim != 2:
         raise DomainError(f"expected an (n, r) state matrix, got {q0.shape}")
     return q0.mean(axis=0)
+
+
+def sym_eigen(a):
+    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
+
+    Only the lower triangle is read, after the symmetry check.
+
+    Args:
+        a: (n, n) symmetric array-like with finite entries. Asymmetry
+            beyond 1e-12 is refused.
+
+    Returns:
+        (eigvals, vecs): eigenvalues ascending, vecs[:, k] the unit
+        eigenvector for eigvals[k], so a @ vecs == vecs @ diag(eigvals).
+
+    Raises:
+        DomainError: non-square, empty, non-finite or asymmetric input.
+        ConvergenceError: LAPACK reports that it did not converge.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise DomainError("empty matrix")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has non-finite entries")
+    if np.max(np.abs(a - a.T)) > 1e-12:
+        raise DomainError("matrix is not symmetric within 1e-12")
+    try:
+        eigvals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceError(f"eigh did not converge: {e}") from None
+    return eigvals, vecs
 
 
 def closed_form_state(lap, q0, t):

@@ -25,12 +25,11 @@ import numpy as np
 
 from . import native
 from .consensus import (ConsensusTrajectory, consensus_point,
-                        integrate_protocol, max_cross_track)
+                        integrate_protocol, max_cross_track, sym_eigen)
 from .errors import (DivergenceError, DomainError, IoError, ParseError,
                      SwarmError, ValidationError)
 from .network import (DistanceWeighted, Network, StaticWeights, Unweighted,
                       is_complete, pairwise_distances)
-from .numerics import sym_eigen
 from .planner import (ManeuverSpec, plan, rendezvous_route,
                       require_level_hover)
 # Unused by mission: perfbench/spans.py wraps these two bindings, and the

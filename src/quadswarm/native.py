@@ -98,8 +98,8 @@ def _load():
         return False
     so = ctypes.CDLL(str(lib))
     ptr, c_double, c_long = ctypes.c_void_p, ctypes.c_double, ctypes.c_long
-    so.run_chunk.argtypes = (ptr, c_long, c_double, ptr, ptr, ptr, c_long,
-                             ptr, c_double, ptr)
+    so.run_chunk.argtypes = (ptr, c_long, ptr, ptr, ptr, ptr, c_long, ptr,
+                             c_double, ptr)
     so.run_chunk.restype = c_long
     so.run_samples.argtypes = (ptr, c_long, c_long, ptr, ptr, ptr, ptr, ptr,
                                ptr, ptr, ptr, c_long, c_long, c_double, ptr,

@@ -23,11 +23,20 @@ import numpy as np
 
 from . import native
 from .errors import DivergenceError, DomainError, GimbalLockError
-from .numerics import PITCH_LIMIT, gimbal_lock
+
+# Pitch values within this distance of +-pi/2 count as gimbal lock:
+# every chart of the Euler angles needs |pitch| < PITCH_LIMIT.
+GIMBAL_EPS = 1e-6
+PITCH_LIMIT = math.pi / 2 - GIMBAL_EPS
 
 # Most RK4 steps of a window that one call of its law samples: a chunk
 # bounds the memory a long window's samples take.
 _CHUNK = 1024
+
+
+def gimbal_lock(theta):
+    """The GimbalLockError for a pitch theta outside the chart."""
+    return GimbalLockError(f"pitch {theta!r} within {GIMBAL_EPS} of +-pi/2")
 
 
 def _as_vec(x, k, name):
@@ -323,7 +332,9 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     steps of every chunk that is not walked, up to the first step that
     meets the gimbal band or a stage angle of +-inf; from there, and in
     a walked chunk, _rk4_step flies them, so every error keeps its
-    type, its text and its step. States are recorded at t=0, every
+    type, its text and its step. Either way each step writes its end
+    state to a row of one buffer, and the chunk's recorded states are
+    taken from there in one pass. States are recorded at t=0, every
     stride-th step and each window's end; the rotor speeds of a sample
     at a junction or at the end of a window come from schedule.omega_at.
 
@@ -343,7 +354,8 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
         GimbalLockError: with the failure time, if pitch approaches
             +-pi/2 during integration.
         DivergenceError: at the first recorded sample whose state is
-            not finite (NaN pitch passes the gimbal check).
+            not finite (NaN pitch passes the gimbal check), or with the
+            start of the step that a roll or yaw of +-inf fails.
         DomainError: a malformed argument, a schedule that does not
             cover [0, duration], or a dt so small that a window's step
             count is not finite.
@@ -363,10 +375,10 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     pc = _param_tuple(p)
     lib = native.library()
     run = lib.run_chunk if lib is not None else None
-    if run is not None:
-        # the kernel's constants, start state and end states
-        pcbuf, xbuf = np.array(pc), np.empty(12)
-        out = np.empty((_CHUNK, 12))
+    # the kernel's constants and start state; every step of a chunk,
+    # compiled or not, writes its end state to its row of out
+    pcbuf, xbuf = np.array(pc), np.empty(12)
+    out = np.empty((_CHUNK, 12))
 
     # samples go to flat float buffers: per-sample tuples or arrays
     # would cost an object header per sample
@@ -375,16 +387,16 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     states = array("d")
     omegas = array("d")
 
-    def record(tn, x, om=None):
+    def record(tn, x):
         if not all(map(math.isfinite, x)):
             raise DivergenceError(f"non-finite state at t={tn:.6f}")
         times.append(tn)
         states.extend(x)
-        omegas.extend(schedule.omega_at(tn) if om is None else om)
+        omegas.extend(schedule.omega_at(tn))
 
     def record_rows(tns, rows, due, w, known):
         """record, in bulk and in order, the due steps of a chunk whose
-        end states the kernel wrote to rows."""
+        end states are the rows."""
         i = np.flatnonzero(due[:len(rows)])
         tn = tns[i]
         # a due step is recorded when it ends after every earlier one
@@ -427,35 +439,39 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
                 r1, rm, r4, w, known = _chunk_samples(
                     schedule, seg, p, edge, ts, hs, tns, due)
             # the kernel flies the chunk up to step j, where Python
-            # takes over; a walked chunk (w is None) is Python's alone
+            # takes over; a walked chunk is Python's alone, and
+            # omega_at reads every speed it records
             j = 0
-            if run is not None and w is not None:
-                xbuf[:] = x
-                j = _kernel_steps(run, xbuf, hs, r1, rm, r4, pcbuf, out)
-                if j:
-                    record_rows(tns, out[:j], due, w, known)
-                    x = tuple(out[j - 1].tolist())
-            if j == k.size:
-                continue
-            if w is not None:
-                r1, rm, r4 = (_rows(r, j) for r in (r1, rm, r4))
-                w = [om if kn else None for om, kn in
-                     zip(w[j:].tolist(), known[j:].tolist())]
+            if w is None:
+                w, known = np.empty((k.size, 4)), np.zeros(k.size, bool)
             else:
-                w = itertools.repeat(None)
-            for t, h, tn, a, b, c, keep, om in zip(
-                    ts[j:].tolist(), hs[j:].tolist(), tns[j:].tolist(), r1,
-                    rm, r4, due[j:].tolist(), w):
-                try:
-                    x = _rk4_step(x, h, a, b, c, pc)
-                except GimbalLockError as e:
-                    raise _locked_near(t, e) from e
-                theta = x[4]
-                if theta >= PITCH_LIMIT or theta <= -PITCH_LIMIT:
-                    raise GimbalLockError(
-                        f"gimbal lock at t={tn:.6f}: pitch {theta!r}")
-                if keep and tn > times[-1]:
-                    record(tn, x, om)
+                if run is not None:
+                    xbuf[:] = x
+                    j = _kernel_steps(run, xbuf, hs, r1, rm, r4, pcbuf, out)
+                    if j:
+                        x = tuple(out[j - 1].tolist())
+                r1, rm, r4 = (_rows(r, j) for r in (r1, rm, r4))
+            try:
+                for t, h, tn, a, b, c in zip(
+                        ts[j:].tolist(), hs[j:].tolist(), tns[j:].tolist(),
+                        r1, rm, r4):
+                    try:
+                        x = _rk4_step(x, h, a, b, c, pc)
+                    except GimbalLockError as e:
+                        raise _locked_near(t, e) from e
+                    except ValueError as e:
+                        # math.cos of an angle that overflowed to +-inf
+                        raise DivergenceError(
+                            f"non-finite attitude near t={t:.6f}") from e
+                    theta = x[4]
+                    if theta >= PITCH_LIMIT or theta <= -PITCH_LIMIT:
+                        raise GimbalLockError(
+                            f"gimbal lock at t={tn:.6f}: pitch {theta!r}")
+                    out[j] = x
+                    j += 1
+            finally:
+                # an earlier recorded state that is not finite fails first
+                record_rows(tns, out[:j], due, w, known)
         if hi > times[-1]:
             record(hi, x)
 
@@ -480,28 +496,19 @@ def _kernel_steps(run, x, hs, r1, rm, r4, pc, out):
     of them, or the index of the first that Python must take.
 
     r1, rm and r4 hold a row of rotor terms per step, or one row for
-    every step. Only a window's last step may be shorter; it takes a
-    call of its own."""
+    every step."""
     n = hs.size
     # the C loop reads and writes these rows unchecked
-    r1, rm, r4 = (np.ascontiguousarray(r, float) for r in (r1, rm, r4))
+    hs, r1, rm, r4 = (np.ascontiguousarray(a, float) for a in (hs, r1, rm, r4))
     if not (r1.shape == rm.shape == r4.shape in {(n, 5), (1, 5)}
-            and out.shape[0] >= n and out.flags.c_contiguous):
+            and x.shape == (12,) and out.shape[0] >= n
+            and out.shape[1:] == (12,) and x.dtype == out.dtype == float
+            and x.flags.c_contiguous and out.flags.c_contiguous):
         raise DomainError("the compiled chunk's arrays do not fit its steps")
-    rstride = 5 if len(r1) > 1 else 0
-    o, a, b, c = (v.ctypes.data for v in (out, r1, rm, r4))
-    m = n - 1 if n > 1 and hs[-1] != hs[0] else n
-    j = run(x.ctypes.data, m, hs[0], a, b, c, rstride, pc.ctypes.data,
-            PITCH_LIMIT, o)
-    if j >= 0:
-        return j
-    if m < n:
-        # the rows of the last step: 8 bytes a float
-        ro, xo = 8 * rstride * m, 96 * m
-        if run(o + xo - 96, 1, hs[-1], a + ro, b + ro, c + ro, rstride,
-               pc.ctypes.data, PITCH_LIMIT, o + xo) >= 0:
-            return m
-    return n
+    j = run(x.ctypes.data, n, hs.ctypes.data, r1.ctypes.data, rm.ctypes.data,
+            r4.ctypes.data, 5 if len(r1) > 1 else 0, pc.ctypes.data,
+            PITCH_LIMIT, out.ctypes.data)
+    return n if j < 0 else j
 
 
 def _chunk_samples(schedule, seg, p, edge, t, h, tn, due):
@@ -561,7 +568,8 @@ def _rk4_step(x, h, r1, rm, r4, pc):
     """One classical RK4 step of _deriv under the rotor terms at the
     step's start, midpoint and end.
 
-    Same operation order as numerics.rk4_step, element by element; the
+    Same operation order as rk4_step, the textbook step that the tests
+    hold it against (tests/oracles.py), element by element; the
     midpoint terms serve both k2 and k3. Each stage hands _deriv the
     nine stage values it reads, written out on unpacked floats: no
     stage state is built, and no stage position, which no stage reads.

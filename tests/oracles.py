@@ -1,25 +1,19 @@
-"""Shared numeric kernel.
+"""Reference statements of the Euler maps and of classical RK4.
 
-Skew-symmetric matrices, Euler-angle kinematics, the symmetric
-eigensolver (LAPACK ``eigh`` behind input checks), and a fixed-step RK4
-integrator. All angles are radians and all arrays are float64.
+The package writes each rule once, in the form a run needs: the
+rotation and the Euler-rate map inside quad._deriv, the RK4 step as
+quad._rk4_step and its C transcription. These are the same rules in
+their textbook form, matrices and a generic step, which the tests hold
+the package's forms against. No module of the package imports this
+one. All angles are radians and all arrays are float64.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GimbalLockError
-
-# Pitch values within this distance of +-pi/2 count as gimbal lock:
-# every chart of the Euler angles needs |pitch| < PITCH_LIMIT.
-GIMBAL_EPS = 1e-6
-PITCH_LIMIT = math.pi / 2 - GIMBAL_EPS
-
-
-def gimbal_lock(theta):
-    """The GimbalLockError for a pitch theta outside the chart."""
-    return GimbalLockError(f"pitch {theta!r} within {GIMBAL_EPS} of +-pi/2")
+from quadswarm.errors import DomainError
+from quadswarm.quad import PITCH_LIMIT, gimbal_lock
 
 
 def hat(y):
@@ -94,39 +88,6 @@ def euler_rate_matrix(phi, theta):
         [0.0, cf, -sf],
         [0.0, sf / ct, cf / ct],
     ])
-
-
-def sym_eigen(a):
-    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
-
-    Only the lower triangle is read, after the symmetry check.
-
-    Args:
-        a: (n, n) symmetric array-like with finite entries. Asymmetry
-            beyond 1e-12 is refused.
-
-    Returns:
-        (eigvals, vecs): eigenvalues ascending, vecs[:, k] the unit
-        eigenvector for eigvals[k], so a @ vecs == vecs @ diag(eigvals).
-
-    Raises:
-        DomainError: non-square, empty, non-finite or asymmetric input.
-        ConvergenceError: LAPACK reports that it did not converge.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise DomainError("empty matrix")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise DomainError("matrix is not symmetric within 1e-12")
-    try:
-        eigvals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceError(f"eigh did not converge: {e}") from None
-    return eigvals, vecs
 
 
 def rk4_step(derivative, x, t, dt):

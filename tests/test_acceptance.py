@@ -16,10 +16,9 @@ import numpy as np
 
 from quadswarm.consensus import (closed_form_state, consensus_point,
                                  integrate_protocol, lyapunov,
-                                 straightness_residual)
+                                 straightness_residual, sym_eigen)
 from quadswarm.mission import load_config, run_mission
 from quadswarm.network import Network, laplacian, weighted_laplacian_at
-from quadswarm.numerics import rotation_from_euler, sym_eigen
 from quadswarm.planner import (ControlSchedule, axis_translation_schedule,
                                hover_controls, hover_schedule, yaw_schedule)
 from quadswarm.quad import (Controls, QuadState, affine_fields,
@@ -27,6 +26,7 @@ from quadswarm.quad import (Controls, QuadState, affine_fields,
                             state_derivative)
 
 from conftest import scenario_path, timed_protocol_run
+from oracles import rotation_from_euler
 
 TREE_EDGES = {(1, 3), (1, 4), (2, 3)}
 HUB_EDGES = {(1, 2), (2, 3), (2, 4), (3, 4)}

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from quadswarm import consensus
 from quadswarm.consensus import (closed_form_state, consensus_point,
                                  integrate_protocol, lyapunov,
-                                 start_spectrum, straightness_residual)
+                                 start_spectrum, straightness_residual,
+                                 sym_eigen)
 from quadswarm.errors import DisconnectedError, DivergenceError, DomainError
 from quadswarm.mission import load_config
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                laplacian, weighted_laplacian_at)
-from quadswarm.numerics import rk4_step, sym_eigen
 
 from conftest import scenario_path
+from oracles import rk4_step
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
 TREE = Network(4, {(1, 3), (1, 4), (2, 3)})
@@ -47,6 +48,58 @@ def random_connected(seed, n):
     for v in range(2, n + 1):
         edges.add((int(rng.integers(1, v)), v))
     return Network(n, edges)
+
+
+class TestSymEigen:
+    def test_two_by_two(self):
+        w, v = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(w, [1.0, 3.0], atol=1e-13)
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(a @ v, v @ np.diag(w), atol=1e-12)
+
+    def test_diagonal_input(self):
+        w, v = sym_eigen(np.diag([3.0, -1.0, 2.0]))
+        assert np.allclose(w, [-1.0, 2.0, 3.0], atol=0.0)
+        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=0.0)
+
+    def test_zero_matrix(self):
+        w, v = sym_eigen(np.zeros((4, 4)))
+        assert np.array_equal(w, np.zeros(4))
+        assert np.array_equal(v, np.eye(4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           n=st.integers(min_value=1, max_value=10))
+    def test_reconstruction_and_orthonormality(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        w, v = sym_eigen(a)
+        scale = max(np.max(np.abs(a)), 1.0)
+        assert np.max(np.abs(a - v @ np.diag(w) @ v.T)) <= 1e-9 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
+        assert np.all(np.diff(w) >= -1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           n=st.integers(min_value=2, max_value=8))
+    def test_agrees_with_library_eigenvalues(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        w, _ = sym_eigen(a)
+        ref = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(w - ref)) <= 1e-9 * max(np.max(np.abs(ref)), 1.0)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            sym_eigen(np.zeros((2, 3)))
+        with pytest.raises(DomainError):
+            sym_eigen([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(DomainError):
+            sym_eigen(np.zeros((0, 0)))
+        with pytest.raises(DomainError):
+            sym_eigen([[1.0, math.nan], [math.nan, 1.0]])
 
 
 class TestClosedForm:

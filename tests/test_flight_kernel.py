@@ -27,13 +27,12 @@ from hypothesis import strategies as st
 
 from conftest import COMPILER, mission_config, scenario_path
 from quadswarm import consensus, native, quad
-from quadswarm.errors import DivergenceError, GimbalLockError
+from quadswarm.errors import DivergenceError, DomainError, GimbalLockError
 from quadswarm.mission import load_config, prepare, run_mission
 from quadswarm.network import DistanceWeighted, Network
-from quadswarm.numerics import PITCH_LIMIT
 from quadswarm.planner import ControlSchedule, Segment, hover_schedule, plan
-from quadswarm.quad import (QuadState, default_params, hover_state, simulate,
-                            _param_tuple)
+from quadswarm.quad import (PITCH_LIMIT, QuadState, default_params,
+                            hover_state, simulate, _param_tuple)
 
 P = default_params()
 PC = _param_tuple(P)
@@ -93,12 +92,13 @@ def assert_chunk_matches(run, x, hs, r1, rm, r4):
                                np.array(PC), out)
     assert flown == j
     assert bits(out[:j]) == bits(rows)
-    if len(set(hs)) == 1:
-        # run_chunk's own answer: -1 when every step ran
-        got = run(np.array(x).ctypes.data, len(hs), hs[0], r1.ctypes.data,
-                  rm.ctypes.data, r4.ctypes.data, 5 if len(r1) > 1 else 0,
-                  np.array(PC).ctypes.data, PITCH_LIMIT, out.ctypes.data)
-        assert got == (-1 if j == len(hs) else j)
+    # run_chunk's own answer: -1 when every step ran; the arrays are
+    # named so that they outlive the call that reads them
+    x, hs, pc = np.array(x), np.array(hs), np.array(PC)
+    got = run(x.ctypes.data, len(hs), hs.ctypes.data, r1.ctypes.data,
+              rm.ctypes.data, r4.ctypes.data, 5 if len(r1) > 1 else 0,
+              pc.ctypes.data, PITCH_LIMIT, out.ctypes.data)
+    assert got == (-1 if j == len(hs) else j)
     return cause, out[:j]
 
 
@@ -184,6 +184,51 @@ class TestRunChunk:
         assert causes >= {"k1", "k2", "k3", "k4", "end", "inf", None}
         assert nan and overflow
 
+    @pytest.mark.parametrize("bad", [
+        "rows", "short-out", "out-width", "out-dtype", "out-strided",
+        "x-size", "x-dtype"])
+    def test_arrays_that_do_not_fit_are_refused(self, bad):
+        """The C loop reads and writes its arrays unchecked, so arrays
+        of the wrong shape, dtype or layout never reach it."""
+        x, hs, out = np.zeros(12), np.full(3, 1e-3), np.empty((3, 12))
+        r = np.zeros((3 if bad != "rows" else 2, 5))
+        if bad == "short-out":
+            out = out[:2]
+        elif bad == "out-width":
+            out = np.empty((3, 13))
+        elif bad == "out-dtype":
+            out = out.astype(np.float32)
+        elif bad == "out-strided":
+            out = np.empty((6, 12))[::2]
+        elif bad == "x-size":
+            x = np.zeros(11)
+        elif bad == "x-dtype":
+            x = np.zeros(12, np.float32)
+        calls = []
+        with pytest.raises(DomainError, match="do not fit"):
+            quad._kernel_steps(lambda *a: calls.append(a), x, hs, r, r, r,
+                               np.array(PC), out)
+        assert calls == []
+
+    def test_a_shorter_last_step_flies_in_the_same_call(self, kernel):
+        """A window's last step, shorter than the others, is one more
+        entry of hs: one call flies the whole chunk."""
+        rng = np.random.default_rng(7)
+        x = [*rng.uniform(-5.0, 5.0, 3), *rng.uniform(-0.5, 0.5, 3),
+             *rng.uniform(-2.0, 2.0, 6)]
+        hs = [1e-3] * 6 + [3.7e-4]
+        r1, rm, r4 = (rng.uniform(-1.0, 1.0, (7, 5)) for _ in range(3))
+        calls = []
+
+        def run(*args):
+            calls.append(args[1])
+            return kernel(*args)
+
+        cause, ends = assert_chunk_matches(run, x, hs, r1, rm, r4)
+        assert cause is None and len(ends) == 7
+        # _kernel_steps' call, then the check's own call of run_chunk
+        assert calls == [7, 7]
+
 
 def flights(name, dt=None):
     """The QuadTrajectory of every drone of a bundled scenario, in
@@ -243,6 +288,24 @@ class TestSimulateUsesTheKernel:
             kernel_steps(*a)) or compiled[-1])
         simulate(hover_state(), hover_schedule(P, 0.5), P, 0.5)
         assert python == [] and sum(compiled) == 500
+
+    def test_one_call_per_chunk(self, monkeypatch, lib):
+        """Chunks of 100 steps over a window of 503 steps of dt and a
+        shorter last one: six calls, the last with the shorter step."""
+        monkeypatch.setattr(native, "_lib", lib)
+        monkeypatch.setattr(quad, "_CHUNK", 100)
+        step, kernel_steps = quad._rk4_step, quad._kernel_steps
+        python, calls = [], []
+        monkeypatch.setattr(quad, "_rk4_step",
+                            lambda *a: python.append(a) or step(*a))
+        monkeypatch.setattr(quad, "_kernel_steps", lambda *a: calls.append(
+            (a[2].tolist(), kernel_steps(*a))) or calls[-1][1])
+        traj = simulate(hover_state(), hover_schedule(P, 0.50337), P, 0.50337)
+        assert python == []
+        assert [j for _, j in calls] == [100] * 5 + [4]
+        assert calls[-1][0][:3] == [1e-3] * 3
+        assert calls[-1][0][3] == pytest.approx(3.7e-4, abs=1e-12)
+        assert traj.times[-1] == 0.50337
 
     def test_a_refused_sample_walks_its_chunk_in_python(self, monkeypatch,
                                                         lib):

@@ -20,18 +20,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadswarm import consensus, mission, quad
+from quadswarm import consensus, mission, native, quad
 from quadswarm.cli import main
 from quadswarm.consensus import (ConsensusTrajectory, consensus_point,
                                  integrate_protocol, max_cross_track,
-                                 start_spectrum)
+                                 start_spectrum, sym_eigen)
 from quadswarm.errors import (DivergenceError, DomainError, GimbalLockError,
                               InfeasibleError, IoError, ParseError,
                               SwarmError, ValidationError)
 from quadswarm.mission import MODES, export_csv, load_config, run_mission
 from quadswarm.network import (DistanceWeighted, Network, StaticWeights,
                                Unweighted)
-from quadswarm.numerics import sym_eigen
 from quadswarm.planner import hover_schedule, rendezvous_route
 from quadswarm.quad import (QuadTrajectory, default_params, hover_state,
                             simulate)
@@ -89,6 +88,23 @@ m = 3.0
 agent1 = 0, 0, 0
 agent2 = 0, 9, 0
 agent3 = 15, 9, 0
+"""
+# a quarter yaw turn about an axis of almost no inertia: the Euler
+# coupling drives yaw to +-inf inside an RK4 stage at t = 0.872
+STIFF_J = "[params]\nJ = 3.8278e-3, 3.8288e-3, 1e-7\n"
+STIFF_YAW = f"""\
+[mission]
+mode = quad
+dt = 0.001
+stride = 10
+out = stiff
+[network]
+n = 1
+edges =
+[agents]
+agent1 = 0, 0, 0, 0, 0, 0
+{STIFF_J}[maneuvers]
+leg1 = yaw, 1.5707963267948966, 4
 """
 
 
@@ -1174,6 +1190,66 @@ _DT = st.one_of(st.floats(-3.0, math.log10(0.05)).map(lambda e: 10.0 ** e),
 # the errors a run raises only in flight
 _FLIGHT_ERRORS = ("GimbalLockError: ", "DivergenceError: ",
                   "SaturationError: ")
+
+
+class TestOverflowingAttitude:
+    """A roll or yaw that overflows to +-inf fails its flight with
+    DivergenceError at the start of the step it overflows in, like any
+    other non-finite flight: math.cos raises ValueError there, and the
+    compiled chunk hands that step to Python."""
+
+    FAILED = "DivergenceError: non-finite attitude near t=0.872000\n"
+
+    @pytest.mark.parametrize("compiled", [True, False],
+                             ids=["kernel", "python"])
+    def test_run_and_cli_fail_the_flight(self, tmp_path, monkeypatch, capsys,
+                                         request, compiled):
+        monkeypatch.setattr(native, "_lib",
+                            request.getfixturevalue("lib") if compiled
+                            else False)
+        path = write_cfg(tmp_path, STIFF_YAW)
+        with pytest.raises(DivergenceError) as err:
+            run_mission(load_config(path), out_dir=tmp_path / "lib")
+        assert f"{type(err.value).__name__}: {err.value}\n" == self.FAILED
+        assert isinstance(err.value.__cause__, ValueError)
+        assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 1
+        assert capsys.readouterr().err \
+            == "error: non-finite attitude near t=0.872000\n"
+        for root in ("lib", "cli"):
+            dest = tmp_path / root / "stiff"
+            assert [p.name for p in dest.iterdir()] == ["FAILED"]
+            assert (dest / "FAILED").read_text(encoding="utf-8") \
+                == self.FAILED
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_forked_lane_re_raises_it(self, tmp_path, monkeypatch, cpus):
+        """scenario_4_2_2 with that inertia: agent 1 overflows at
+        t = 0.489 and agent 3 at t = 1.033. From 2 lanes on, agent 3
+        flies in this process and agent 1 in a forked worker, whose
+        error is the run's, as it is the serial loop's."""
+        parent, real = os.getpid(), mission.simulate
+        here = []
+
+        def simulate(start, *args):
+            if os.getpid() == parent:
+                here.append(agent_of(start))
+            return real(start, *args)
+
+        monkeypatch.setattr(mission, "simulate", simulate)
+        monkeypatch.setattr(mission, "_usable_cpus", lambda: cpus)
+        text = scenario_path("scenario_4_2_2").read_text(encoding="utf-8")
+        cfg = load_config(write_cfg(
+            tmp_path, text.replace("[agents]", STIFF_J + "[agents]")))
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite attitude near t=0\.489000$"):
+            run_mission(cfg, out_dir=tmp_path)
+        assert_no_child_left()
+        assert here == ([1] if cpus == 1 else [3])
+        dest = tmp_path / cfg.out
+        assert sorted(p.name for p in dest.iterdir()) \
+            == ["FAILED", "particle.csv"]
+        assert (dest / "FAILED").read_text(encoding="utf-8") \
+            == "DivergenceError: non-finite attitude near t=0.489000\n"
 
 
 def _generated_positions(starts, n):

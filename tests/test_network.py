@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadswarm.consensus import sym_eigen
 from quadswarm.errors import DomainError
 from quadswarm.network import (DistanceWeighted, Laplacian, Network,
                                StaticWeights, Unweighted, adjacency,
                                is_complete, is_connected, laplacian,
                                pairwise_distances, proximity_edges,
                                weighted_laplacian_at, with_edges)
-from quadswarm.numerics import sym_eigen
 
 HUB = Network(4, {(1, 2), (2, 3), (2, 4), (3, 4)})
 TREE = Network(4, {(1, 3), (1, 4), (2, 3)})

@@ -1,16 +1,19 @@
-"""Unit checks for the linear-algebra and integration kernel."""
+"""Unit checks for the reference Euler maps and RK4 step of oracles.py,
+and that the package neither ships nor reads them."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadswarm
+from oracles import euler_rate_matrix, hat, rk4_step, rotation_from_euler
 from quadswarm.errors import DomainError, GimbalLockError
-from quadswarm.numerics import (GIMBAL_EPS, PITCH_LIMIT, euler_rate_matrix,
-                                hat, rotation_from_euler, rk4_step,
-                                sym_eigen)
+from quadswarm.quad import GIMBAL_EPS, PITCH_LIMIT
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -118,58 +121,6 @@ class TestEulerRateMatrix:
             euler_rate_matrix(0.0, -math.pi / 2)
 
 
-class TestSymEigen:
-    def test_two_by_two(self):
-        w, v = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(w, [1.0, 3.0], atol=1e-13)
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(a @ v, v @ np.diag(w), atol=1e-12)
-
-    def test_diagonal_input(self):
-        w, v = sym_eigen(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(w, [-1.0, 2.0, 3.0], atol=0.0)
-        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=0.0)
-
-    def test_zero_matrix(self):
-        w, v = sym_eigen(np.zeros((4, 4)))
-        assert np.array_equal(w, np.zeros(4))
-        assert np.array_equal(v, np.eye(4))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           n=st.integers(min_value=1, max_value=10))
-    def test_reconstruction_and_orthonormality(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        w, v = sym_eigen(a)
-        scale = max(np.max(np.abs(a)), 1.0)
-        assert np.max(np.abs(a - v @ np.diag(w) @ v.T)) <= 1e-9 * scale
-        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
-        assert np.all(np.diff(w) >= -1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           n=st.integers(min_value=2, max_value=8))
-    def test_agrees_with_library_eigenvalues(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        w, _ = sym_eigen(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(w - ref)) <= 1e-9 * max(np.max(np.abs(ref)), 1.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            sym_eigen(np.zeros((2, 3)))
-        with pytest.raises(DomainError):
-            sym_eigen([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DomainError):
-            sym_eigen(np.zeros((0, 0)))
-        with pytest.raises(DomainError):
-            sym_eigen([[1.0, math.nan], [math.nan, 1.0]])
-
-
 class TestRk4:
     def test_exponential_single_step(self):
         x1 = rk4_step(lambda t, x: x, 1.0, 0.0, 0.01)
@@ -208,3 +159,29 @@ class TestRk4:
             rk4_step(lambda t, x: x, 1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             rk4_step(lambda t, x: x, 1.0, 0.0, -1e-3)
+
+
+class TestOraclesStayInTheTests:
+    def test_the_package_does_not_export_them(self):
+        for name in ("hat", "rotation_from_euler", "euler_rate_matrix",
+                     "rk4_step"):
+            assert name not in quadswarm.__all__
+            assert not hasattr(quadswarm, name)
+        assert len(quadswarm.__all__) == 54
+
+    def test_no_package_module_imports_a_test_module(self):
+        tests = Path(__file__).parent
+        local = {"tests"} | {p.stem for p in tests.glob("*.py")}
+        package = Path(quadswarm.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert "numerics.py" not in {p.name for p in modules}
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in local, (path.name, name)

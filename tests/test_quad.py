@@ -9,15 +9,15 @@ import pytest
 from quadswarm import native, quad
 from quadswarm.errors import (DivergenceError, DomainError,
                               GimbalLockError, SaturationError)
-from quadswarm.numerics import (GIMBAL_EPS, euler_rate_matrix, hat,
-                                rk4_step, rotation_from_euler)
 from quadswarm.planner import (ControlSchedule, Segment,
                                axis_translation_schedule, chain_schedules,
                                hover_controls, hover_schedule, yaw_schedule)
-from quadswarm.quad import (Controls, QuadParams, QuadState, affine_fields,
-                            default_params, geodesic_spray, hover_state,
-                            simulate, state_derivative, _deriv, _param_tuple,
-                            _rotor_terms)
+from quadswarm.quad import (GIMBAL_EPS, Controls, QuadParams, QuadState,
+                            affine_fields, default_params, geodesic_spray,
+                            hover_state, simulate, state_derivative, _deriv,
+                            _param_tuple, _rotor_terms)
+
+from oracles import euler_rate_matrix, hat, rk4_step, rotation_from_euler
 
 P = default_params()
 OFF = Controls(np.zeros(4))
@@ -404,7 +404,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("leg", ["hover", "yaw", "bodyX"])
     def test_bitwise_equal_to_rk4_step(self, leg):
-        # simulate's float loop must reproduce numerics.rk4_step over
+        # simulate's float loop must reproduce oracles.rk4_step over
         # state_derivative bit for bit; byte-identical artifacts rest on
         # this operation order
         if leg == "hover":
@@ -569,6 +569,29 @@ class TestSimulate:
             assert len(flown) == steps
             if lib is False:
                 assert None not in flown
+
+    def test_an_earlier_non_finite_state_fails_first(self, monkeypatch):
+        """A chunk's states are recorded before the error of a later
+        step propagates, so the first recorded state that is not finite
+        fails the flight, as if each were recorded as it was reached:
+        step 3 ends on a NaN position, step 4 is recorded, step 5
+        fails."""
+        monkeypatch.setattr(native, "_lib", False)
+        step, steps = quad._rk4_step, []
+
+        def rk4(x, *args):
+            steps.append(None)
+            if len(steps) == 5:
+                raise GimbalLockError("pitch")
+            x = step(x, *args)
+            return (math.nan, *x[1:]) if len(steps) == 3 else x
+
+        monkeypatch.setattr(quad, "_rk4_step", rk4)
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite state at t=0\.004000$"):
+            simulate(hover_state(), hover_schedule(P, 0.01), P, 0.01,
+                     stride=2)
+        assert len(steps) == 5
 
     def test_drag_dissipates_kinetic_energy(self):
         free = replace(P, g=0.0)
