@@ -661,7 +661,7 @@ def _protocol(config, path=None):
     return particle
 
 
-def _fly_agents(config, routes, alpha, dest, beside=None):
+def _fly_agents(config, routes, alpha, dest, beside):
     """Plan and fly agent i along routes[i], a tuple of ManeuverSpec,
     write its CSV and return (beside's result, the flight AgentReports
     in agent order), as a serial loop over the agents would.
@@ -700,7 +700,7 @@ def _fly_agents(config, routes, alpha, dest, beside=None):
         if lanes:
             flown.update(fly(lanes[0]))
         while workers:
-            flown.update(_join(workers, "flight worker"))
+            flown.update(_join(workers))
     finally:
         _kill(workers)
 
@@ -782,10 +782,10 @@ def _fork(fn, arg):
     return pid, open(rfd, "rb")
 
 
-def _join(workers, what):
+def _join(workers):
     """Reap workers[0], a (pid, pipe) of _fork, drop it from workers and
-    return its result; a child that ended with a nonzero status raises
-    ChildProcessError, which names it what."""
+    return its result; a flight worker that ended with a nonzero status
+    raises ChildProcessError."""
     pid, pipe = workers[0]
     with pipe:
         data = pipe.read()
@@ -793,7 +793,7 @@ def _join(workers, what):
     del workers[0]
     if status != 0:
         raise ChildProcessError(
-            f"{what} {pid} ended with wait status {status}")
+            f"flight worker {pid} ended with wait status {status}")
     return pickle.loads(data)
 
 

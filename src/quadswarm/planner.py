@@ -71,27 +71,28 @@ class Segment:
     """One schedule piece on [t0, t1].
 
     law maps a float64 array of local times, shape (n,), to the rotor
-    speeds there: an (n, 4) array, or anything that broadcasts to it,
-    such as the four speeds of a constant law. It raises when it
-    refuses one of the times, naming the first it refuses. constant,
-    when not None, is the 4-tuple that law returns at every time, so a
-    flight through the segment needs to emit it only once.
+    speeds there: an (n, 4) array, or anything that broadcasts to it.
+    A law that returns one row of four speeds, shape (4,) or (1, 4),
+    is constant: it holds those speeds at every time. It raises when
+    it refuses one of the times, naming the first it refuses.
     """
 
     t0: float
     t1: float
     law: object
-    constant: tuple = None
 
 
 def _law_rows(seg, tl):
-    """seg's law at the local times tl, as an (n, 4) array.
+    """seg's law at the local times tl: one row, a (1, 4) array, for a
+    constant law, else an (n, 4) array.
 
     numpy's warnings are off: like Python floats, the laws let an
     overflow or a NaN through to the range check.
     """
     with np.errstate(all="ignore"):
         om = np.asarray(seg.law(tl), dtype=float)
+    if om.shape in {(4,), (1, 4)}:
+        return om.reshape(1, 4)
     if om.shape == (tl.size, 4):
         return om
     return np.broadcast_to(om, (tl.size, 4))
@@ -113,8 +114,8 @@ class ControlSchedule:
     and emit, a one-element call of the same law, checks a single time.
     The planner's probe samples each segment's grid, and simulate each
     chunk of a window's RK4 stages; a grid that fails is walked point by
-    point through emit. omega_at emits. A segment with a constant is
-    checked once per window.
+    point through emit. omega_at emits. A constant law's sample is its
+    one row, checked once.
     windows() cuts a flight into the integration windows simulate steps
     through. Sampling outside the covered interval raises DomainError,
     as does constructing non-contiguous segments.
@@ -157,7 +158,8 @@ class ControlSchedule:
 
     def sample(self, seg, times):
         """Rotor speeds of segment seg at the schedule times of the
-        float64 array times, an (n, 4) array, in one call of its law.
+        float64 array times, in one call of its law: an (n, 4) array,
+        or one row, a (1, 4) array, for a constant law.
 
         Returns None when the law refuses a time or a speed fails
         emit's range check: emit at each time, in order, then raises
@@ -225,12 +227,8 @@ class ControlSchedule:
         om = np.asarray(omega, dtype=float)
         if om.shape != (4,):
             raise DomainError("omega must be a 4-vector")
-        return cls((_held(0.0, float(duration), tuple(om.tolist())),))
-
-
-def _held(t0, t1, om):
-    """Segment holding the rotor-speed tuple om on [t0, t1]."""
-    return Segment(t0, t1, lambda tl: om, om)
+        om = tuple(om.tolist())
+        return cls((Segment(0.0, float(duration), lambda tl: om),))
 
 
 def chain_schedules(parts):
@@ -278,14 +276,12 @@ def _natural_amplitude():
 
 def _feasible(sched):
     """Return sched once each segment is in range on a grid of 2001
-    points, sampled in one call, or at its start if it is constant. A
-    grid that fails is walked point by point through emit, which raises
-    the law's refusal or SaturationError at the first failing point;
-    under _natural_amplitude that is a plan failure."""
+    points, sampled in one call of its law (a constant law's one row
+    serves the whole grid). A grid that fails is walked point by point
+    through emit, which raises the law's refusal or SaturationError at
+    the first failing point; under _natural_amplitude that is a plan
+    failure."""
     for seg in sched.segments:
-        if seg.constant is not None:
-            sched.emit(seg, seg.t0)
-            continue
         grid = np.linspace(seg.t0, seg.t1, 2001)
         if sched.sample(seg, grid) is None:
             for t in grid.tolist():
@@ -547,7 +543,7 @@ def axis_translation_schedule(p, axis, distance, duration):
                            .tolist())
         return _feasible(ControlSchedule(
             (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
-             _held(ramp, duration - ramp, cruise),
+             Segment(ramp, duration - ramp, lambda tl: cruise),
              Segment(duration - ramp, duration,
                      lambda tl: rotors(*down(tl))))))
 

@@ -324,15 +324,15 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     of the states it records inside the window, and turns the stage
     samples into the rotor terms _deriv reads (_rotor_terms). The law
     is pure, so a step's k1 reuses the previous step's k4 sample when
-    it starts at exactly that time. A chunk that holds a refused or
-    out-of-range sample is walked point by point through schedule.emit
-    instead, so its error comes at the step a flight that emits every
-    sample raises it. A segment with a constant is emitted once per
-    window. Where native.library loads, its run_chunk flies the
-    steps of every chunk that is not walked, up to the first step that
-    meets the gimbal band or a stage angle of +-inf; from there, and in
-    a walked chunk, _rk4_step flies them, so every error keeps its
-    type, its text and its step. Either way each step writes its end
+    it starts at exactly that time, and a constant law's one row serves
+    every step. A chunk that holds a refused or out-of-range sample is
+    walked point by point through schedule.emit instead, so its error
+    comes at the step a flight that emits every sample raises it. Where
+    native.library loads, its run_chunk flies the steps of every chunk
+    that is not walked, up to the first step that meets the gimbal band
+    or a stage angle of +-inf; from there, and in a walked chunk,
+    _rk4_step flies them, so every error keeps its type, its text and
+    its step. Either way each step writes its end
     state to a row of one buffer, and the chunk's recorded states are
     taken from there in one pass. States are recorded at t=0, every
     stride-th step and each window's end; the rotor speeds of a sample
@@ -418,10 +418,6 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
     count = 0
     for seg, lo, hi, edge, nfull, rem in schedule.windows(duration, dt):
         nsteps = nfull + (rem > 0.0)
-        if nsteps and seg.constant is not None:
-            # the one range check of the window, at its first stage
-            held = schedule.emit(seg, lo)
-            terms = _rotor_terms(np.array([held]), p)
         for c0 in range(0, nsteps, _CHUNK):
             k = np.arange(c0, min(c0 + _CHUNK, nsteps))
             ts, hs, tns = lo + k * dt, np.full(k.size, dt), lo + (k + 1) * dt
@@ -432,12 +428,8 @@ def simulate(s0, schedule, p, duration, dt=1e-3, stride=10):
             # the steps whose end state is recorded
             due = (count + 1 + np.arange(k.size)) % stride == 0
             count += k.size
-            if seg.constant is not None:
-                r1 = rm = r4 = terms
-                w, known = np.broadcast_to(held, (k.size, 4)), tns < edge
-            else:
-                r1, rm, r4, w, known = _chunk_samples(
-                    schedule, seg, p, edge, ts, hs, tns, due)
+            r1, rm, r4, w, known = _chunk_samples(
+                schedule, seg, p, edge, ts, hs, tns, due)
             # the kernel flies the chunk up to step j, where Python
             # takes over; a walked chunk is Python's alone, and
             # omega_at reads every speed it records
@@ -520,10 +512,12 @@ def _chunk_samples(schedule, seg, p, edge, t, h, tn, due):
     the rotor terms at its start, midpoint and end as C-ordered (n, 5)
     arrays, and in the rows of the (n, 4) array w that known marks, the
     rotor speeds at the end of each recorded step that ends before
-    edge; schedule.omega_at reads the others. When a sample is refused
-    or out of range, r1, rm and r4 are _walk's, which emit each sample
-    as the step loop reads it, and w is None: omega_at reads every
-    recorded speed, from the same law.
+    edge; schedule.omega_at reads the others. When the sample is one
+    row, a constant law's, r1, rm and r4 are one (1, 5) array, its
+    rotor terms for every step. When a sample is refused or out of
+    range, r1, rm and r4 are _walk's, which emit each sample as the
+    step loop reads it, and w is None: omega_at reads every recorded
+    speed, from the same law.
     """
     n, tq, t4 = t.size, t + 0.5 * h, t + h
     # a step's k1 reuses the last k4 when it starts at exactly that time
@@ -535,6 +529,9 @@ def _chunk_samples(schedule, seg, p, edge, t, h, tn, due):
     if om is None:
         return (*(_walk(schedule, seg, p, np.minimum(s, edge), t)
                   for s in (t, tq, t4)), None, None)
+    if len(om) == 1:
+        terms = _rotor_terms(om, p)
+        return terms, terms, terms, np.broadcast_to(om, (n, 4)), recorded
     n_own = own.sum()
     terms = _rotor_terms(om[:stages.size], p)
     # each step's start: its own sample, or the last step's k4

@@ -30,7 +30,8 @@ from quadswarm import consensus, native, quad
 from quadswarm.errors import DivergenceError, DomainError, GimbalLockError
 from quadswarm.mission import load_config, prepare, run_mission
 from quadswarm.network import DistanceWeighted, Network
-from quadswarm.planner import ControlSchedule, Segment, hover_schedule, plan
+from quadswarm.planner import (ControlSchedule, Segment, hover_controls,
+                               hover_schedule, plan)
 from quadswarm.quad import (PITCH_LIMIT, QuadState, default_params,
                             hover_state, simulate, _param_tuple)
 
@@ -306,6 +307,33 @@ class TestSimulateUsesTheKernel:
         assert calls[-1][0][:3] == [1e-3] * 3
         assert calls[-1][0][3] == pytest.approx(3.7e-4, abs=1e-12)
         assert traj.times[-1] == 0.50337
+
+    def test_a_hover_law_flies_as_the_constant_schedule(self, monkeypatch,
+                                                        lib):
+        """A hover written as a plain law of one row and the one that
+        ControlSchedule.constant builds fly the same bytes, compiled
+        and in Python; compiled, each chunk reaches run_chunk with one
+        row of rotor terms (a row stride of 0)."""
+        monkeypatch.setattr(quad, "_CHUNK", 100)
+        speeds = tuple(hover_controls(P).omega.tolist())
+        calls = []
+
+        def run(*args):
+            calls.append((args[1], args[6]))
+            return lib.run_chunk(*args)
+
+        flown = []
+        for so in (SimpleNamespace(run_chunk=run), False):
+            monkeypatch.setattr(native, "_lib", so)
+            for sched in (ControlSchedule((Segment(0.0, 0.5,
+                                                   lambda tl: speeds),)),
+                          ControlSchedule.constant(speeds, 0.5)):
+                flown.append(simulate(hover_state(), sched, P, 0.5))
+        assert calls == [(100, 0)] * 10
+        for traj in flown[1:]:
+            for field in ("times", "states", "omegas", "thrust"):
+                assert getattr(traj, field).tobytes() \
+                    == getattr(flown[0], field).tobytes()
 
     def test_a_refused_sample_walks_its_chunk_in_python(self, monkeypatch,
                                                         lib):

@@ -166,46 +166,57 @@ class TestControlSchedule:
                 assert all(type(w) is float for w in om)
 
     def test_constant_segments_carry_their_speeds(self):
-        """ControlSchedule.constant and the translation cruise mark
-        their segments constant, chain_schedules keeps the mark, and
-        Segment(t0, t1, law) is not constant."""
-        bodyx = axis_translation_schedule(P, "bodyX", 1.0, 2.0)
-        sched = chain_schedules([hover_schedule(P, 0.75), bodyx])
-        marks = [seg.constant is not None for seg in sched.segments]
-        assert marks == [True, False, True, False]
-        for seg in sched.segments[::2]:
-            assert seg.constant == seg.law(0.3)
-        assert Segment(0.0, 1.0, lambda tl: (1.0,) * 4).constant is None
+        """The hover and the translation cruise are constant laws: one
+        row of four speeds at any times, which sample returns as one
+        row and emit reads at every time, also after chain_schedules.
+        The ramp, yaw and climb laws return a row per time, and a law
+        of any other shape broadcasts to one."""
+        sched = chain_schedules([
+            hover_schedule(P, 0.75),
+            axis_translation_schedule(P, "bodyX", 1.0, 2.0),
+            yaw_schedule(P, 0.5, 2.0), vertical_schedule(P, 1.0, 2.0)])
+        tl = np.linspace(0.0, 0.3, 7)
+        shapes = [np.shape(seg.law(tl)) for seg in sched.segments]
+        assert shapes == [(4,), (7, 4), (4,), (7, 4), (7, 4), (7, 4)]
+        samples = [sched.sample(seg, seg.t0 + tl) for seg in sched.segments]
+        assert [om.shape for om in samples] \
+            == [(1, 4), (7, 4), (1, 4), (7, 4), (7, 4), (7, 4)]
+        for seg, om in zip(sched.segments[0:3:2], samples[0:3:2]):
+            row = tuple(om[0].tolist())
+            assert row == tuple(seg.law(tl))
+            assert [sched.emit(seg, t) for t in (seg.t0 + tl).tolist()] \
+                == [row] * 7
+        scalar = Segment(0.0, 1.0, lambda tl: 300.0)
+        assert planner._law_rows(scalar, tl).shape == (7, 4)
 
     def test_feasibility_checks_a_constant_segment_once(self, monkeypatch):
-        """A constant segment is checked once, at its start, and every
-        other segment on the 2001-point grid from its t0 to its t1, in
-        one call of its law."""
+        """Every segment, constant or not, is sampled once, on the
+        2001-point grid from its t0 to its t1, in one call of its law;
+        a schedule in range is never emitted."""
         calls = []
         emit, sample = ControlSchedule.emit, ControlSchedule.sample
         monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
-                            calls.append(t) or emit(self, seg, t))
+                            calls.append(("emit", t)) or emit(self, seg, t))
         monkeypatch.setattr(ControlSchedule, "sample", lambda self, seg, ts:
                             calls.append(ts) or sample(self, seg, ts))
         hover = ControlSchedule.constant(np.full(4, HOVER_W), 2.0)
-        assert calls == []  # constant() builds without emitting
-        planner._feasible(hover)
-        assert calls == [0.0]
-        calls.clear()
-        hover_schedule(P, 2.0)  # a hover is checked like every leg
-        assert calls == [0.0]
-        calls.clear()
-        sched = axis_translation_schedule(P, "bodyX", 1.0, 2.0)
-        up, cruise, down = calls
-        assert cruise == 0.4  # the cruise, at its start
-        for grid, seg in zip((up, down), sched.segments[::2]):
-            assert np.array_equal(grid, np.linspace(seg.t0, seg.t1, 2001))
+        assert calls == []  # constant() builds without sampling
+        for build in (lambda: planner._feasible(hover),
+                      lambda: hover_schedule(P, 2.0),  # checked like a leg
+                      lambda: axis_translation_schedule(P, "bodyX", 1.0,
+                                                        2.0)):
+            calls.clear()
+            sched = build()
+            assert len(calls) == len(sched.segments)
+            for grid, seg in zip(calls, sched.segments):
+                assert np.array_equal(grid,
+                                      np.linspace(seg.t0, seg.t1, 2001))
 
     def test_out_of_range_constant_segment_names_its_start(self):
         fast = (600.0,) * 4
         sched = ControlSchedule((
             Segment(0.0, 1.0, lambda tl: (300.0,) * 4),
-            Segment(1.0, 2.0, lambda tl: fast, fast)))
+            Segment(1.0, 2.0, lambda tl: fast)))
         with pytest.raises(SaturationError, match=r"at t=1\.0$"):
             planner._feasible(sched)
         with pytest.raises(InfeasibleError, match=r"at t=1\.0$"):
@@ -531,8 +542,6 @@ class TestArrayLaws:
         except InfeasibleError:
             assume(False)
         for seg, lo, hi, edge, nfull, rem in sched.windows(duration, dt):
-            if seg.constant is not None:
-                continue
             t = np.append(lo + np.arange(nfull) * dt, [hi - rem][:rem > 0])
             h = np.append(np.full(nfull, dt), [rem][:rem > 0])
             stages = np.minimum(np.concatenate((t, t + 0.5 * h, t + h)),
@@ -540,6 +549,8 @@ class TestArrayLaws:
             tl = np.concatenate(
                 (np.linspace(seg.t0, seg.t1, 2001), stages)) - seg.t0
             whole = seg.law(tl)
+            if np.shape(whole) in {(4,), (1, 4)}:
+                continue  # a constant law: one row for every time
             scalar = _scalar_law(P, spec, sched.segments.index(seg))
             assert np.array_equal(whole, [scalar(x) for x in tl.tolist()])
             drawn = np.random.default_rng(seed).choice(tl.size, 300)

@@ -495,19 +495,23 @@ class TestSimulate:
             traj.omegas, np.array([sched.omega_at(t) for t in times]))
 
     def test_constant_window_emits_once(self, monkeypatch):
-        """A constant segment is range-checked once per window; the
-        other emits are the samples at t=0 and at each window's end."""
-        # hover_schedule's own planning check emits too, so the count
+        """A constant window is range-checked by its one chunk's sample,
+        one row; the only emits are the samples at t=0 and at each
+        window's end."""
+        # hover_schedule's own planning check samples too, so the count
         # starts once the schedule is built
         sched = chain_schedules([hover_schedule(P, 0.0105),
                                  hover_schedule(P, 0.02)])
-        calls = []
-        real = ControlSchedule.emit
+        calls, rows = [], []
+        emit, sample = ControlSchedule.emit, ControlSchedule.sample
         monkeypatch.setattr(ControlSchedule, "emit", lambda self, seg, t:
-                            calls.append(t) or real(self, seg, t))
+                            calls.append(t) or emit(self, seg, t))
+        monkeypatch.setattr(ControlSchedule, "sample", lambda self, seg, ts:
+                            rows.append(sample(self, seg, ts)) or rows[-1])
         traj = simulate(hover_state(), sched, P, 0.0305, stride=10 ** 6)
         assert list(traj.times) == [0.0, 0.0105, 0.0305]
-        assert calls == [0.0, 0.0, 0.0105, 0.0105, 0.0305]
+        assert calls == [0.0, 0.0105, 0.0305]
+        assert [om.shape for om in rows] == [(1, 4), (1, 4)]
 
     def test_out_of_range_constant_window_names_its_start(self):
         sched = chain_schedules([
