@@ -1,14 +1,15 @@
 /* The hot loops of quadswarm, compiled into one shared object.
  *
  * run_chunk flies the RK4 steps of one chunk of a quad.simulate flight;
- * run_samples takes the complete-graph steps of the distance-weighted
- * agreement protocol (consensus._moving_step) and records its samples
- * (consensus._record). Each is a transcription of its Python
- * reference, operation by operation and in the same order. Built with
- * -ffp-contract=off, so no multiply and add are fused, and without
- * -ffast-math, each gives the bits of its reference. format_rows
- * writes a table as CSV lines, each number as Python's '%.17g' % x
- * writes it.
+ * run_law samples a yaw, climb or translation-ramp control law of the
+ * planner at an array of times; run_samples takes the complete-graph
+ * steps of the distance-weighted agreement protocol
+ * (consensus._moving_step) and records its samples (consensus._record).
+ * Each is a transcription of its Python reference, operation by
+ * operation and in the same order. Built with -ffp-contract=off, so no
+ * multiply and add are fused, and without -ffast-math, each gives the
+ * bits of its reference. format_rows writes a table as CSV lines, each
+ * number as Python's '%.17g' % x writes it.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <locale.h>
@@ -111,6 +112,165 @@ long run_chunk(const double *x0, long n, const double *hs, const double *r1,
         x = y;
     }
     return -1;
+}
+
+/* ---- The control laws: the planner's yaw, climb and ramp laws ----
+ *
+ * run_law samples one of the laws that yaw_schedule,
+ * vertical_schedule and axis_translation_schedule build in planner.py,
+ * at an array of local times, one time at a time, each expression in
+ * the numpy form's parenthesization. Each law reads the float
+ * constants its Python closure computed (its kernel attribute); none
+ * is recomputed here. cos, sin and atan are the libm that Python's
+ * math calls, h ** 3 is float_pow's pow(h, 3.0), and +, -, *, / and
+ * sqrt are correctly rounded in C as in numpy, so every speed is the
+ * Python law's bits.
+ *
+ * A call goes back to Python, which samples the law again and raises
+ * its refusal or returns its own bits, wherever one of the law's
+ * refusal checks trips at some time, and wherever a speed is not
+ * finite: an infinite time, where math.cos raises, and a NaN, whose
+ * sign C and numpy may set differently.
+ */
+
+/* The kinds of law: planner._YAW, _CLIMB, _RAMP_UP and _RAMP_DOWN */
+enum { YAW, CLIMB, RAMP_UP, RAMP_DOWN };
+
+/* yaw_schedule's law at t into om. k holds two_pi, duration, amp, pi,
+ * J3, Ct3, Kd and pair_sq. Returns 1 where the law refuses t. */
+static int yaw_law(const double *k, double t, double *om)
+{
+    const double two_pi = k[0], duration = k[1], amp = k[2], pi = k[3],
+        J3 = k[4], Ct3 = k[5], Kd = k[6], pair_sq = k[7];
+    const double phase = two_pi * t / duration;
+    const double rate = 0.5 * amp * (1.0 - cos(phase));
+    const double accel = amp * (pi / duration) * sin(phase);
+    const double tau = J3 * accel + rate * fabs(rate) * Ct3;
+    const double diff = tau / (2.0 * Kd);
+    const double sq1 = 0.5 * (pair_sq + diff), sq2 = 0.5 * (pair_sq - diff);
+    if (sq1 < 0.0 || sq2 < 0.0)
+        return 1;
+    om[0] = om[2] = sqrt(sq1);
+    om[1] = om[3] = sqrt(sq2);
+    return 0;
+}
+
+/* vertical_schedule's law at t into om. k holds two_pi, duration,
+ * peak, pi, m, g, CD3 and Kr. Returns 1 where the law refuses t. */
+static int climb_law(const double *k, double t, double *om)
+{
+    const double two_pi = k[0], duration = k[1], peak = k[2], pi = k[3],
+        m = k[4], g = k[5], CD3 = k[6], Kr = k[7];
+    const double phase = two_pi * t / duration;
+    const double vdes = 0.5 * peak * (1.0 - cos(phase));
+    const double adens = peak * (pi / duration) * sin(phase);
+    const double thrust = m * (adens + g) + vdes * fabs(vdes) * CD3;
+    if (thrust < 0.0)
+        return 1;
+    om[0] = om[1] = om[2] = om[3] = sqrt(thrust / (4.0 * Kr));
+    return 0;
+}
+
+/* A translation ramp's law at t into om: _smoothstep_ramp's profile,
+ * rising or falling, then axis_translation_schedule's rotors. k holds
+ * the profile's peak, width, c1, c2 and c3, then s, kappa, g, m, CD3,
+ * Kr, Krd, kg, J, Ct, the tilt limit and body_x (1.0 or 0.0). Returns
+ * 1 where the law refuses t. */
+static int ramp_law(const double *k, int rising, double t, double *om)
+{
+    const double peak = k[0], width = k[1], c1 = k[2], c2 = k[3],
+        c3 = k[4], s = k[5], kappa = k[6], g = k[7], m = k[8], CD3 = k[9],
+        Kr = k[10], Krd = k[11], kg = k[12], J = k[13], Ct = k[14],
+        tilt_limit = k[15];
+    const double u = rising ? t / width : 1.0 - t / width;
+    const double q = u * (1.0 - u);
+    const double v = peak * u * u * u * (10.0 + u * (6.0 * u - 15.0));
+    const double v1 = 30.0 * c1 * q * q;
+    const double v2 = 60.0 * c2 * q * (1.0 - 2.0 * u);
+    const double v3 = 60.0 * c3 * (1.0 - 6.0 * q);
+
+    const double acc = s * v1, drag = kappa * v * v;
+    double w = (acc + drag) / g;   /* the tangent of the tilt */
+    for (int i = 0; i < 20; i++) {
+        const double h = 1.0 / sqrt(1.0 + w * w);
+        const double step = (g * w - acc - drag * h)
+            / (g + drag * w * pow(h, 3.0));
+        w = w - step;
+        if (fabs(step) <= 1e-15 * (1.0 + fabs(w)))
+            break;
+    }
+    if (!(fabs(atan(w)) < tilt_limit))
+        return 1;
+    const double h = 1.0 / sqrt(1.0 + w * w);
+    const double h2 = h * h;
+    const double dh = -w * h2 * h;
+    const double drag1 = 2.0 * kappa * v * v1;
+    const double drag2 = 2.0 * kappa * (v1 * v1 + v * v2);
+    const double den = g - drag * dh;
+    const double w1 = (s * v2 + drag1 * h) / den;
+    const double w2 = (s * v3 + drag2 * h + 2.0 * drag1 * dh * w1
+                       + drag * (2.0 * w * w - 1.0) * h2 * h2 * h * w1 * w1)
+        / den;
+    const double rate = w1 * h2;
+    const double accel = (w2 - 2.0 * w * w1 * w1 * h2) * h2;
+    const double sn = w * h;
+    const double vz = s * v * sn;
+    const double thrust = m * (s * v1 * sn + g * h) + CD3 * vz * fabs(vz);
+    if (!(thrust > 0.0))
+        return 1;
+    const double pair = thrust / (2.0 * Kr);
+    const double pdiff = (J * accel + Ct * rate * fabs(rate)) / Krd;
+    if (pair < fabs(pdiff))
+        return 1;
+    const double a = sqrt(0.5 * (pair - pdiff));
+    const double b = sqrt(0.5 * (pair + pdiff));
+    const double half = 0.5 * pair;
+    double lo = sqrt(half), hi = lo;
+    for (int i = 0; i < 2; i++) {
+        const double half_diff = 0.5 * kg * rate * (lo + hi - a - b);
+        const double sq_lo = half + half_diff, sq_hi = half - half_diff;
+        if (sq_lo < 0.0 || sq_hi < 0.0)
+            return 1;
+        lo = sqrt(sq_lo);
+        hi = sqrt(sq_hi);
+    }
+    if (k[16] != 0.0) {
+        om[0] = lo, om[1] = a, om[2] = hi, om[3] = b;
+    } else {
+        om[0] = a, om[1] = lo, om[2] = b, om[3] = hi;
+    }
+    return 0;
+}
+
+/* The law of the given kind and constants k at the n local times tl,
+ * as the C-ordered (n, 4) rotor speeds out. Returns 0, or 1 where the
+ * call goes back to Python: a refused time, a speed that is not
+ * finite, or an unknown kind. */
+long run_law(long kind, const double *k, const double *tl, long n,
+             double *out)
+{
+    for (long i = 0; i < n; i++) {
+        double *om = out + 4 * i;
+        int back;
+        switch (kind) {
+        case YAW:
+            back = yaw_law(k, tl[i], om);
+            break;
+        case CLIMB:
+            back = climb_law(k, tl[i], om);
+            break;
+        case RAMP_UP:
+        case RAMP_DOWN:
+            back = ramp_law(k, kind == RAMP_UP, tl[i], om);
+            break;
+        default:
+            return 1;
+        }
+        if (back || !(isfinite(om[0]) && isfinite(om[1])
+                      && isfinite(om[2]) && isfinite(om[3])))
+            return 1;
+    }
+    return 0;
 }
 
 /* ---- The protocol: the complete-graph branch of _moving_step ----

@@ -2,12 +2,14 @@
 routines numpy's own products call.
 
 _kernels.c holds run_chunk, the RK4 steps of a flight chunk
-(quad.simulate); run_samples, the complete-graph steps and the
-recorded samples of the distance-weighted protocol (consensus._record);
-and format_rows, the CSV lines of a table (mission._csv_lines). Each
-transcribes its Python reference, and each caller keeps that reference
-as its fallback: where nothing can be compiled or loaded, the same
-bytes come from Python and numpy, only more slowly.
+(quad.simulate); run_law, the rotor speeds of a yaw, climb or
+translation-ramp control law at an array of times (planner._law_rows);
+run_samples, the complete-graph steps and the recorded samples of the
+distance-weighted protocol (consensus._record); and format_rows, the
+CSV lines of a table (mission._csv_lines). Each transcribes its Python
+reference, and each caller keeps that reference as its fallback: where
+nothing can be compiled or loaded, the same bytes come from Python and
+numpy, only more slowly.
 """
 
 import ctypes
@@ -37,7 +39,7 @@ _blas = None
 
 def library():
     """The shared object of _kernels.c through ctypes, with run_chunk,
-    run_samples and, where the compiler has unsigned __int128,
+    run_law, run_samples and, where the compiler has unsigned __int128,
     format_rows typed; or None where it cannot be had.
 
     The first call in a process builds it unless it is cached, with $CC
@@ -105,6 +107,8 @@ def _load():
                                ptr, ptr, ptr, c_long, c_long, c_double, ptr,
                                c_double, ptr, ptr, c_long)
     so.run_samples.restype = c_long
+    so.run_law.argtypes = (c_long, ptr, ptr, c_long, ptr)
+    so.run_law.restype = c_long
     # built only where the compiler has unsigned __int128
     if hasattr(so, "format_rows"):
         so.format_rows.argtypes = (ptr, c_long, c_long, ptr)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import native
 from .errors import (DomainError, GimbalLockError, InfeasibleError,
                      SaturationError, SwarmError)
 from .quad import Controls
@@ -43,6 +44,13 @@ _OMEGA_BOUND = OMEGA_MAX + 1e-9
 
 # Fraction of a translation leg spent in each smoothstep ramp.
 _RAMP_FRACTION = 0.2
+
+# The kinds of compiled law, numbered as run_law in _kernels.c numbers
+# them: yaw_schedule's, vertical_schedule's, and a translation leg's
+# rising and falling ramps.
+_YAW, _CLIMB, _RAMP_UP, _RAMP_DOWN = range(4)
+# The number of constants run_law reads for each kind
+_KERNEL_CONSTS = (8, 8, 17, 17)
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,9 @@ class Segment:
     speeds there: an (n, 4) array, or anything that broadcasts to it.
     A law that returns one row of four speeds, shape (4,) or (1, 4),
     is constant: it holds those speeds at every time. It raises when
-    it refuses one of the times, naming the first it refuses.
+    it refuses one of the times, naming the first it refuses. A law
+    that carries its compiled form, a kernel attribute (_compiled), is
+    sampled in C where the compiled library loads (_law_rows).
     """
 
     t0: float
@@ -86,9 +96,22 @@ def _law_rows(seg, tl):
     """seg's law at the local times tl: one row, a (1, 4) array, for a
     constant law, else an (n, 4) array.
 
+    A law with a kernel attribute runs as native's run_law where the
+    compiled library loads, and gives the Python law's bits. Where
+    run_law hands the call back (one of the law's refusal checks trips,
+    or a speed is not finite) and where nothing is compiled, the Python
+    law runs, and raises its own refusal or returns its own bits.
     numpy's warnings are off: like Python floats, the laws let an
     overflow or a NaN through to the range check.
     """
+    kernel = getattr(seg.law, "kernel", None)
+    if kernel is not None and (lib := native.library()) is not None:
+        kind, consts = kernel
+        tl = np.ascontiguousarray(tl, dtype=float)
+        om = np.empty((tl.size, 4))
+        if not lib.run_law(kind, consts.ctypes.data, tl.ctypes.data,
+                           tl.size, om.ctypes.data):
+            return om
     with np.errstate(all="ignore"):
         om = np.asarray(seg.law(tl), dtype=float)
     if om.shape in {(4,), (1, 4)}:
@@ -96,6 +119,20 @@ def _law_rows(seg, tl):
     if om.shape == (tl.size, 4):
         return om
     return np.broadcast_to(om, (tl.size, 4))
+
+
+def _compiled(law, kind, *consts):
+    """law, carrying its compiled form for _law_rows: the kernel
+    attribute (kind, consts), its kind in run_law and, as a float64
+    array, the constants its closure reads, in run_law's order. The C
+    code reads them unchecked, so a count that does not fit the kind
+    raises DomainError."""
+    consts = np.array(consts, dtype=float)
+    if consts.shape != (_KERNEL_CONSTS[kind],):
+        raise DomainError(f"law kind {kind} takes {_KERNEL_CONSTS[kind]} "
+                          f"constants, got {consts.size}")
+    law.kernel = (kind, consts)
+    return law
 
 
 def _mapped(f, a):
@@ -330,6 +367,8 @@ def yaw_schedule(p, delta_psi, duration):
         w2 = np.sqrt(sq2)
         return np.array((w1, w2, w1, w2)).T
 
+    law = _compiled(law, _YAW, two_pi, duration, amp, math.pi, J3, Ct3,
+                    p.Kd, pair_sq)
     with _natural_amplitude():
         return _feasible(
             ControlSchedule((Segment(0.0, duration, law),)))
@@ -361,6 +400,8 @@ def vertical_schedule(p, dz, duration):
         w = np.sqrt(thrust / (4.0 * p.Kr))
         return np.array((w, w, w, w)).T
 
+    law = _compiled(law, _CLIMB, two_pi, duration, peak, math.pi, p.m, p.g,
+                    CD3, p.Kr)
     with _natural_amplitude():
         return _feasible(
             ControlSchedule((Segment(0.0, duration, law),)))
@@ -382,7 +423,9 @@ def _smoothstep_ramp(peak, width, rising):
     snap jumps by 60 peak / width^3 at both ends of the ramp.
 
     Returns profile(tl) -> (V, V', V'', V''') on an array of local
-    times in [0, width].
+    times in [0, width]. Its kernel attribute is its part of a ramp
+    law's compiled form (_compiled): the kind, _RAMP_UP or _RAMP_DOWN,
+    and the constants (peak, width, c1, c2, c3).
     """
     sign = 1.0 if rising else -1.0  # du/dt = sign / width
     c1 = sign * peak / width
@@ -397,6 +440,8 @@ def _smoothstep_ramp(peak, width, rising):
                 60.0 * c2 * q * (1.0 - 2.0 * u),
                 60.0 * c3 * (1.0 - 6.0 * q))
 
+    profile.kernel = (_RAMP_UP if rising else _RAMP_DOWN,
+                      (peak, width, c1, c2, c3))
     return profile
 
 
@@ -532,8 +577,13 @@ def axis_translation_schedule(p, axis, distance, duration):
         # roll torque Krd (w3^2 - w1^2); rotors 2 and 4 balance
         return np.array((a, lo, b, hi)).T
 
-    up = _smoothstep_ramp(peak, ramp, True)
-    down = _smoothstep_ramp(peak, ramp, False)
+    def ramp_law(rising):
+        profile = _smoothstep_ramp(peak, ramp, rising)
+        kind, consts = profile.kernel
+        return _compiled(lambda tl: rotors(*profile(tl)), kind, *consts, s,
+                         kappa, g, m, CD3, Kr, Krd, kg, J, Ct, tilt_limit,
+                         body_x)
+
     with _natural_amplitude():
         # the cruise goes first: its tilt guard bounds the drag term by
         # sqrt(2) g over the whole leg, which keeps Newton's equation
@@ -542,10 +592,9 @@ def axis_translation_schedule(p, axis, distance, duration):
             cruise = tuple(rotors(np.array([peak]), *np.zeros((3, 1)))[0]
                            .tolist())
         return _feasible(ControlSchedule(
-            (Segment(0.0, ramp, lambda tl: rotors(*up(tl))),
+            (Segment(0.0, ramp, ramp_law(True)),
              Segment(ramp, duration - ramp, lambda tl: cruise),
-             Segment(duration - ramp, duration,
-                     lambda tl: rotors(*down(tl))))))
+             Segment(duration - ramp, duration, ramp_law(False)))))
 
 
 def schedule_for(p, spec):

@@ -1,12 +1,14 @@
 """The compiled loops of quadswarm/_kernels.c against their references.
 
-run_chunk transcribes quad._deriv and quad._rk4_step, and run_samples
-the complete-graph branch of consensus._moving_step and the sample loop
-of consensus._record. These tests hold each to its reference bit for
-bit, on drawn inputs and on the bundled runs, and check that simulate
-and integrate_protocol go through them where they build and fall back
-to the same bytes where they do not. Where no C compiler is found, the
-tests that need one are skipped. format_rows has tests/test_format.py.
+run_chunk transcribes quad._deriv and quad._rk4_step; run_law the yaw,
+climb and translation-ramp laws of the planner; and run_samples the
+complete-graph branch of consensus._moving_step and the sample loop of
+consensus._record. These tests hold each to its reference bit for bit,
+on drawn inputs and on the bundled runs, and check that simulate,
+planner._law_rows and integrate_protocol go through them where they
+build and fall back to the same bytes where they do not. Where no C
+compiler is found, the tests that need one are skipped. format_rows
+has tests/test_format.py.
 """
 
 import ctypes
@@ -16,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,12 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COMPILER, mission_config, scenario_path
-from quadswarm import consensus, native, quad
-from quadswarm.errors import DivergenceError, DomainError, GimbalLockError
+from quadswarm import consensus, native, planner, quad
+from quadswarm.errors import (DivergenceError, DomainError, GimbalLockError,
+                              SwarmError)
 from quadswarm.mission import load_config, prepare, run_mission
 from quadswarm.network import DistanceWeighted, Network
-from quadswarm.planner import (ControlSchedule, Segment, hover_controls,
-                               hover_schedule, plan)
+from quadswarm.planner import (ControlSchedule, ManeuverSpec, Segment,
+                               hover_controls, hover_schedule, plan,
+                               schedule_for)
 from quadswarm.quad import (PITCH_LIMIT, QuadState, default_params,
                             hover_state, simulate, _param_tuple)
 
@@ -251,8 +256,10 @@ class TestBundledFlights:
     @pytest.mark.parametrize("name", ["scenario_4_2_1", "scenario_4_2_2"])
     def test_trajectories_do_not_depend_on_the_kernel(
             self, monkeypatch, lib, name, dt):
-        """The 4_2_1 flight and 4_2_2's three routes; at dt = 0.0037
-        every window ends with a shorter step."""
+        """The 4_2_1 flight and 4_2_2's three routes, planned and flown
+        with the library (run_law samples the laws, run_chunk takes the
+        steps) and without it; at dt = 0.0037 every window ends with a
+        shorter step."""
         monkeypatch.setattr(native, "_lib", lib)
         compiled = flights(name, dt)
         monkeypatch.setattr(native, "_lib", False)
@@ -654,3 +661,213 @@ class TestRunProtocol:
         # first block of 256 samples, and every later call one more
         assert len(traj.times) == 15_001
         assert len(taken) == 1 + -(-(15_001 - 256) // 256)
+
+
+# ---- run_law: the planner's yaw, climb and translation-ramp laws ----
+
+# Vehicles whose laws reach every refusal between them: the default,
+# whose ramps meet the tilt guard and the torque budget; one whose
+# heavy rotors the balancing pair cannot always cancel; and one whose
+# body z drag can make a ramp's thrust nonpositive
+VEHICLES = {"default": P, "heavy-rotors": replace(P, Jr_bar=3e-2),
+            "z-drag": replace(P, CD=np.array([5e-4, 5e-4, 5.0]))}
+
+# The refusals of the four laws, each a prefix of its error text
+REFUSALS = ("yaw torque exceeds rotor authority at t=",
+            "descent wants negative thrust at t=",
+            "translation wants tilt beyond 0.785 rad",
+            "profile demands nonpositive thrust",
+            "torque demand exceeds thrust budget",
+            "balancing pair cannot cancel the gyroscopic torque")
+
+# The drawn amounts: radians of yaw, meters otherwise
+_AMOUNT = {"yaw": 6.0, "vertical": 60.0, "bodyX": 40.0, "bodyY": 40.0}
+
+
+@pytest.fixture(scope="module")
+def law_kernel(lib):
+    """run_law of the fresh build."""
+    return lib.run_law
+
+
+def law_segments(kind, amount, duration, vehicle):
+    """The schedule of one maneuver, built without its feasibility
+    probe so that refused amplitudes build too, and its segments whose
+    laws carry a compiled form; None where the build itself refuses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "_feasible", lambda sched: sched)
+        try:
+            sched = schedule_for(VEHICLES[vehicle],
+                                 ManeuverSpec(kind, amount, duration))
+        except SwarmError:
+            return None
+    segs = [seg for seg in sched.segments if hasattr(seg.law, "kernel")]
+    assert len(segs) == (1 if kind in ("yaw", "vertical") else 2)
+    return sched, segs
+
+
+def sampled(sched, seg, tl):
+    """seg's law at the local times tl through _law_rows, and emit at
+    the first of them: each as its bytes, or as its error's type and
+    text."""
+    def outcome(f):
+        try:
+            return np.ascontiguousarray(f(), dtype=float).tobytes()
+        except (SwarmError, ValueError) as e:
+            return type(e).__name__, str(e)
+
+    return (outcome(lambda: planner._law_rows(seg, tl)),
+            outcome(lambda: sched.emit(seg, seg.t0 + tl[0])))
+
+
+def law_both_ways(law_kernel, sched, seg, tl):
+    """sampled() with law_kernel as native._lib's only entry and with
+    no library: (compiled, python, what each run_law call returned)."""
+    returned = []
+
+    def run_law(*args):
+        returned.append(law_kernel(*args))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "_lib", SimpleNamespace(run_law=run_law))
+        compiled = sampled(sched, seg, tl)
+        mp.setattr(native, "_lib", False)
+        python = sampled(sched, seg, tl)
+    return compiled, python, returned
+
+
+def refusal(outcome):
+    """The REFUSALS entry an outcome's error text starts with, or None
+    for speeds."""
+    if isinstance(outcome, bytes):
+        return None
+    (prefix,) = [r for r in REFUSALS if outcome[1].startswith(r)]
+    return prefix
+
+
+@st.composite
+def maneuvers(draw):
+    kind = draw(st.sampled_from(sorted(_AMOUNT)))
+    amount = draw(st.floats(-_AMOUNT[kind], _AMOUNT[kind]))
+    return (kind, amount, draw(st.floats(0.5, 20.0)),
+            draw(st.sampled_from(sorted(VEHICLES))))
+
+
+class TestRunLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(maneuver=maneuvers(), u=st.floats(0.0, 1.0))
+    def test_equals_the_python_law_bit_for_bit(self, law_kernel, maneuver,
+                                               u):
+        """Each compiled segment of a drawn yaw, climb, descent or
+        bodyX or bodyY translation, on a grid and at one drawn time:
+        the same speeds, or the same refusal."""
+        built = law_segments(*maneuver)
+        if built is None:
+            return
+        sched, segs = built
+        for seg in segs:
+            span = seg.t1 - seg.t0
+            for tl in (np.linspace(0.0, span, 65), np.array([u * span])):
+                compiled, python, returned = law_both_ways(
+                    law_kernel, sched, seg, tl)
+                assert compiled == python
+                assert returned[0] == (refusal(python[0]) is not None)
+
+    def test_every_refusal_is_reached(self, law_kernel):
+        """Seeded maneuvers of every kind on every vehicle, on grids of
+        257 times and at single times: the compiled law gives the Python
+        law's bits wherever it refuses nothing, goes back to Python
+        exactly where a check refuses, and every refusal is met."""
+        rng = np.random.default_rng(36)
+        met = set()
+        for kind, vehicle in itertools.product(sorted(_AMOUNT),
+                                               sorted(VEHICLES)):
+            for _ in range(25):
+                built = law_segments(
+                    kind, float(rng.uniform(-_AMOUNT[kind], _AMOUNT[kind])),
+                    float(rng.uniform(0.5, 10.0)), vehicle)
+                if built is None:
+                    continue
+                sched, segs = built
+                for seg in segs:
+                    span = seg.t1 - seg.t0
+                    for tl in (np.linspace(0.0, span, 257),
+                               rng.uniform(0.0, span, 1)):
+                        compiled, python, returned = law_both_ways(
+                            law_kernel, sched, seg, tl)
+                        assert compiled == python
+                        met.add(refusal(python[0]))
+                        assert returned[0] == (refusal(python[0])
+                                               is not None)
+        assert met == {None, *REFUSALS}
+
+    @pytest.mark.parametrize("vehicle, kind, amount, duration, leg, t, text",
+                             [("default", "yaw", -40.0, 0.5, 0, 0.0125,
+                               REFUSALS[0]),
+                              ("default", "vertical", -40.0, 0.5, 0, 0.0125,
+                               REFUSALS[1]),
+                              ("default", "bodyX", -40.0, 0.5, 0, 0.0025,
+                               REFUSALS[2]),
+                              ("z-drag", "bodyX", -40.0, 1.0, 1, 0.005,
+                               REFUSALS[3]),
+                              ("default", "bodyX", -40.0, 0.5, 0, 0.0,
+                               REFUSALS[4]),
+                              ("heavy-rotors", "bodyX", -40.0, 2.0, 0, 0.38,
+                               REFUSALS[5])],
+                             ids=["yaw", "descent", "tilt", "thrust",
+                                  "torque", "gyro"])
+    def test_a_handed_back_call_raises_the_python_text(
+            self, law_kernel, vehicle, kind, amount, duration, leg, t,
+            text):
+        """A refused time goes back to Python, which raises its own
+        text there and in emit; a grid that holds the time goes back
+        too, and raises the first check in the law's order that any of
+        its times fails."""
+        sched, segs = law_segments(kind, amount, duration, vehicle)
+        seg = segs[leg]
+        compiled, python, returned = law_both_ways(law_kernel, sched, seg,
+                                                   np.array([t]))
+        assert compiled == python
+        assert returned == [1, 1]
+        assert refusal(python[0]) == refusal(python[1]) == text
+        grid = np.linspace(0.0, seg.t1 - seg.t0, 33)
+        compiled, python, returned = law_both_ways(
+            law_kernel, sched, seg, np.sort(np.append(grid, t)))
+        assert compiled == python
+        assert returned[0] == 1 and refusal(python[0]) is not None
+
+    @pytest.mark.parametrize("kind", sorted(_AMOUNT))
+    def test_a_time_that_is_not_finite_goes_back(self, law_kernel, kind):
+        """At +-inf math.cos raises ValueError, or a ramp's speeds go
+        NaN, and at NaN every law's do: run_law hands each back, and the
+        Python law raises or returns its own bits."""
+        sched, segs = law_segments(kind, 1.0, 4.0, "default")
+        for t in (math.inf, -math.inf, math.nan):
+            compiled, python, returned = law_both_ways(
+                law_kernel, sched, segs[0], np.array([t, 0.5]))
+            assert compiled == python
+            assert returned == [1, 1]
+
+    @pytest.mark.parametrize("name", ["scenario_4_2_1", "scenario_4_2_2"])
+    def test_bundled_flights_sample_every_law_in_c(self, monkeypatch,
+                                                   law_kernel, lib, name):
+        """Planning and flying the 4_2_1 flight and 4_2_2's three routes
+        call run_law for every probe grid, every chunk and every emit
+        of a compiled law, and no call goes back to Python."""
+        returned = []
+
+        def run_law(*args):
+            returned.append(law_kernel(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(native, "_lib", SimpleNamespace(
+            run_chunk=lib.run_chunk, run_law=run_law))
+        flights(name)
+        assert len(returned) > 10 and set(returned) == {0}
+
+    def test_constants_that_do_not_fit_the_kind_are_refused(self):
+        """run_law reads a law's constants unchecked, so a count that
+        does not fit its kind never reaches it."""
+        with pytest.raises(DomainError, match="takes 8 constants, got 7"):
+            planner._compiled(lambda tl: tl, planner._YAW, *[1.0] * 7)

@@ -150,15 +150,16 @@ def test_a_compiler_without_int128_keeps_the_other_loops(tmp_path,
                                                         monkeypatch, lib):
     """With __SIZEOF_INT128__ undefined, as a compiler without
     unsigned __int128 has it, the shared object builds and loads with
-    run_chunk and run_samples but no format_rows, and the CSV lines
-    are Python's."""
+    run_chunk, run_law and run_samples but no format_rows, and the CSV
+    lines are Python's."""
     monkeypatch.setenv("CC", (os.environ.get("CC") or "cc")
                        + " -U__SIZEOF_INT128__")
     monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
     monkeypatch.setattr(native, "_lib", None)
     so = native.library()
     assert so is not None and so is not lib
-    assert hasattr(so, "run_chunk") and hasattr(so, "run_samples")
+    assert hasattr(so, "run_chunk") and hasattr(so, "run_law")
+    assert hasattr(so, "run_samples")
     assert not hasattr(so, "format_rows")
     table = np.array([[0.1, -2.5e-7, 1e300], [np.nan, -0.0, 5e-324]])
     assert mission._format_rows(table).decode() == python_lines(table)
@@ -166,7 +167,7 @@ def test_a_compiler_without_int128_keeps_the_other_loops(tmp_path,
 
 def without_formatter(lib):
     """lib without format_rows: the CSVs take Python's '%'."""
-    return SimpleNamespace(run_chunk=lib.run_chunk,
+    return SimpleNamespace(run_chunk=lib.run_chunk, run_law=lib.run_law,
                            run_samples=lib.run_samples)
 
 
@@ -183,7 +184,8 @@ def test_artifacts_do_not_depend_on_the_formatter(tmp_path, monkeypatch,
     monkeypatch.setattr(mission, "_usable_cpus", lambda: 1)
     calls = []
     counted = SimpleNamespace(
-        run_chunk=compiled.run_chunk, run_samples=compiled.run_samples,
+        run_chunk=compiled.run_chunk, run_law=compiled.run_law,
+        run_samples=compiled.run_samples,
         format_rows=lambda *a: calls.append(a[1]) or compiled.format_rows(*a))
     monkeypatch.setattr(native, "_lib", counted)
     run_mission(cfg, out_dir=tmp_path / "c")
